@@ -36,7 +36,7 @@ from .evolution import (
     fock_amplitudes,
     observables_from_accumulator,
 )
-from .kernels import active_backend, fold_ladder, rk4_propagate, warmup
+from .kernels import active_backend, fold_ladder, rk4_propagate
 from .oracle import OracleDiagnostics, TruncatedHamiltonian, fidelity, integrate
 from .profiles import (
     DiscretizedProfile,
@@ -80,7 +80,6 @@ __all__ = [
     "active_backend",
     "fold_ladder",
     "rk4_propagate",
-    "warmup",
     "OracleDiagnostics",
     "TruncatedHamiltonian",
     "fidelity",

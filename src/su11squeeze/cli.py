@@ -22,9 +22,9 @@ from . import analysis
 from .config import PRESETS, ExperimentConfig, build_config
 from .errors import (
     ConfigError,
+    InvalidAccumulatorError,
     LeakageError,
     ProfileDomainError,
-    SingularCompositionError,
     TableRangeError,
 )
 from .evolution import FockState, Trajectory, apply_to_state, auto_converge, evolve
@@ -92,9 +92,7 @@ def run_trajectory(cfg: ExperimentConfig) -> Trajectory:
     if cfg.n_steps == "auto":
         return auto_converge(profile, cfg.t_final, cfg.tol, n_start=cfg.n_start,
                              rule=cfg.rule, lam=cfg.lam, scaling=cfg.scaling)
-    record_every = cfg.record_every
-    if record_every == "auto":
-        record_every = max(1, cfg.n_steps // 5000)
+    record_every = None if cfg.record_every == "auto" else cfg.record_every
     dprof = discretize(profile, cfg.t_final, cfg.n_steps, rule=cfg.rule)
     return evolve(dprof, record_every=record_every, lam=cfg.lam, scaling=cfg.scaling)
 
@@ -357,7 +355,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ProfileDomainError, TableRangeError, SingularCompositionError, LeakageError) as exc:
+    except (ProfileDomainError, TableRangeError, InvalidAccumulatorError, LeakageError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
 

@@ -55,6 +55,10 @@ class ExperimentConfig:
     fingerprint: bool = False
 
     def validate(self) -> "ExperimentConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.profile not in KINDS:
             raise ConfigError(f"unknown profile {self.profile!r}; choose from {', '.join(KINDS)}")
         if not (self.omega0 > 0):

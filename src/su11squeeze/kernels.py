@@ -1,121 +1,59 @@
-"""Hot numeric kernels: the N-step coefficient fold and the Fock-basis RK4 sweep.
+"""Hot numeric kernels: the N-step ladder fold and the Fock-basis RK4 sweep.
 
-Both kernels exist twice: a numba ``@njit`` version (default) and a pure
-numpy version.  Setting the environment variable ``SU11SQUEEZE_NO_NUMBA``
-to ``1``/``true``/``yes`` selects the numpy path; it is also used
-automatically when numba is not importable.  The two paths agree to
-floating-point roundoff and are compared by the test suite and by
-``benchmarks/bench_kernels.py``.
+The fold writes each constant-frequency segment as a det-1 SU(1,1) matrix::
+
+    S_j = [[conj(D), v], [conj(v), D]]
+    D = cos(w*tau) + i*cosh(2*rho)*sin(w*tau),   v = -i*sinh(2*rho)*sin(w*tau)
+
+and the ladder as their ordered product ``S_N ... S_1 = [[p, q], [conj(q),
+conj(p)]]``, kept as the two complex numbers ``(p, q)``.  The composed
+coefficients are ``alpha = q/conj(p)``, ``beta = conj(p)**-2`` and
+``gamma = -conj(q)/conj(p)``, the same triple that the recurrence in
+:func:`su11squeeze.core.compose` builds one segment at a time.  The product
+is associative, so it is computed as an inclusive prefix scan inside blocks
+of ``BLOCK`` segments (vectorized numpy), with the running product carried
+from block to block.  No step divides, and ``|p| >= 1`` along any ladder.
+
+The RK4 sweep integrates the Schrodinger equation in a truncated number
+basis; :func:`fock_bands` holds the basis matrix elements it shares with
+:class:`su11squeeze.oracle.TruncatedHamiltonian`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
 
 import numpy as np
 
-from .errors import ProfileDomainError, SingularCompositionError
+from .errors import ProfileDomainError
 
-# Matches core.SINGULAR_TOL; duplicated here so the jitted kernels close
-# over a plain float.
-_SINGULAR_TOL = 1e-14
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency in practice
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def numba_disabled_by_env() -> bool:
-    return os.environ.get("SU11SQUEEZE_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
+#: Segments per prefix-scan block: the scan is vectorized inside a block and
+#: sequential across blocks, and this bounds the fold's scratch memory.
+BLOCK = 4096
 
 
 def active_backend() -> str:
-    """Name of the kernel path that will run: ``"numba"`` or ``"numpy"``."""
-    return "numba" if (_HAVE_NUMBA and not numba_disabled_by_env()) else "numpy"
+    """Name of the kernel path that runs (numpy is the only one)."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
-# coefficient fold
+# ladder fold
 # ---------------------------------------------------------------------------
 
-def _fold_numpy(omega, omega0, tau, rec_steps, alpha, beta, gamma, defect):
-    # Transcendentals vectorized up front; the recurrence itself is a strict
-    # data dependency chain and stays a scalar loop.
-    rho2 = np.log(omega / omega0)
-    wt = omega * tau
-    s = np.sin(wt)
-    den_all = np.cos(wt) + 1j * np.cosh(rho2) * s
-    lam_all = -1j * np.sinh(rho2) * s / den_all
-    lc_all = 1.0 / (den_all * den_all)
-
-    a = 0j
-    b = 1.0 + 0j
-    g = 0j
-    max_defect = 0.0
-    k = 0
-    for j in range(1, omega.shape[0] + 1):
-        lam = lam_all[j - 1]
-        lc = lc_all[j - 1]
-        d = 1.0 - a * lam
-        if abs(d) < _SINGULAR_TOL:
-            return max_defect, j
-        a, b, g = lam + a * lc / d, b * lc / (d * d), g + lam * b / d
-        defect_j = abs(abs(a) ** 2 + abs(b) - 1.0)
-        if defect_j > max_defect:
-            max_defect = defect_j
-        if k < rec_steps.shape[0] and j == rec_steps[k]:
-            alpha[k] = a
-            beta[k] = b
-            gamma[k] = g
-            defect[k] = defect_j
-            k += 1
-    return max_defect, 0
+def _mul(ap, aq, bp, bq):
+    """(p, q) of the product A @ B of two SU(1,1) matrices given as (p, q)."""
+    return ap * bp + aq * np.conj(bq), ap * bq + aq * np.conj(bp)
 
 
-@njit(cache=True, nogil=True)
-def _fold_numba(omega, omega0, tau, rec_steps, alpha, beta, gamma, defect):
-    a = 0j
-    b = 1.0 + 0j
-    g = 0j
-    max_defect = 0.0
-    k = 0
-    for j in range(1, omega.shape[0] + 1):
-        w = omega[j - 1]
-        rho2 = math.log(w / omega0)
-        wt = w * tau
-        s = math.sin(wt)
-        den = complex(math.cos(wt), math.cosh(rho2) * s)
-        lam = -1j * math.sinh(rho2) * s / den
-        lc = 1.0 / (den * den)
-        d = 1.0 - a * lam
-        if abs(d) < _SINGULAR_TOL:
-            return max_defect, j
-        a2 = lam + a * lc / d
-        b2 = b * lc / (d * d)
-        g2 = g + lam * b / d
-        a, b, g = a2, b2, g2
-        defect_j = abs(abs(a) ** 2 + abs(b) - 1.0)
-        if defect_j > max_defect:
-            max_defect = defect_j
-        if k < rec_steps.shape[0] and j == rec_steps[k]:
-            alpha[k] = a
-            beta[k] = b
-            gamma[k] = g
-            defect[k] = defect_j
-            k += 1
-    return max_defect, 0
+def _prefix_products(p, q):
+    """Inclusive prefix products ``S_i ... S_0`` of one block (Hillis-Steele scan)."""
+    shift = 1
+    while shift < p.shape[0]:
+        p[shift:], q[shift:] = _mul(p[shift:], q[shift:], p[:-shift], q[:-shift])
+        shift *= 2
+    return p, q
 
 
 def record_steps(n_steps: int, record_every: int) -> np.ndarray:
@@ -153,11 +91,6 @@ def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1):
         ``||alpha|^2 + |beta| - 1|`` at each record.
     max_defect : float
         Maximum defect seen at *any* segment, recorded or not.
-
-    Raises
-    ------
-    SingularCompositionError
-        If a composition denominator degenerates (pathological ladder).
     """
     omega = np.ascontiguousarray(omega, dtype=np.float64)
     if omega.shape[0] == 0:
@@ -170,120 +103,54 @@ def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1):
             omega=float(omega[bad]),
         )
     rec = record_steps(omega.shape[0], record_every)
-    alpha = np.empty(rec.shape[0], dtype=np.complex128)
-    beta = np.empty(rec.shape[0], dtype=np.complex128)
-    gamma = np.empty(rec.shape[0], dtype=np.complex128)
-    defect = np.empty(rec.shape[0], dtype=np.float64)
-    impl = _fold_numba if active_backend() == "numba" else _fold_numpy
-    max_defect, bad = impl(omega, float(omega0), float(tau), rec, alpha, beta, gamma, defect)
-    if bad:
-        raise SingularCompositionError(
-            f"degenerate composition denominator at step {bad} (omega_j={omega[bad - 1]})",
-            step=int(bad),
-            omega=float(omega[bad - 1]),
-        )
-    return rec, alpha, beta, gamma, defect, max_defect
+    rec_p = np.empty(rec.shape[0], dtype=np.complex128)
+    rec_q = np.empty(rec.shape[0], dtype=np.complex128)
+    rec_defect = np.empty(rec.shape[0], dtype=np.float64)
+    max_defect = 0.0
+    carry_p, carry_q = 1.0 + 0j, 0j
+    for start in range(0, omega.shape[0], BLOCK):
+        w = omega[start:start + BLOCK]
+        rho2 = np.log(w / omega0)
+        wt = w * tau
+        s = np.sin(wt)
+        d = np.cos(wt) + 1j * np.cosh(rho2) * s
+        p, q = _prefix_products(np.conj(d), -1j * np.sinh(rho2) * s)
+        p, q = _mul(p, q, carry_p, carry_q)
+        carry_p, carry_q = p[-1], q[-1]
+
+        p2 = p.real ** 2 + p.imag ** 2
+        defect = np.abs(q.real ** 2 + q.imag ** 2 + 1.0 - p2) / p2
+        max_defect = max(max_defect, float(defect.max()))
+        lo, hi = np.searchsorted(rec, (start + 1, start + w.shape[0] + 1))
+        rows = rec[lo:hi] - (start + 1)
+        rec_p[lo:hi] = p[rows]
+        rec_q[lo:hi] = q[rows]
+        rec_defect[lo:hi] = defect[rows]
+
+    pc = np.conj(rec_p)
+    return rec, rec_q / pc, 1.0 / (pc * pc), -np.conj(rec_q) / pc, rec_defect, max_defect
 
 
 # ---------------------------------------------------------------------------
 # truncated-basis RK4 sweep
 # ---------------------------------------------------------------------------
 
-def _rk4_numpy(omega, omega0, tau, psi, n_sub):
-    dim = psi.shape[0]
+@functools.lru_cache(maxsize=8)
+def fock_bands(dim: int):
+    """Number-basis bands of the segment Hamiltonian, before frequency scaling.
+
+    Returns the diagonal ``n + 1/2`` (length ``dim``) and the ``n <-> n+2``
+    coupling ``sqrt((n+1)(n+2))/2`` (length ``dim - 2``).  A segment at
+    ``omega`` with ``rho = 0.5*ln(omega/omega0)`` has
+    ``H = omega*cosh(2 rho)*diag + omega*sinh(2 rho)*off``.  Read-only,
+    built once per dimension.
+    """
     n = np.arange(dim, dtype=np.float64)
-    ladder = 0.5 * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
-    dt = tau / n_sub
-
-    def hpsi(p, diag, off):
-        y = diag * p
-        y[2:] += off * p[:-2]
-        y[:-2] += off * p[2:]
-        return y
-
-    min_norm2 = 1.0
-    max_norm2 = 1.0
-    max_edge = 0.0
-    for w in omega:
-        rho2 = math.log(w / omega0)
-        diag = w * math.cosh(rho2) * (n + 0.5)
-        off = w * math.sinh(rho2) * ladder
-        for _ in range(n_sub):
-            k1 = -1j * hpsi(psi, diag, off)
-            k2 = -1j * hpsi(psi + (0.5 * dt) * k1, diag, off)
-            k3 = -1j * hpsi(psi + (0.5 * dt) * k2, diag, off)
-            k4 = -1j * hpsi(psi + dt * k3, diag, off)
-            psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        norm2 = float(np.real(np.vdot(psi, psi)))
-        min_norm2 = min(min_norm2, norm2)
-        max_norm2 = max(max_norm2, norm2)
-        edge = float(np.sum(np.abs(psi[-4:]) ** 2))
-        max_edge = max(max_edge, edge)
-    return psi, min_norm2, max_norm2, max_edge
-
-
-@njit(cache=True, nogil=True)
-def _rk4_numba(omega, omega0, tau, psi, n_sub):
-    dim = psi.shape[0]
-    diag = np.empty(dim, dtype=np.float64)
-    off = np.empty(dim, dtype=np.float64)
-    k1 = np.empty(dim, dtype=np.complex128)
-    k2 = np.empty(dim, dtype=np.complex128)
-    k3 = np.empty(dim, dtype=np.complex128)
-    k4 = np.empty(dim, dtype=np.complex128)
-    tmp = np.empty(dim, dtype=np.complex128)
-    dt = tau / n_sub
-
-    min_norm2 = 1.0
-    max_norm2 = 1.0
-    max_edge = 0.0
-    for seg in range(omega.shape[0]):
-        w = omega[seg]
-        rho2 = math.log(w / omega0)
-        ch = w * math.cosh(rho2)
-        sh = w * math.sinh(rho2)
-        for i in range(dim):
-            diag[i] = ch * (i + 0.5)
-            off[i] = 0.5 * sh * math.sqrt((i + 1.0) * (i + 2.0)) if i < dim - 2 else 0.0
-        for _ in range(n_sub):
-            _hpsi_numba(psi, diag, off, k1)
-            for i in range(dim):
-                tmp[i] = psi[i] + (0.5 * dt) * k1[i]
-            _hpsi_numba(tmp, diag, off, k2)
-            for i in range(dim):
-                tmp[i] = psi[i] + (0.5 * dt) * k2[i]
-            _hpsi_numba(tmp, diag, off, k3)
-            for i in range(dim):
-                tmp[i] = psi[i] + dt * k3[i]
-            _hpsi_numba(tmp, diag, off, k4)
-            for i in range(dim):
-                psi[i] = psi[i] + (dt / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-        norm2 = 0.0
-        for i in range(dim):
-            norm2 += psi[i].real ** 2 + psi[i].imag ** 2
-        if norm2 < min_norm2:
-            min_norm2 = norm2
-        if norm2 > max_norm2:
-            max_norm2 = norm2
-        edge = 0.0
-        for i in range(dim - 4, dim):
-            edge += psi[i].real ** 2 + psi[i].imag ** 2
-        if edge > max_edge:
-            max_edge = edge
-    return psi, min_norm2, max_norm2, max_edge
-
-
-@njit(cache=True, nogil=True, inline="always")
-def _hpsi_numba(p, diag, off, out):
-    # out = -i * H p, H coupling n <-> n+2 plus the diagonal
-    dim = p.shape[0]
-    for i in range(dim):
-        y = diag[i] * p[i]
-        if i >= 2:
-            y += off[i - 2] * p[i - 2]
-        if i < dim - 2:
-            y += off[i] * p[i + 2]
-        out[i] = -1j * y
+    diag = n + 0.5
+    off = 0.5 * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
+    diag.flags.writeable = False
+    off.flags.writeable = False
+    return diag, off
 
 
 def rk4_propagate(omega, omega0: float, tau: float, psi0, n_sub: int):
@@ -300,14 +167,31 @@ def rk4_propagate(omega, omega0: float, tau: float, psi0, n_sub: int):
     psi = np.ascontiguousarray(psi0, dtype=np.complex128).copy()
     if psi.shape[0] < 5:
         raise ValueError("state vector too short for a meaningful truncated basis")
-    impl = _rk4_numba if active_backend() == "numba" else _rk4_numpy
-    return impl(omega, float(omega0), float(tau), psi, int(n_sub))
+    levels, ladder = fock_bands(psi.shape[0])
+    dt = tau / n_sub
 
+    def hpsi(p, diag, off):
+        y = diag * p
+        y[2:] += off * p[:-2]
+        y[:-2] += off * p[2:]
+        return y
 
-def warmup():
-    """Trigger JIT compilation of the hot kernels on tiny inputs."""
-    om = np.array([1.1, 0.9], dtype=np.float64)
-    fold_ladder(om, 1.0, 1e-3, 1)
-    psi = np.zeros(8, dtype=np.complex128)
-    psi[0] = 1.0
-    rk4_propagate(om, 1.0, 1e-3, psi, 2)
+    min_norm2 = 1.0
+    max_norm2 = 1.0
+    max_edge = 0.0
+    for w in omega:
+        rho2 = math.log(w / omega0)
+        diag = w * math.cosh(rho2) * levels
+        off = w * math.sinh(rho2) * ladder
+        for _ in range(n_sub):
+            k1 = -1j * hpsi(psi, diag, off)
+            k2 = -1j * hpsi(psi + (0.5 * dt) * k1, diag, off)
+            k3 = -1j * hpsi(psi + (0.5 * dt) * k2, diag, off)
+            k4 = -1j * hpsi(psi + dt * k3, diag, off)
+            psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        norm2 = float(np.real(np.vdot(psi, psi)))
+        min_norm2 = min(min_norm2, norm2)
+        max_norm2 = max(max_norm2, norm2)
+        edge = float(np.sum(np.abs(psi[-4:]) ** 2))
+        max_edge = max(max_edge, edge)
+    return psi, min_norm2, max_norm2, max_edge

@@ -36,13 +36,11 @@ class TruncatedHamiltonian:
     rho: float
 
     def diagonal(self) -> np.ndarray:
-        n = np.arange(self.dim, dtype=np.float64)
-        return self.omega * math.cosh(2.0 * self.rho) * (n + 0.5)
+        return self.omega * math.cosh(2.0 * self.rho) * kernels.fock_bands(self.dim)[0]
 
     def offdiagonal(self) -> np.ndarray:
         """Couplings between n and n+2, length dim-2."""
-        n = np.arange(self.dim - 2, dtype=np.float64)
-        return 0.5 * self.omega * math.sinh(2.0 * self.rho) * np.sqrt((n + 1.0) * (n + 2.0))
+        return self.omega * math.sinh(2.0 * self.rho) * kernels.fock_bands(self.dim)[1]
 
     def matrix(self) -> np.ndarray:
         h = np.diag(self.diagonal())

@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from su11squeeze import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def compiled_kernels():
-    """Pay the JIT cost once, up front, so per-test timings are meaningful."""
-    kernels.warmup()
-
 
 def random_ladder(rng, max_len=10_000):
     """A random frequency ladder in the regime the normalization property quantifies."""

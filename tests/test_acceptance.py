@@ -298,7 +298,7 @@ def _cross_check(dprof, dim):
     return fid, parity, diag, r_final
 
 
-def test_c10_oracle_equivalence_pulses(fig1_runs):
+def test_c10_oracle_equivalence_pulses():
     for label, B in B_VALUES.items():
         dprof = discretize(relaxing_pulse(B=B), 150.0, 150_000)
         fid, parity, diag, _ = _cross_check(dprof, dim=128)

@@ -125,10 +125,21 @@ class TestSimulate:
         ["simulate", "--profile", "constant", "--t-final", "-1"],
         ["simulate", "--profile", "constant", "--scaling", "half", "--n-steps", "0"],
         ["simulate", "--preset", "fig1", "--B", "-2"],
+        ["simulate", "--preset", "fig1", "--t-final", "inf"],
+        ["simulate", "--preset", "fig1", "--omega0", "inf"],
+        ["simulate", "--preset", "fig2", "--epsilon", "nan"],
     ])
     def test_config_errors_exit_2(self, argv, tmp_path, capsys):
         assert cli.main(argv + ["--output", str(tmp_path / "x.csv")]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_alpha_rounding_to_one_exits_3(self, tmp_path, capsys):
+        # r reaches ~31 on the square wave at t = 200, where |alpha| = tanh(r)
+        # rounds to 1 in double precision
+        code = cli.main(["simulate", "--preset", "fig4", "--t-final", "200",
+                         "--n-steps", "400000", "--output", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert "simulation error" in capsys.readouterr().err
 
     def test_nonpositive_tabulated_sample_exits_3(self, tmp_path, capsys):
         table = tmp_path / "dip.dat"

@@ -1,19 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
-from su11squeeze import IDENTITY, compose, step_coeffs
-from su11squeeze import kernels
-from su11squeeze.errors import SingularCompositionError
-from su11squeeze.kernels import (
-    _fold_numpy,
-    _rk4_numpy,
-    active_backend,
-    fold_ladder,
-    record_steps,
-    rk4_propagate,
-)
+from su11squeeze import IDENTITY, compose, discretize, janszky_adam, step_coeffs
+from su11squeeze.kernels import BLOCK, fock_bands, fold_ladder, record_steps, rk4_propagate
 
 
 def resonance_ladder(n=5000, t_final=5.0):
@@ -21,19 +10,6 @@ def resonance_ladder(n=5000, t_final=5.0):
     ts = tau * np.arange(1, n + 1)
     omega = 0.5 * ((1.0 + 1.04) + (1.0 - 1.04) * np.cos(2.04 * ts))
     return omega, tau
-
-
-class TestBackendSelection:
-    def test_env_flag_forces_numpy(self, monkeypatch):
-        monkeypatch.setenv("SU11SQUEEZE_NO_NUMBA", "1")
-        assert active_backend() == "numpy"
-
-    def test_default_uses_numba_when_available(self, monkeypatch):
-        monkeypatch.delenv("SU11SQUEEZE_NO_NUMBA", raising=False)
-        if kernels._HAVE_NUMBA:
-            assert active_backend() == "numba"
-        else:
-            assert active_backend() == "numpy"
 
 
 class TestFoldLadder:
@@ -44,54 +20,33 @@ class TestFoldLadder:
         assert list(record_steps(4, 1)) == [1, 2, 3, 4]
 
     def test_matches_scalar_composition(self):
-        omega, tau = resonance_ladder(n=400)
-        rec, alpha, beta, gamma, defect, _ = fold_ladder(omega, 1.0, tau, record_every=50)
-        acc = IDENTITY
-        k = 0
-        for j, w in enumerate(omega, 1):
-            acc = compose(acc, step_coeffs(float(w), 1.0, tau))
-            if j == rec[k]:
-                assert abs(acc.alpha - alpha[k]) < 1e-12
-                assert abs(acc.beta - beta[k]) < 1e-12
-                assert abs(acc.gamma - gamma[k]) < 1e-12
-                assert abs(acc.norm_defect - defect[k]) < 1e-12
-                k += 1
-        assert k == rec.shape[0]
+        # the long ladder spans three blocks and ends mid-block, so the
+        # running product is carried across every block boundary
+        assert 10_007 > 2 * BLOCK and 10_007 % BLOCK
+        for n, t_final, record_every in ((400, 5.0, 50), (10_007, 120.0, 1)):
+            omega, tau = resonance_ladder(n=n, t_final=t_final)
+            rec, alpha, beta, gamma, defect, _ = fold_ladder(omega, 1.0, tau, record_every)
+            acc = IDENTITY
+            k = 0
+            for j, w in enumerate(omega, 1):
+                acc = compose(acc, step_coeffs(float(w), 1.0, tau))
+                if j == rec[k]:
+                    assert abs(acc.alpha - alpha[k]) < 1e-12
+                    assert abs(acc.beta - beta[k]) < 1e-12
+                    assert abs(acc.gamma - gamma[k]) < 1e-12
+                    assert abs(acc.norm_defect - defect[k]) < 1e-12
+                    k += 1
+            assert k == rec.shape[0]
 
-    @pytest.mark.skipif(not kernels._HAVE_NUMBA, reason="numba unavailable")
-    def test_numba_and_numpy_paths_agree(self):
-        omega, tau = resonance_ladder(n=20_000)
-        rec = record_steps(omega.shape[0], 100)
-        out = {}
-        for name, impl in (("numba", kernels._fold_numba), ("numpy", _fold_numpy)):
-            alpha = np.empty(rec.shape[0], np.complex128)
-            beta = np.empty_like(alpha)
-            gamma = np.empty_like(alpha)
-            defect = np.empty(rec.shape[0], np.float64)
-            max_defect, bad = impl(omega, 1.0, tau, rec, alpha, beta, gamma, defect)
-            assert bad == 0
-            out[name] = (alpha, beta, gamma, max_defect)
-        for a, b in zip(out["numba"][:3], out["numpy"][:3]):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
-
-    def test_env_flag_changes_executed_path(self, monkeypatch):
-        omega, tau = resonance_ladder(n=300)
-        monkeypatch.setenv("SU11SQUEEZE_NO_NUMBA", "true")
-        rec1 = fold_ladder(omega, 1.0, tau, 30)
-        monkeypatch.delenv("SU11SQUEEZE_NO_NUMBA")
-        rec2 = fold_ladder(omega, 1.0, tau, 30)
-        np.testing.assert_allclose(rec1[1], rec2[1], rtol=1e-12)
-
-    def test_singular_status_raises_with_context(self, monkeypatch):
-        def fake_impl(omega, omega0, tau, rec, alpha, beta, gamma, defect):
-            return 0.0, 3
-
-        monkeypatch.setattr(kernels, "_fold_numba", fake_impl)
-        monkeypatch.setattr(kernels, "_fold_numpy", fake_impl)
-        with pytest.raises(SingularCompositionError) as err:
-            fold_ladder(np.array([1.1, 1.2, 1.3, 1.4]), 1.0, 0.1, 1)
-        assert err.value.step == 3
-        assert err.value.omega == pytest.approx(1.3)
+    def test_strong_squeezing_stays_normalized(self):
+        # the square wave reaches r ~ 15.6 at t = 100, where |alpha| = tanh(r)
+        # sits within 1e-13 of 1
+        dprof = discretize(janszky_adam(omega1=1.5), 100.0, 200_000)
+        _, alpha, _, _, defect, max_defect = fold_ladder(dprof.samples, 1.0, dprof.tau, 40)
+        assert np.all(np.abs(alpha) < 1.0)
+        assert np.arctanh(np.abs(alpha[-1])) > 15.0
+        assert np.all(defect <= 1e-10)
+        assert max_defect <= 1e-10
 
     def test_bad_record_every_rejected(self):
         with pytest.raises(ValueError):
@@ -104,15 +59,13 @@ class TestRk4Propagate:
         psi[0] = 1.0
         return psi
 
-    @pytest.mark.skipif(not kernels._HAVE_NUMBA, reason="numba unavailable")
-    def test_numba_and_numpy_paths_agree(self):
-        omega, tau = resonance_ladder(n=200, t_final=0.2)
-        psi0 = self._vacuum(32)
-        a = kernels._rk4_numba(omega, 1.0, tau, psi0.copy(), 4)
-        b = _rk4_numpy(omega, 1.0, tau, psi0.copy(), 4)
-        np.testing.assert_allclose(a[0], b[0], rtol=1e-12, atol=1e-14)
-        assert a[1] == pytest.approx(b[1], rel=1e-12)
-        assert a[3] == pytest.approx(b[3], rel=1e-9, abs=1e-20)
+    def test_fock_bands_are_shared_and_read_only(self):
+        diag, off = fock_bands(6)
+        assert fock_bands(6)[0] is diag
+        np.testing.assert_array_equal(diag, [0.5, 1.5, 2.5, 3.5, 4.5, 5.5])
+        np.testing.assert_allclose(off, 0.5 * np.sqrt([2.0, 6.0, 12.0, 20.0]), rtol=1e-15)
+        with pytest.raises(ValueError):
+            diag[0] = 1.0
 
     def test_norm_tracking_brackets_unity(self):
         omega = np.full(50, 1.3)
