@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .evolution import FockState, Trajectory, apply_to_state, auto_converge, evolve
 from .oracle import fidelity, integrate
-from .profiles import discretize
+from .profiles import KINDS, discretize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,10 +43,8 @@ NORM_DEFECT_MAX = 1e-10
 BASE_COLUMNS = ("t", "omega", "re_alpha", "im_alpha", "abs_alpha",
                 "r", "vartheta", "phi", "variance", "mean_n", "norm_defect")
 
-_CONFIG_KEYS = ("profile", "omega0", "B", "epsilon", "omega_l", "omega1",
-                "hold_low", "hold_high", "table", "t_final", "n_steps", "tol",
-                "n_start", "lam", "scaling", "record_every", "rule", "output",
-                "format", "oracle_check", "oracle_dim", "oracle_dt_sub", "fingerprint")
+#: Configuration fields that a command-line flag sets (each command picks presets itself).
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "preset")
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +101,15 @@ def _oracle_check(cfg: ExperimentConfig, traj: Trajectory):
     profile = cfg.to_profile()
     dprof = discretize(profile, cfg.t_final, traj.n_steps_used, rule=cfg.rule)
     dt_sub = cfg.oracle_dt_sub if cfg.oracle_dt_sub is not None else dprof.tau / 4.0
+    if dt_sub > dprof.tau:
+        raise ConfigError(f"oracle_dt_sub {dt_sub} exceeds the ladder step tau = {dprof.tau}")
     try:
         oracle_state, diag = integrate(dprof, FockState.vacuum(), dt_sub, dim=cfg.oracle_dim)
         method_state = apply_to_state(traj.final, FockState.vacuum(), n_max=diag.dim - 1)
     except LeakageError as exc:
         return EXIT_ORACLE, f"oracle check failed: {exc}"
     fid = fidelity(method_state.normalized(), oracle_state)
-    if fid < ORACLE_FIDELITY_MIN:
+    if not fid >= ORACLE_FIDELITY_MIN:  # a diverged integration gives nan
         return EXIT_ORACLE, (f"oracle mismatch: fidelity {fid:.8f} < {ORACLE_FIDELITY_MIN} "
                              f"(dim={diag.dim}, leakage={diag.leakage:.2e})")
     return EXIT_OK, f"oracle check passed: fidelity {fid:.8f} (dim={diag.dim})"
@@ -280,8 +281,7 @@ def _int_or_auto(text: str):
 def _add_config_flags(parser: argparse.ArgumentParser):
     grp = parser.add_argument_group("experiment configuration")
     grp.add_argument("--config", help="flat key = value configuration file")
-    grp.add_argument("--profile", choices=("constant", "relaxing_pulse", "parametric_resonance",
-                                           "janszky_adam", "sudden_jump", "tabulated"))
+    grp.add_argument("--profile", choices=KINDS)
     grp.add_argument("--omega0", type=float, help="reference frequency (default 1.0)")
     grp.add_argument("--B", type=float, help="relaxing-pulse width parameter")
     grp.add_argument("--epsilon", type=float, help="modulation rate in units of omega0")

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .oracle import MAX_DIM as ORACLE_MAX_DIM
 from .profiles import (
     KINDS,
     Profile,
@@ -83,6 +84,10 @@ class ExperimentConfig:
             raise ConfigError(f"rule must be 'right' or 'midpoint', got {self.rule!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
+        if self.oracle_dim is not None and not (5 <= self.oracle_dim <= ORACLE_MAX_DIM):
+            raise ConfigError(f"oracle_dim must be in [5, {ORACLE_MAX_DIM}], got {self.oracle_dim}")
+        if self.oracle_dt_sub is not None and not (self.oracle_dt_sub > 0):
+            raise ConfigError(f"oracle_dt_sub must be positive, got {self.oracle_dt_sub}")
         required = {
             "relaxing_pulse": ("B",),
             "parametric_resonance": ("epsilon", "omega_l"),

@@ -163,6 +163,8 @@ def evolve(dprofile: DiscretizedProfile, record_every: int | None = None,
     rec, alpha, beta, gamma, defect, max_defect = kernels.fold_ladder(
         dprofile.samples, dprofile.omega0, dprofile.tau, record_every
     )
+    if not np.all(np.isfinite(defect)):  # |p|^2 = cosh(r)^2 overflows beyond r ~ 355
+        raise InvalidAccumulatorError("the ladder fold overflowed double precision")
     records = []
     for k in range(rec.shape[0]):
         j = int(rec[k])

@@ -3,7 +3,11 @@
 Integrates i dC/dt = H(t) C directly with classical RK4 on the same
 piecewise-constant frequency ladder the algebraic method uses, so the two
 routes share a discretization and differ only in how the propagator is
-evaluated.  Deliberately simple: fixed substep, no adaptivity.
+evaluated.  Deliberately simple: fixed substep, no adaptivity.  The kernel,
+:func:`su11squeeze.kernels.rk4_propagate`, applies each substep as the
+banded RK4 step matrix of the truncated Hamiltonian; it shares the basis
+bands with :class:`TruncatedHamiltonian` and nothing with the su(1,1)
+algebra.
 """
 
 from __future__ import annotations

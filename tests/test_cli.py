@@ -1,11 +1,16 @@
+import argparse
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from su11squeeze import cli
+from su11squeeze.config import ExperimentConfig
 
 
 def read_csv(path):
@@ -21,6 +26,9 @@ def read_csv(path):
     parsed = list(csv.reader(data_lines))
     header, body = parsed[0], parsed[1:]
     return header, body, comments
+
+
+ORACLE_RUN = ["simulate", "--preset", "fig4", "--t-final", "1", "--n-steps", "1000", "--oracle-check"]
 
 
 class TestSimulate:
@@ -128,6 +136,8 @@ class TestSimulate:
         ["simulate", "--preset", "fig1", "--t-final", "inf"],
         ["simulate", "--preset", "fig1", "--omega0", "inf"],
         ["simulate", "--preset", "fig2", "--epsilon", "nan"],
+        *[ORACLE_RUN + ["--oracle-dim", dim] for dim in ("0", "3")],
+        *[ORACLE_RUN + ["--oracle-dt-sub", dt] for dt in ("0", "-1", "1")],  # tau = 0.001
     ])
     def test_config_errors_exit_2(self, argv, tmp_path, capsys):
         assert cli.main(argv + ["--output", str(tmp_path / "x.csv")]) == 2
@@ -140,6 +150,27 @@ class TestSimulate:
                          "--n-steps", "400000", "--output", str(tmp_path / "x.csv")])
         assert code == 3
         assert "simulation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        # omega0 = 1e-300 beside the absolute omega_l = 1.04 puts omega/omega0
+        # near 1e284: one step overflows |p|^2, two overflow p itself
+        ["--n-steps", "1", "--epsilon", "7.024474751815672e+291"],
+        ["--n-steps", "2", "--epsilon", "1.4048949503631344e+292"],
+    ])
+    def test_fold_beyond_double_range_exits_3(self, argv, tmp_path, capsys):
+        code = cli.main(["simulate", "--preset", "fig2", "--t-final", "1.5", "--omega0", "1e-300",
+                         "--oracle-check", "--oracle-dim", "5",
+                         "--output", str(tmp_path / "x.csv")] + argv)
+        assert code == 3
+        assert "simulation error" in capsys.readouterr().err
+
+    def test_diverged_oracle_fails_the_check(self, tmp_path, capsys):
+        # RK4 at dt*omega0 ~ 1e197 overflows to nan, which must not pass the fidelity gate
+        code = cli.main(["simulate", "--profile", "constant", "--omega0", "1e200",
+                         "--t-final", "1", "--n-steps", "1000",
+                         "--oracle-check", "--oracle-dim", "64", "--output", str(tmp_path / "x.csv")])
+        assert code == 4
+        assert "fidelity nan" in capsys.readouterr().out
 
     def test_nonpositive_tabulated_sample_exits_3(self, tmp_path, capsys):
         table = tmp_path / "dip.dat"
@@ -264,3 +295,59 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+def test_every_config_field_has_a_flag():
+    wanted = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"preset"}
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    for name, parser in commands.choices.items():
+        flags = {a.dest for a in parser._actions if a.option_strings}
+        assert wanted <= flags, (name, sorted(wanted - flags))
+
+
+# Values that no numeric flag accepts, drawn for about one flag in four; the
+# rest are values the flag may take.  Flags that set the amount of work
+# (t_final, n_steps, oracle_dim, oracle_dt_sub) draw from a capped range; the
+# others may be huge.
+_REJECTED = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-1e300"])
+
+
+def _or_rejected(*valid):
+    return st.integers(0, 3).flatmap(lambda i: _REJECTED if i == 0 else st.one_of(*valid))
+
+
+def _floats(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False).map(repr)
+
+
+_FUZZ_FLAGS = {
+    "--t-final": _or_rejected(_floats(1e-300, 5.0)),
+    "--n-steps": _or_rejected(st.integers(1, 2000).map(str)),
+    "--omega0": _or_rejected(_floats(1e-300, 1e300)),
+    "--epsilon": _or_rejected(_floats(1e-300, 1e300)),
+    "--record-every": _or_rejected(st.integers(1, 10**30).map(str)),
+    "--oracle-dim": _or_rejected(st.sampled_from(["3", "4", "100000"]), st.integers(5, 64).map(str)),
+    "--oracle-dt-sub": _or_rejected(st.just("1e300"), _floats(1e-3, 10.0)),
+}
+
+
+# fig2's own t_final, n_steps and unpinned oracle basis would set a large
+# amount of work, so these three flags are always given
+_ALWAYS = ("--t-final", "--n-steps", "--oracle-dim")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.fixed_dictionaries(
+    {flag: _FUZZ_FLAGS[flag] for flag in _ALWAYS},
+    optional={flag: strategy for flag, strategy in _FUZZ_FLAGS.items() if flag not in _ALWAYS}))
+def test_fuzzed_flags_exit_with_a_documented_code(values, tmp_path, capsys):
+    argv = ["simulate", "--preset", "fig2", "--oracle-check", "--output", str(tmp_path / "f.csv")]
+    argv += [f"{flag}={value}" for flag, value in values.items()]  # "=" keeps "-1" a value
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a value its type cannot parse
+        code = exc.code
+    capsys.readouterr()
+    assert code in (0, 2, 3, 4), argv

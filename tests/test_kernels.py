@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from su11squeeze import IDENTITY, compose, discretize, janszky_adam, step_coeffs
-from su11squeeze.kernels import BLOCK, fock_bands, fold_ladder, record_steps, rk4_propagate
+from su11squeeze import IDENTITY, TruncatedHamiltonian, compose, discretize, janszky_adam, step_coeffs
+from su11squeeze.kernels import (
+    BLOCK,
+    RK4_BLOCK,
+    fock_bands,
+    fold_ladder,
+    record_steps,
+    rk4_propagate,
+)
 
 
 def resonance_ladder(n=5000, t_final=5.0):
@@ -53,6 +60,22 @@ class TestFoldLadder:
             fold_ladder(np.array([1.0]), 1.0, 0.1, 0)
 
 
+def dense_rk4(omega, omega0, tau, psi0, n_sub):
+    """Classical k1..k4 RK4 with the dense truncated Hamiltonian; same returns as rk4_propagate."""
+    psi, dt, norms, edges = psi0.copy(), tau / n_sub, [1.0], [0.0]
+    for w in omega:
+        h = -1j * TruncatedHamiltonian(psi.shape[0], w, 0.5 * np.log(w / omega0)).matrix()
+        for _ in range(n_sub):
+            k1 = h @ psi
+            k2 = h @ (psi + 0.5 * dt * k1)
+            k3 = h @ (psi + 0.5 * dt * k2)
+            k4 = h @ (psi + dt * k3)
+            psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        norms.append(np.vdot(psi, psi).real)
+        edges.append(np.vdot(psi[-4:], psi[-4:]).real)
+    return psi, min(norms), max(norms), max(edges)
+
+
 class TestRk4Propagate:
     def _vacuum(self, dim):
         psi = np.zeros(dim, np.complex128)
@@ -89,3 +112,31 @@ class TestRk4Propagate:
     def test_rejects_bad_substep_count(self):
         with pytest.raises(ValueError):
             rk4_propagate(np.array([1.0]), 1.0, 0.1, self._vacuum(8), 0)
+
+    @pytest.mark.parametrize("ladder", ["random", "constant"])
+    @pytest.mark.parametrize("n_sub", [1, 3, 4])
+    @pytest.mark.parametrize("dim", [5, 6, 7, 9, 12])
+    def test_matches_dense_reference(self, dim, n_sub, ladder, rng):
+        # at these sizes the nine bands of the step matrix reach both ends of
+        # the basis, and the ladder ends mid-block.  On a constant ladder any
+        # rounding the step matrix makes repeats at every substep, so a
+        # stored P = 1 + (P - I) drifts the norm by ~n_seg * n_sub * 1e-16.
+        n_seg = 40 * RK4_BLOCK + 3
+        if ladder == "random":
+            omega = rng.uniform(0.7, 1.5, n_seg)
+        else:
+            omega = np.full(n_seg, rng.uniform(0.7, 1.5))
+        psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi0 /= np.linalg.norm(psi0)
+        got = rk4_propagate(omega, 1.0, 0.02, psi0, n_sub)
+        want = dense_rk4(omega, 1.0, 0.02, psi0, n_sub)
+        assert np.max(np.abs(got[0] - want[0])) <= 1e-13
+        for g, w in zip(got[1:], want[1:]):
+            assert abs(g - w) <= 1e-14
+
+    def test_even_input_keeps_odd_amplitudes_zero(self, rng):
+        psi0 = np.zeros(12, np.complex128)
+        psi0[::2] = rng.normal(size=6) + 1j * rng.normal(size=6)
+        psi, *_ = rk4_propagate(rng.uniform(0.7, 1.5, 2 * RK4_BLOCK + 1), 1.0, 0.02, psi0, 3)
+        assert np.all(psi[1::2] == 0.0)
+        assert np.all(psi[::2] != 0.0)
