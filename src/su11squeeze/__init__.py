@@ -28,13 +28,12 @@ from .errors import (
 )
 from .evolution import (
     FockState,
-    SqueezeObservables,
     Trajectory,
     apply_to_state,
     auto_converge,
     evolve,
     fock_amplitudes,
-    observables_from_accumulator,
+    observables,
 )
 from .kernels import active_backend, fold_ladder, rk4_propagate
 from .oracle import OracleDiagnostics, TruncatedHamiltonian, fidelity, integrate
@@ -70,13 +69,12 @@ __all__ = [
     "SingularCompositionError",
     "TableRangeError",
     "FockState",
-    "SqueezeObservables",
     "Trajectory",
     "apply_to_state",
     "auto_converge",
     "evolve",
     "fock_amplitudes",
-    "observables_from_accumulator",
+    "observables",
     "active_backend",
     "fold_ladder",
     "rk4_propagate",

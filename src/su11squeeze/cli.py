@@ -12,7 +12,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -53,17 +52,15 @@ _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig) if f.n
 
 def trajectory_table(traj: Trajectory, fingerprint: bool = False):
     """Rows in the fixed column order (plus re_z/im_z when fingerprinting)."""
+    rec = traj.records
     columns = list(BASE_COLUMNS)
+    a = rec.alpha
+    cols = [rec.t, rec.omega, a.real, a.imag, np.hypot(a.real, a.imag),
+            rec.r, rec.vartheta, rec.phi, rec.variance, rec.mean_n, rec.norm_defect]
     if fingerprint:
         columns += ["re_z", "im_z"]
-    rows = []
-    for rec in traj.records:
-        row = [rec.t, rec.omega, rec.alpha.real, rec.alpha.imag, abs(rec.alpha),
-               rec.r, rec.vartheta, rec.phi, rec.variance, rec.mean_n, rec.norm_defect]
-        if fingerprint:
-            row += [rec.r * math.cos(rec.phi), rec.r * math.sin(rec.phi)]
-        rows.append(row)
-    return columns, rows
+        cols += [rec.r * np.cos(rec.phi), rec.r * np.sin(rec.phi)]
+    return columns, np.column_stack(cols).tolist()
 
 
 def write_table(path: str, fmt: str, columns, rows, comments=(), extra: dict | None = None):
@@ -120,7 +117,7 @@ def run_single(cfg: ExperimentConfig, announce=print) -> int:
     columns, rows = trajectory_table(traj, fingerprint=cfg.fingerprint)
     write_table(cfg.output, cfg.format, columns, rows)
     announce(f"wrote {cfg.output} ({len(rows)} records, n_steps={traj.n_steps_used})")
-    worst = max(rec.norm_defect for rec in traj.records)
+    worst = float(np.max(traj.records.norm_defect))
     if worst > NORM_DEFECT_MAX:
         print(f"error: norm defect {worst:.3e} exceeds {NORM_DEFECT_MAX:g}", file=sys.stderr)
         return EXIT_SIMULATION
@@ -227,17 +224,16 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"t_final differs: {cfg_a.t_final} vs {cfg_b.t_final}")
     traj_a = run_trajectory(cfg_a)
     traj_b = run_trajectory(cfg_b)
-    t_a, t_b = traj_a.times(), traj_b.times()
+    t_a, t_b = traj_a.records.t, traj_b.records.t
     if t_a.shape != t_b.shape or not np.array_equal(t_a, t_b):
         raise ConfigError("record grids differ; match n_steps and record_every")
-    r_a, r_b = traj_a.r_values(), traj_b.r_values()
+    r_a, r_b = traj_a.records.r, traj_b.records.r
     verdict = _compare_verdict(cfg_a, cfg_b, t_a, r_a, r_b)
 
     out = args.output or "compare.csv"
     fmt = args.format or "csv"
     columns = ["t", "r_a", "r_b", "r_diff"]
-    rows = [[float(t_a[i]), float(r_a[i]), float(r_b[i]), float(r_a[i] - r_b[i])]
-            for i in range(t_a.shape[0])]
+    rows = np.column_stack([t_a, r_a, r_b, r_a - r_b]).tolist()
     write_table(out, fmt, columns, rows,
                 comments=[f"verdict: {verdict}"], extra={"verdict": verdict})
     print(f"verdict: {verdict}")

@@ -58,6 +58,10 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         for f in fields(self):
             value = getattr(self, f.name)
+            # a numeric field holds a number or its non-numeric default (None, "auto")
+            if (f.name in _NUMBER_FIELDS and value != f.default
+                    and (isinstance(value, bool) or not isinstance(value, (int, float)))):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.profile not in KINDS:
@@ -121,6 +125,9 @@ class ExperimentConfig:
 
 
 _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
+#: Fields annotated ``int`` or ``float``, alone or in a union.
+_NUMBER_FIELDS = {f.name for f in fields(ExperimentConfig)
+                  if {"int", "float"} & set(f.type.split(" | "))}
 _INT_OR_AUTO = ("n_steps", "record_every")
 _BOOL_FIELDS = ("oracle_check", "fingerprint")
 

@@ -1,9 +1,11 @@
 """Trajectory driver and observable extraction.
 
-``evolve`` folds a discretized profile through the hot kernel and turns the
-recorded coefficients into squeezing observables; ``auto_converge`` wraps it
-in a step-doubling loop.  ``fock_amplitudes`` and ``apply_to_state`` expand
-the composed propagator in the number basis.
+``evolve`` folds a discretized profile through the hot kernel and hands the
+recorded coefficient columns to ``observables``, which evaluates the
+closed-form squeezing observables on whole arrays and returns one record
+array (a column per observable, a row per record).  ``auto_converge`` wraps
+``evolve`` in a step-doubling loop.  ``fock_amplitudes`` and
+``apply_to_state`` expand the composed propagator in the number basis.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,47 +28,21 @@ SCALINGS = {"half": 0.5, "quarter": 0.25}
 LEAKAGE_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class SqueezeObservables:
-    """Squeezing observables of the vacuum-evolved state at one instant."""
-
-    t: float
-    omega: float
-    alpha: complex
-    r: float
-    vartheta: float
-    phi: float
-    chi: float
-    variance: float
-    mean_n: float
-    norm_defect: float
-
-    @property
-    def z(self) -> complex:
-        """Complex squeeze label r*exp(i*phi) (the trajectory fingerprint)."""
-        return self.r * cmath.exp(1j * self.phi)
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-ordered squeezing records plus the final composed propagator."""
+    """Time-ordered squeezing records plus the final composed propagator.
+
+    ``records`` is the record array of :func:`observables`: ``records.r`` is
+    the column of squeezing parameters, ``records[-1].r`` the final one.
+    """
 
     profile_descriptor: str
-    records: tuple
+    records: np.recarray
     n_steps_used: int
     converged: bool | None
     final: PropagatorAccumulator
     max_norm_defect: float
     convergence_history: tuple = field(default=())
-
-    def times(self) -> np.ndarray:
-        return np.array([rec.t for rec in self.records])
-
-    def r_values(self) -> np.ndarray:
-        return np.array([rec.r for rec in self.records])
-
-    def variances(self) -> np.ndarray:
-        return np.array([rec.variance for rec in self.records])
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,54 +73,50 @@ class FockState:
         return FockState.basis_state(0, n_max)
 
 
-def _wrap_phi(vartheta: float) -> float:
-    # phi = vartheta +- pi, folded back into (-pi, pi]
-    return vartheta + math.pi if vartheta <= 0.0 else vartheta - math.pi
+def observables(alpha, beta, t, omega, norm_defect, lam: float = 0.0,
+                scaling: str = "quarter") -> np.recarray:
+    """Squeezing observables of the vacuum-evolved state, one record per input.
 
-
-def observables_from_accumulator(acc: PropagatorAccumulator, t: float,
-                                 lam: float = 0.0, scaling: str = "quarter",
-                                 omega: float = math.nan) -> SqueezeObservables:
-    """Extract squeezing observables from a composed propagator.
-
-    ``r = atanh|alpha|``; ``vartheta = arg(alpha)`` (principal value); the
+    ``alpha`` and ``beta`` are composed coefficients; ``t``, ``omega`` and
+    ``norm_defect`` are carried into the records unchanged.  ``r =
+    atanh|alpha|``; ``vartheta = arg(alpha)`` (principal value); the
     squeezing phase is ``phi = vartheta + pi`` wrapped to (-pi, pi], the
     branch that makes the two number-basis expansions of the state agree
-    term by term.  The quadrature variance at angle ``lam`` is::
+    term by term; ``chi = arg(beta)``.  The quadrature variance at angle
+    ``lam`` is::
 
         s * (exp(2r)*sin^2(lam - phi/2) + exp(-2r)*cos^2(lam - phi/2))
 
     with ``s = 1/2`` (``scaling="half"``) or the rescaled-quadrature
     convention ``s = 1/4`` (``"quarter"``, the default used by all shipped
-    presets).
+    presets), and ``mean_n = sinh(r)^2``.  Returns a record array with the
+    fields ``t, omega, alpha, r, vartheta, phi, chi, variance, mean_n,
+    norm_defect``.
+
+    Raises
+    ------
+    InvalidAccumulatorError
+        If any ``|alpha|`` is not below 1.
     """
     try:
         s = SCALINGS[scaling]
     except KeyError:
         raise ValueError(f"scaling must be one of {sorted(SCALINGS)}, got {scaling!r}") from None
-    mod_alpha = abs(acc.alpha)
-    if mod_alpha >= 1.0:
+    alpha = np.asarray(alpha, dtype=np.complex128)
+    mod_alpha = np.hypot(alpha.real, alpha.imag)  # rounds as Python's abs(complex); np.abs does not
+    if not np.all(mod_alpha < 1.0):
         raise InvalidAccumulatorError(
-            f"|alpha| = {mod_alpha} >= 1; normalization was violated upstream"
+            f"|alpha| = {np.max(mod_alpha)} >= 1; normalization was violated upstream"
         )
-    r = math.atanh(mod_alpha)
-    vartheta = cmath.phase(acc.alpha)
-    phi = _wrap_phi(vartheta)
-    chi = cmath.phase(acc.beta)
+    r = np.arctanh(mod_alpha)
+    vartheta = np.angle(alpha)
+    phi = np.where(vartheta <= 0.0, vartheta + np.pi, vartheta - np.pi)
     angle = lam - 0.5 * phi
-    variance = s * (math.exp(2.0 * r) * math.sin(angle) ** 2
-                    + math.exp(-2.0 * r) * math.cos(angle) ** 2)
-    return SqueezeObservables(
-        t=t,
-        omega=omega,
-        alpha=acc.alpha,
-        r=r,
-        vartheta=vartheta,
-        phi=phi,
-        chi=chi,
-        variance=variance,
-        mean_n=math.sinh(r) ** 2,
-        norm_defect=acc.norm_defect,
+    variance = s * (np.exp(2.0 * r) * np.sin(angle) ** 2
+                    + np.exp(-2.0 * r) * np.cos(angle) ** 2)
+    return np.rec.fromarrays(
+        [t, omega, alpha, r, vartheta, phi, np.angle(beta), variance, np.sinh(r) ** 2, norm_defect],
+        names="t,omega,alpha,r,vartheta,phi,chi,variance,mean_n,norm_defect",
     )
 
 
@@ -165,20 +137,14 @@ def evolve(dprofile: DiscretizedProfile, record_every: int | None = None,
     )
     if not np.all(np.isfinite(defect)):  # |p|^2 = cosh(r)^2 overflows beyond r ~ 355
         raise InvalidAccumulatorError("the ladder fold overflowed double precision")
-    records = []
-    for k in range(rec.shape[0]):
-        j = int(rec[k])
-        acc = PropagatorAccumulator(complex(alpha[k]), complex(beta[k]), complex(gamma[k]), j)
-        records.append(observables_from_accumulator(
-            acc, t=j * dprofile.tau, lam=lam, scaling=scaling,
-            omega=float(dprofile.samples[j - 1]),
-        ))
+    records = observables(alpha, beta, rec * dprofile.tau, dprofile.samples[rec - 1], defect,
+                          lam=lam, scaling=scaling)
     final = PropagatorAccumulator(
         complex(alpha[-1]), complex(beta[-1]), complex(gamma[-1]), n
     )
     return Trajectory(
         profile_descriptor=f"omega0={dprofile.omega0!r} tau={dprofile.tau!r} n={n}",
-        records=tuple(records),
+        records=records,
         n_steps_used=n,
         converged=None,
         final=final,
@@ -209,18 +175,16 @@ def fock_amplitudes(acc: PropagatorAccumulator, n_max: int = 64) -> FockState:
 
 
 def _apply_lowering(amp: np.ndarray) -> np.ndarray:
-    # K_- |n> = 0.5*sqrt(n(n-1)) |n-2>
+    # K_- |n+2> = 0.5*sqrt((n+1)(n+2)) |n>
     out = np.zeros_like(amp)
-    n = np.arange(amp.shape[0], dtype=np.float64)
-    out[:-2] = 0.5 * np.sqrt(n[2:] * (n[2:] - 1.0)) * amp[2:]
+    out[:-2] = kernels.fock_bands(amp.shape[0])[1] * amp[2:]
     return out
 
 
 def _apply_raising(amp: np.ndarray) -> np.ndarray:
     # K_+ |n> = 0.5*sqrt((n+1)(n+2)) |n+2>; amplitudes pushed past the end are dropped
     out = np.zeros_like(amp)
-    n = np.arange(amp.shape[0], dtype=np.float64)
-    out[2:] = 0.5 * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0)) * amp[:-2]
+    out[2:] = kernels.fock_bands(amp.shape[0])[1] * amp[:-2]
     return out
 
 
@@ -314,23 +278,13 @@ def auto_converge(profile: Profile, t_final: float, tol: float,
 
     history = []
     prev = run(n)
-    prev_r = prev.r_values()
     while 2 * n <= cap:
         cur = run(2 * n)
-        cur_r = cur.r_values()
-        diff = float(np.max(np.abs(cur_r - prev_r)))
+        diff = float(np.max(np.abs(cur.records.r - prev.records.r)))
         history.append((2 * n, diff))
         if diff < tol:
-            return Trajectory(
-                profile_descriptor=cur.profile_descriptor,
-                records=cur.records,
-                n_steps_used=cur.n_steps_used,
-                converged=True,
-                final=cur.final,
-                max_norm_defect=cur.max_norm_defect,
-                convergence_history=tuple(history),
-            )
-        prev, prev_r = cur, cur_r
+            return replace(cur, converged=True, convergence_history=tuple(history))
+        prev = cur
         n *= 2
     warnings.warn(
         f"step-doubling hit the cap ({cap}) before reaching tol={tol:g}; "
@@ -338,12 +292,4 @@ def auto_converge(profile: Profile, t_final: float, tol: float,
         RuntimeWarning,
         stacklevel=2,
     )
-    return Trajectory(
-        profile_descriptor=prev.profile_descriptor,
-        records=prev.records,
-        n_steps_used=prev.n_steps_used,
-        converged=False,
-        final=prev.final,
-        max_norm_defect=prev.max_norm_defect,
-        convergence_history=tuple(history),
-    )
+    return replace(prev, converged=False, convergence_history=tuple(history))

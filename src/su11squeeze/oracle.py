@@ -22,7 +22,8 @@ from .errors import LeakageError
 from .evolution import LEAKAGE_TOL, FockState
 from .profiles import DiscretizedProfile
 
-#: Starting basis size when none is pinned; doubled on leakage failure.
+#: Starting basis size when none is pinned; doubled while the state reaches
+#: the top basis levels.
 DEFAULT_DIM = 256
 MAX_DIM = 4096
 
@@ -89,20 +90,23 @@ def integrate(dprofile: DiscretizedProfile, initial: FockState, dt_sub: float,
         ``tau / ceil(tau/dt_sub)``.
     dim : int, optional
         Pin the basis size.  When omitted, starts at 256 (or the initial
-        state size) and doubles on leakage failure up to ``max_dim``.
+        state size) and doubles while the boundary occupancy exceeds the
+        tolerance, up to ``max_dim``.
 
     Returns
     -------
     (FockState, OracleDiagnostics)
-        The final state, normalized; ``leakage`` combines the boundary
-        occupancy high-water mark with the net norm loss (a truncated
+        The final state, normalized; ``leakage`` is the high-water mark of
+        the occupancy of the top four basis levels.  A truncated
         Hamiltonian is still Hermitian, so reflection off the boundary does
-        not show up in the norm alone).
+        not show up in the norm, and a norm change is RK4 error instead.
 
     Raises
     ------
     LeakageError
-        If the leakage exceeds the tolerance at the largest basis tried.
+        If the RK4 norm loss exceeds the tolerance or the state is not
+        finite (at once: a larger basis cannot mend either), or if the
+        boundary occupancy exceeds it at the largest basis tried.
     """
     tau = dprofile.tau
     if not (0.0 < dt_sub <= tau):
@@ -135,12 +139,21 @@ def integrate(dprofile: DiscretizedProfile, initial: FockState, dt_sub: float,
             dprofile.samples, dprofile.omega0, tau, psi0, n_sub
         )
         final_norm2 = float(np.sum(np.abs(psi) ** 2))
+        # the truncated H is Hermitian, so any norm change is RK4 error (nan
+        # once the integration diverges); a larger basis cannot mend it
+        rk4_loss = abs(1.0 - final_norm2)
+        if not rk4_loss <= LEAKAGE_TOL:
+            raise LeakageError(
+                f"RK4 norm loss {rk4_loss:.3e} exceeds {LEAKAGE_TOL:g} at dim={d}; "
+                f"the substep dt={tau / n_sub:.3g} is too coarse (lower dt_sub, --oracle-dt-sub)",
+                leakage=rk4_loss,
+            )
+        last_leakage = max_edge
+        if not max_edge <= LEAKAGE_TOL:
+            continue
         norm_drift = max(abs(1.0 - min_norm2), abs(max_norm2 - 1.0))
-        leakage = max(max_edge, max(0.0, 1.0 - final_norm2))
-        last_leakage = leakage
-        if leakage <= LEAKAGE_TOL:
-            state = FockState(psi / math.sqrt(final_norm2))
-            return state, OracleDiagnostics(dim=d, leakage=leakage, norm_drift=norm_drift, n_sub=n_sub)
+        state = FockState(psi / math.sqrt(final_norm2))
+        return state, OracleDiagnostics(dim=d, leakage=max_edge, norm_drift=norm_drift, n_sub=n_sub)
     raise LeakageError(
         f"leakage {last_leakage:.3e} exceeds {LEAKAGE_TOL:g} at dim={dims[-1]}; "
         "state too wide for the truncated basis",

@@ -157,20 +157,20 @@ def test_c04_gcf_agrees_with_recurrence_on_presets():
 
 
 def _tail_mask(traj, fraction=0.1):
-    t = traj.times()
+    t = traj.records.t
     return t >= (1.0 - fraction) * t[-1]
 
 
 def _tail(traj, fraction=0.1):
     mask = _tail_mask(traj, fraction)
-    return traj.r_values()[mask], traj.variances()[mask]
+    return traj.records.r[mask], traj.records.variance[mask]
 
 
 @pytest.mark.parametrize("label", list(B_VALUES), ids=lambda s: f"B={s}")
 def test_c05_pulse_settling(fig1_runs, label):
     traj = fig1_runs[label]
     profile = relaxing_pulse(B=B_VALUES[label])
-    t_tail = traj.times()[_tail_mask(traj)]
+    t_tail = traj.records.t[_tail_mask(traj)]
     offset = float(np.max(np.abs(eval_profile(profile, t_tail) / profile.omega0 - 1.0)))
     gate(5, f"pulse B={label} has relaxed before the last 10%", offset <= 1e-4,
          f"max |omega/omega0 - 1| {offset:.3e}")
@@ -198,8 +198,8 @@ def test_c05_variance_keeps_oscillating(fig1_runs, label):
 
 
 def test_c06_resonant_linear_growth(resonant_run):
-    t = resonant_run.times()
-    r = resonant_run.r_values()
+    t = resonant_run.records.t
+    r = resonant_run.records.r
     period = 2.0 * math.pi / 2.04
     r_bar = trailing_mean(t, r, period)
     mask = (t >= 20.0) & (t <= 120.0)
@@ -211,8 +211,8 @@ def test_c06_resonant_linear_growth(resonant_run):
 def test_c06_detuned_beats(detuned_runs):
     trough_times = {}
     for eps, traj in detuned_runs.items():
-        t = traj.times()
-        r = traj.r_values()
+        t = traj.records.t
+        r = traj.records.r
         period = 2.0 * math.pi / eps
         r_bar = trailing_mean(t, r, period)
         crest = first_local_max(r_bar, floor=0.1)
@@ -232,14 +232,14 @@ def test_c07_fingerprint_shapes(detuned_runs, resonant_run):
     window = 120.0
     radii = {}
     for eps, traj in detuned_runs.items():
-        t = traj.times()
-        radii[eps] = float(traj.r_values()[t <= window].max())
+        t = traj.records.t
+        radii[eps] = float(traj.records.r[t <= window].max())
     gate(7, "detuned fingerprints stay in finite discs, larger closer to resonance",
          radii[2.0] > radii[1.96],
          f"disc radii: eps=1.96 -> {radii[1.96]:.3f}, eps=2.0 -> {radii[2.0]:.3f}")
 
-    t = resonant_run.times()
-    r = resonant_run.r_values()
+    t = resonant_run.records.t
+    r = resonant_run.records.r
     edges = np.linspace(0.0, window, 5)
     window_maxima = [float(r[(t > lo) & (t <= hi)].max()) for lo, hi in zip(edges[:-1], edges[1:])]
     growing = all(b > a for a, b in zip(window_maxima, window_maxima[1:]))
@@ -249,7 +249,7 @@ def test_c07_fingerprint_shapes(detuned_runs, resonant_run):
 
 def test_c08_square_wave_plateaus(square_wave_run):
     traj, dprof = square_wave_run
-    r = traj.r_values()
+    r = traj.records.r
     samples = dprof.samples
     edges = np.flatnonzero(np.diff(samples)) + 1
     bounds = np.concatenate([[0], edges, [samples.shape[0]]])
@@ -276,16 +276,16 @@ def test_c08_square_wave_plateaus(square_wave_run):
 
 def test_c09_square_wave_dominates_resonance_in_band(narrow_band_pair):
     ja, pr = narrow_band_pair
-    t = ja.times()
-    assert np.array_equal(t, pr.times())
+    t = ja.records.t
+    assert np.array_equal(t, pr.records.t)
     period_ja = math.pi / (2 * 1.04) + math.pi / 2.0
     period_pr = 2.0 * math.pi / 2.04
-    bar_ja = trailing_mean(t, ja.r_values(), period_ja)
-    bar_pr = trailing_mean(t, pr.r_values(), period_pr)
+    bar_ja = trailing_mean(t, ja.records.r, period_ja)
+    bar_pr = trailing_mean(t, pr.records.r, period_pr)
     mask = t > max(period_ja, period_pr)
     margin = float(np.min(bar_ja[mask] - bar_pr[mask]))
     gate(9, "period-averaged r: square wave >= resonance at every t past one period",
-         margin >= 0.0, f"min margin {margin:.4f}, final r: {ja.r_values()[-1]:.3f} vs {pr.r_values()[-1]:.3f}")
+         margin >= 0.0, f"min margin {margin:.4f}, final r: {ja.records.r[-1]:.3f} vs {pr.records.r[-1]:.3f}")
 
 
 def _cross_check(dprof, dim):

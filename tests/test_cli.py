@@ -143,6 +143,16 @@ class TestSimulate:
         assert cli.main(argv + ["--output", str(tmp_path / "x.csv")]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "omega0 = abc", "oracle_dim = abc", "t_final = abc", "n_start = abc",
+        "lambda = abc", "omega0 = auto",
+    ])
+    def test_config_file_values_of_the_wrong_type_exit_2(self, line, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"profile = constant\nt_final = 1\nn_steps = 10\n{line}\n")
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 2
+        assert "must be a number" in capsys.readouterr().err
+
     def test_alpha_rounding_to_one_exits_3(self, tmp_path, capsys):
         # r reaches ~31 on the square wave at t = 200, where |alpha| = tanh(r)
         # rounds to 1 in double precision
@@ -165,12 +175,12 @@ class TestSimulate:
         assert "simulation error" in capsys.readouterr().err
 
     def test_diverged_oracle_fails_the_check(self, tmp_path, capsys):
-        # RK4 at dt*omega0 ~ 1e197 overflows to nan, which must not pass the fidelity gate
+        # RK4 at dt*omega0 ~ 1e197 overflows to nan, which the oracle must reject
         code = cli.main(["simulate", "--profile", "constant", "--omega0", "1e200",
                          "--t-final", "1", "--n-steps", "1000",
                          "--oracle-check", "--oracle-dim", "64", "--output", str(tmp_path / "x.csv")])
         assert code == 4
-        assert "fidelity nan" in capsys.readouterr().out
+        assert "oracle check failed: RK4 norm loss nan" in capsys.readouterr().out
 
     def test_nonpositive_tabulated_sample_exits_3(self, tmp_path, capsys):
         table = tmp_path / "dip.dat"

@@ -15,11 +15,12 @@ from su11squeeze import (
     evolve,
     fock_amplitudes,
     janszky_adam,
-    observables_from_accumulator,
+    observables,
     parametric_resonance,
     relaxing_pulse,
     sudden_jump,
 )
+from su11squeeze import kernels
 from su11squeeze.errors import InvalidAccumulatorError, LeakageError
 
 
@@ -41,63 +42,69 @@ def reference_squeezed_amplitudes(r, phi, n_max):
     return amp
 
 
+def record_of(acc, t, lam=0.0, scaling="quarter"):
+    """The record of one accumulator, through the array-valued formula."""
+    return observables([acc.alpha], [acc.beta], [t], [math.nan], [acc.norm_defect],
+                       lam=lam, scaling=scaling)[0]
+
+
 class TestObservables:
     def test_no_squeezing_limit(self):
-        obs = observables_from_accumulator(IDENTITY, t=0.0)
+        obs = record_of(IDENTITY, t=0.0)
         assert obs.r == 0.0
         assert obs.mean_n == 0.0
         for lam in (0.0, 0.3, 1.2):
-            o = observables_from_accumulator(IDENTITY, 0.0, lam=lam)
+            o = record_of(IDENTITY, 0.0, lam=lam)
             assert o.variance == pytest.approx(0.25, abs=1e-15)
 
     def test_half_scaling_at_rest(self):
-        obs = observables_from_accumulator(IDENTITY, 0.0, scaling="half")
+        obs = record_of(IDENTITY, 0.0, scaling="half")
         assert obs.variance == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("scaling,s", [("half", 0.5), ("quarter", 0.25)])
     def test_principal_axes_select_the_envelope(self, scaling, s):
         acc = squeezed_acc(1.0, 0.7)
-        phi = observables_from_accumulator(acc, 0.0, scaling=scaling).phi
-        lo = observables_from_accumulator(acc, 0.0, lam=phi / 2.0, scaling=scaling)
-        hi = observables_from_accumulator(acc, 0.0, lam=phi / 2.0 + math.pi / 2.0, scaling=scaling)
+        phi = record_of(acc, 0.0, scaling=scaling).phi
+        lo = record_of(acc, 0.0, lam=phi / 2.0, scaling=scaling)
+        hi = record_of(acc, 0.0, lam=phi / 2.0 + math.pi / 2.0, scaling=scaling)
         assert lo.variance == pytest.approx(s * math.exp(-2.0), rel=1e-12)
         assert hi.variance == pytest.approx(s * math.exp(+2.0), rel=1e-12)
         assert lo.variance * hi.variance == pytest.approx(s * s, rel=1e-10)
 
     def test_phase_bookkeeping(self):
         for vartheta in (-3.0, -1.0, 0.0, 1.0, 3.0, math.pi):
-            obs = observables_from_accumulator(squeezed_acc(0.4, vartheta), 0.0)
+            obs = record_of(squeezed_acc(0.4, vartheta), 0.0)
             assert obs.vartheta == pytest.approx(cmath.phase(cmath.exp(1j * vartheta)), abs=1e-12)
             assert -math.pi < obs.phi <= math.pi
             # phi = vartheta +- pi makes the two expansions identical
             assert cmath.isclose(cmath.exp(1j * obs.phi), -cmath.exp(1j * obs.vartheta), rel_tol=1e-12)
 
     def test_mean_photon_number(self):
-        obs = observables_from_accumulator(squeezed_acc(0.8, 0.2), 0.0)
+        obs = record_of(squeezed_acc(0.8, 0.2), 0.0)
         assert obs.mean_n == pytest.approx(math.sinh(0.8) ** 2, rel=1e-12)
 
     def test_invalid_accumulator_rejected(self):
         bad = PropagatorAccumulator(1.0 + 0j, 0j, 0j, 1)
         with pytest.raises(InvalidAccumulatorError):
-            observables_from_accumulator(bad, 0.0)
+            record_of(bad, 0.0)
 
     def test_unknown_scaling_rejected(self):
         with pytest.raises(ValueError):
-            observables_from_accumulator(IDENTITY, 0.0, scaling="third")
+            record_of(IDENTITY, 0.0, scaling="third")
 
     def test_variance_envelope_and_uncertainty_product(self, rng):
         for _ in range(25):
             r = rng.uniform(0.0, 1.5)
             acc = squeezed_acc(r, rng.uniform(-math.pi, math.pi))
-            obs = observables_from_accumulator(acc, 0.0)
+            obs = record_of(acc, 0.0)
             lo, hi = 0.25 * math.exp(-2 * r), 0.25 * math.exp(2 * r)
             for lam in rng.uniform(-math.pi, math.pi, 8):
-                o = observables_from_accumulator(acc, 0.0, lam=float(lam))
+                o = record_of(acc, 0.0, lam=float(lam))
                 assert lo - 1e-12 <= o.variance <= hi + 1e-12
-                partner = observables_from_accumulator(acc, 0.0, lam=float(lam) + math.pi / 2.0)
+                partner = record_of(acc, 0.0, lam=float(lam) + math.pi / 2.0)
                 assert o.variance * partner.variance >= 0.25**2 * (1.0 - 1e-10)
-            at_lo = observables_from_accumulator(acc, 0.0, lam=obs.phi / 2.0)
-            at_hi = observables_from_accumulator(acc, 0.0, lam=obs.phi / 2.0 + math.pi / 2.0)
+            at_lo = record_of(acc, 0.0, lam=obs.phi / 2.0)
+            at_hi = record_of(acc, 0.0, lam=obs.phi / 2.0 + math.pi / 2.0)
             assert at_lo.variance == pytest.approx(lo, rel=1e-12)
             assert at_hi.variance == pytest.approx(hi, rel=1e-12)
 
@@ -111,7 +118,7 @@ class TestEvolve:
 
     def test_record_grid(self):
         traj = evolve(discretize(constant(), 1.0, 1003), record_every=100)
-        times = traj.times()
+        times = traj.records.t
         tau = 1.0 / 1003
         assert times[0] == pytest.approx(100 * tau)
         assert times[-1] == pytest.approx(1.0)
@@ -129,13 +136,35 @@ class TestEvolve:
     def test_relaxing_pulse_settles_once_frequency_returns(self):
         # B small enough that the pulse is long gone by t_final
         traj = evolve(discretize(relaxing_pulse(B=0.5 * math.pi), 60.0, 60_000))
-        t = traj.times()
-        r = traj.r_values()
+        t = traj.records.t
+        r = traj.records.r
         tail = r[t >= 54.0]
         assert tail.max() - tail.min() < 1e-9
         assert tail.mean() > 0.05
-        variances = traj.variances()[t >= 54.0]
+        variances = traj.records.variance[t >= 54.0]
         assert variances.max() - variances.min() > 1e-3  # phase keeps the variance oscillating
+
+    def test_records_match_a_scalar_evaluation_on_the_square_wave(self):
+        # fig4 reaches r ~ 4.9, where exp(2r) amplifies any rounding in phi
+        dprof = discretize(janszky_adam(omega1=1.5), 30.0, 60_000)
+        traj = evolve(dprof, record_every=1)
+        steps, alpha, beta, _, defect, _ = kernels.fold_ladder(dprof.samples, dprof.omega0, dprof.tau)
+        assert np.array_equal(traj.records.t, steps * dprof.tau)
+        assert np.array_equal(traj.records.omega, dprof.samples)
+        assert np.array_equal(traj.records.alpha, alpha)
+        assert np.array_equal(traj.records.norm_defect, defect)
+        assert traj.records.norm_defect.max() <= traj.max_norm_defect
+        columns = [traj.records[name].tolist()
+                   for name in ("r", "vartheta", "phi", "chi", "variance", "mean_n")]
+        for a, b, *got in zip(alpha.tolist(), beta.tolist(), *columns):
+            r = math.atanh(abs(a))
+            vartheta = cmath.phase(a)
+            phi = vartheta + math.pi if vartheta <= 0.0 else vartheta - math.pi
+            variance = 0.25 * (math.exp(2.0 * r) * math.sin(-0.5 * phi) ** 2
+                               + math.exp(-2.0 * r) * math.cos(-0.5 * phi) ** 2)
+            expected = (r, vartheta, phi, cmath.phase(b), variance, math.sinh(r) ** 2)
+            for g, e in zip(got, expected):
+                assert math.isclose(g, e, rel_tol=1e-11, abs_tol=0.0), (g, e)
 
     def test_final_accumulator_matches_last_record(self):
         traj = evolve(discretize(relaxing_pulse(B=math.pi), 5.0, 5000), record_every=500)
@@ -151,14 +180,14 @@ class TestFockAmplitudes:
 
     def test_matches_reference_expansion(self):
         acc = squeezed_acc(0.5, 1.1)
-        obs = observables_from_accumulator(acc, 0.0)
+        obs = record_of(acc, 0.0)
         ours = fock_amplitudes(acc, n_max=60)
         reference = reference_squeezed_amplitudes(0.5, obs.phi, 60)
         np.testing.assert_allclose(ours.amplitudes, reference, rtol=1e-12, atol=1e-15)
 
     def test_amplitude_ratio_consistency(self):
         acc = squeezed_acc(0.75, -2.1)
-        obs = observables_from_accumulator(acc, 0.0)
+        obs = record_of(acc, 0.0)
         state = fock_amplitudes(acc, n_max=4)
         ratio = state.amplitudes[2] / state.amplitudes[0]
         assert cmath.isclose(ratio, (1.0 / math.sqrt(2.0)) * abs(acc.alpha) * cmath.exp(1j * obs.vartheta), rel_tol=1e-12)
@@ -225,7 +254,7 @@ class TestAutoConverge:
         assert traj.converged is True
         assert len(traj.convergence_history) == 1
         assert traj.convergence_history[0][1] == 0.0
-        assert np.all(traj.r_values() == 0.0)
+        assert np.all(traj.records.r == 0.0)
 
     def test_pulse_converges_with_shrinking_differences(self):
         traj = auto_converge(relaxing_pulse(B=0.5 * math.pi), 30.0, tol=1e-4,
@@ -254,7 +283,7 @@ class TestPlateaus:
         cycle = profile.hold_high + profile.hold_low
         dprof = discretize(profile, 4 * cycle, 12_000)
         traj = evolve(dprof, record_every=1)
-        r = traj.r_values()
+        r = traj.records.r
         samples = dprof.samples
 
         # segment the ladder into constant-frequency runs
@@ -274,5 +303,5 @@ class TestPlateaus:
         # the variance keeps moving on those same holds
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             if samples[lo] == 1.0 and hi - lo > 100:
-                variances = traj.variances()[lo:hi]
+                variances = traj.records.variance[lo:hi]
                 assert variances.max() - variances.min() > 1e-3

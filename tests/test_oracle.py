@@ -123,6 +123,29 @@ class TestIntegrate:
         assert diag.leakage <= 1e-6
         assert state.norm2() == pytest.approx(1.0, abs=1e-12)
 
+    def test_rk4_norm_loss_raises_without_doubling_the_basis(self, monkeypatch):
+        # the vacuum under a constant omega0 never leaves n = 0: the loss
+        # 1 - |P(i theta)|^2 at theta = 0.125 is RK4 error, not leakage
+        dims = []
+        propagate = kernels.rk4_propagate
+
+        def counted(omega, omega0, tau, psi0, n_sub):
+            dims.append(psi0.shape[0])
+            return propagate(omega, omega0, tau, psi0, n_sub)
+
+        monkeypatch.setattr(kernels, "rk4_propagate", counted)
+        dprof = discretize(constant(1e3), 1.0, 1000)
+        with pytest.raises(LeakageError, match="--oracle-dt-sub") as err:
+            integrate(dprof, FockState.vacuum(), dt_sub=dprof.tau / 4)
+        assert dims == [256]
+        assert err.value.leakage > 1e-6
+
+    def test_diverged_integration_raises(self):
+        # dt * omega0 ~ 1e197 overflows the step matrix to nan
+        dprof = discretize(constant(1e200), 1.0, 1000)
+        with np.errstate(all="ignore"), pytest.raises(LeakageError, match="--oracle-dt-sub"):
+            integrate(dprof, FockState.vacuum(), dt_sub=dprof.tau / 4)
+
     def test_initial_state_must_fit_the_basis(self):
         wide = FockState.basis_state(14, 14)
         dprof = discretize(constant(), 1.0, 100)
