@@ -6,9 +6,11 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .evolution import SCALINGS
 from .oracle import MAX_DIM as ORACLE_MAX_DIM
 from .profiles import (
     KINDS,
+    RULES,
     Profile,
     constant,
     janszky_adam,
@@ -26,6 +28,8 @@ PRESETS = {
     "fig4": {"profile": "janszky_adam", "omega1": 1.5, "t_final": 30.0, "n_steps": 60000},
     "fig5": {"profile": "janszky_adam", "omega1": 1.04, "t_final": 120.0, "n_steps": 150000},
 }
+
+FORMATS = ("csv", "json")
 
 
 @dataclass
@@ -64,30 +68,23 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be a number, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        if self.profile not in KINDS:
-            raise ConfigError(f"unknown profile {self.profile!r}; choose from {', '.join(KINDS)}")
+            if f.name in _INT_FIELDS and isinstance(value, float):
+                if not value.is_integer():
+                    raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+                setattr(self, f.name, int(value))
+        for name, choices in (("profile", KINDS), ("scaling", tuple(SCALINGS)),
+                              ("rule", RULES), ("format", FORMATS)):
+            if (value := getattr(self, name)) not in choices:
+                raise ConfigError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
         if not (self.omega0 > 0):
             raise ConfigError(f"omega0 must be positive, got {self.omega0}")
         if not (self.t_final > 0):
             raise ConfigError(f"t_final must be positive, got {self.t_final}")
-        if isinstance(self.n_steps, str):
-            if self.n_steps != "auto":
-                raise ConfigError(f"n_steps must be an integer or 'auto', got {self.n_steps!r}")
-        elif self.n_steps < 1:
-            raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
-        if isinstance(self.record_every, str):
-            if self.record_every != "auto":
-                raise ConfigError(f"record_every must be an integer or 'auto', got {self.record_every!r}")
-        elif self.record_every < 1:
-            raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
+        for name in _INT_OR_AUTO:  # a string other than "auto" failed the number check
+            if (value := getattr(self, name)) != "auto" and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         if not (self.tol > 0):
             raise ConfigError(f"tol must be positive, got {self.tol}")
-        if self.scaling not in ("half", "quarter"):
-            raise ConfigError(f"scaling must be 'half' or 'quarter', got {self.scaling!r}")
-        if self.rule not in ("right", "midpoint"):
-            raise ConfigError(f"rule must be 'right' or 'midpoint', got {self.rule!r}")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
         if self.oracle_dim is not None and not (5 <= self.oracle_dim <= ORACLE_MAX_DIM):
             raise ConfigError(f"oracle_dim must be in [5, {ORACLE_MAX_DIM}], got {self.oracle_dim}")
         if self.oracle_dt_sub is not None and not (self.oracle_dt_sub > 0):
@@ -128,6 +125,8 @@ _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
 #: Fields annotated ``int`` or ``float``, alone or in a union.
 _NUMBER_FIELDS = {f.name for f in fields(ExperimentConfig)
                   if {"int", "float"} & set(f.type.split(" | "))}
+#: Fields annotated ``int``: an integral float is taken as that int, others are refused.
+_INT_FIELDS = {f.name for f in fields(ExperimentConfig) if "int" in f.type.split(" | ")}
 _INT_OR_AUTO = ("n_steps", "record_every")
 _BOOL_FIELDS = ("oracle_check", "fingerprint")
 

@@ -5,9 +5,11 @@ complex coefficients (``lam_plus``, ``lam_c``, ``lam_minus``): the ordered
 product of exponentials of the raising, diagonal and lowering generators.
 Segments compose through a closed rational recurrence, so an N-segment
 ladder folds into a single triple ``(alpha, beta, gamma)`` that describes
-the full propagator.  ``alpha`` alone fixes the squeezing parameter and
-phase of a vacuum-evolved state; ``|alpha|^2 + |beta| = 1`` holds along
-any composition and serves as the roundoff diagnostic.
+the full propagator, with ``|alpha|^2 + |beta| = 1``.  This is the paper's
+recurrence, kept as the readable reference.  The numeric path folds the
+equivalent SU(1,1) pair ``(p, q)`` (:func:`su11squeeze.kernels.fold_ladder`,
+``alpha = q/conj(p)``) and reads ``r = asinh|q|``: ``atanh|alpha|`` loses
+digits as ``cosh(r)^2`` grows.
 """
 
 from __future__ import annotations

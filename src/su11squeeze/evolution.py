@@ -1,11 +1,13 @@
 """Trajectory driver and observable extraction.
 
 ``evolve`` folds a discretized profile through the hot kernel and hands the
-recorded coefficient columns to ``observables``, which evaluates the
-closed-form squeezing observables on whole arrays and returns one record
-array (a column per observable, a row per record).  ``auto_converge`` wraps
-``evolve`` in a step-doubling loop.  ``fock_amplitudes`` and
-``apply_to_state`` expand the composed propagator in the number basis.
+recorded columns of the fold's SU(1,1) pair ``(p, q)`` to ``observables``,
+which evaluates the closed-form squeezing observables on whole arrays and
+returns one record array (a column per observable, a row per record).
+``auto_converge`` wraps ``evolve`` in a step-doubling loop.
+``fock_amplitudes`` and ``apply_to_state`` expand the composed propagator,
+the triple ``(alpha, beta, gamma)`` of the last ``(p, q)``, in the number
+basis.
 """
 
 from __future__ import annotations
@@ -73,49 +75,43 @@ class FockState:
         return FockState.basis_state(0, n_max)
 
 
-def observables(alpha, beta, t, omega, norm_defect, lam: float = 0.0,
+def observables(p, q, t, omega, norm_defect, lam: float = 0.0,
                 scaling: str = "quarter") -> np.recarray:
     """Squeezing observables of the vacuum-evolved state, one record per input.
 
-    ``alpha`` and ``beta`` are composed coefficients; ``t``, ``omega`` and
+    ``p`` and ``q`` are the fold's pair (see :func:`kernels.fold_ladder`), with
+    ``|p| = cosh(r)`` and ``|q| = sinh(r)``; ``t``, ``omega`` and
     ``norm_defect`` are carried into the records unchanged.  ``r =
-    atanh|alpha|``; ``vartheta = arg(alpha)`` (principal value); the
-    squeezing phase is ``phi = vartheta + pi`` wrapped to (-pi, pi], the
-    branch that makes the two number-basis expansions of the state agree
-    term by term; ``chi = arg(beta)``.  The quadrature variance at angle
-    ``lam`` is::
+    asinh|q|`` and ``mean_n = |q|^2`` keep full precision at any r.  The
+    ``alpha`` column is the composed coefficient ``q/conj(p)``, whose modulus
+    ``tanh(r)`` rounds to 1 beyond r ~ 19.  ``vartheta = arg(alpha) =
+    arg(q p)`` (principal value); the squeezing phase is ``phi = vartheta +
+    pi`` wrapped to (-pi, pi], the branch that makes the two number-basis
+    expansions of the state agree term by term; ``chi = arg(beta) =
+    arg(p p)``.  The quadrature variance at angle ``lam`` is::
 
         s * (exp(2r)*sin^2(lam - phi/2) + exp(-2r)*cos^2(lam - phi/2))
 
     with ``s = 1/2`` (``scaling="half"``) or the rescaled-quadrature
     convention ``s = 1/4`` (``"quarter"``, the default used by all shipped
-    presets), and ``mean_n = sinh(r)^2``.  Returns a record array with the
-    fields ``t, omega, alpha, r, vartheta, phi, chi, variance, mean_n,
-    norm_defect``.
-
-    Raises
-    ------
-    InvalidAccumulatorError
-        If any ``|alpha|`` is not below 1.
+    presets).  Returns a record array with the fields ``t, omega, alpha, r,
+    vartheta, phi, chi, variance, mean_n, norm_defect``.
     """
     try:
         s = SCALINGS[scaling]
     except KeyError:
         raise ValueError(f"scaling must be one of {sorted(SCALINGS)}, got {scaling!r}") from None
-    alpha = np.asarray(alpha, dtype=np.complex128)
-    mod_alpha = np.hypot(alpha.real, alpha.imag)  # rounds as Python's abs(complex); np.abs does not
-    if not np.all(mod_alpha < 1.0):
-        raise InvalidAccumulatorError(
-            f"|alpha| = {np.max(mod_alpha)} >= 1; normalization was violated upstream"
-        )
-    r = np.arctanh(mod_alpha)
-    vartheta = np.angle(alpha)
+    p, q = np.asarray(p, dtype=np.complex128), np.asarray(q, dtype=np.complex128)
+    mod_q = np.abs(q)
+    r = np.arcsinh(mod_q)
+    vartheta = np.angle(q * p)
     phi = np.where(vartheta <= 0.0, vartheta + np.pi, vartheta - np.pi)
     angle = lam - 0.5 * phi
     variance = s * (np.exp(2.0 * r) * np.sin(angle) ** 2
                     + np.exp(-2.0 * r) * np.cos(angle) ** 2)
     return np.rec.fromarrays(
-        [t, omega, alpha, r, vartheta, phi, np.angle(beta), variance, np.sinh(r) ** 2, norm_defect],
+        [t, omega, q / np.conj(p), r, vartheta, phi, np.angle(p * p), variance, mod_q ** 2,
+         norm_defect],
         names="t,omega,alpha,r,vartheta,phi,chi,variance,mean_n,norm_defect",
     )
 
@@ -130,18 +126,16 @@ def evolve(dprofile: DiscretizedProfile, record_every: int | None = None,
     n = dprofile.n_steps
     if record_every is None:
         record_every = max(1, n // 5000)
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
-    rec, alpha, beta, gamma, defect, max_defect = kernels.fold_ladder(
+    rec, p, q, defect, max_defect = kernels.fold_ladder(
         dprofile.samples, dprofile.omega0, dprofile.tau, record_every
     )
     if not np.all(np.isfinite(defect)):  # |p|^2 = cosh(r)^2 overflows beyond r ~ 355
         raise InvalidAccumulatorError("the ladder fold overflowed double precision")
-    records = observables(alpha, beta, rec * dprofile.tau, dprofile.samples[rec - 1], defect,
+    records = observables(p, q, rec * dprofile.tau, dprofile.samples[rec - 1], defect,
                           lam=lam, scaling=scaling)
-    final = PropagatorAccumulator(
-        complex(alpha[-1]), complex(beta[-1]), complex(gamma[-1]), n
-    )
+    pc = complex(p[-1]).conjugate()
+    final = PropagatorAccumulator(complex(records.alpha[-1]), 1.0 / (pc * pc),
+                                  -complex(q[-1]).conjugate() / pc, n)
     return Trajectory(
         profile_descriptor=f"omega0={dprofile.omega0!r} tau={dprofile.tau!r} n={n}",
         records=records,

@@ -6,13 +6,13 @@ The fold writes each constant-frequency segment as a det-1 SU(1,1) matrix::
     D = cos(w*tau) + i*cosh(2*rho)*sin(w*tau),   v = -i*sinh(2*rho)*sin(w*tau)
 
 and the ladder as their ordered product ``S_N ... S_1 = [[p, q], [conj(q),
-conj(p)]]``, kept as the two complex numbers ``(p, q)``.  The composed
-coefficients are ``alpha = q/conj(p)``, ``beta = conj(p)**-2`` and
-``gamma = -conj(q)/conj(p)``, the same triple that the recurrence in
-:func:`su11squeeze.core.compose` builds one segment at a time.  The product
-is associative, so it is computed as an inclusive prefix scan inside blocks
-of ``BLOCK`` segments (vectorized numpy), with the running product carried
-from block to block.  No step divides, and ``|p| >= 1`` along any ladder.
+conj(p)]]``, kept and handed on as the two complex numbers ``(p, q)``:
+``|q| = sinh(r)`` holds the squeezing to full precision at any r.  The
+triple that :func:`su11squeeze.core.compose` builds one segment at a time
+is ``alpha = q/conj(p)``, ``beta = conj(p)**-2``, ``gamma = -conj(q)/conj(p)``.
+The product is associative, so it is computed as an inclusive prefix scan
+inside blocks of ``BLOCK`` segments (vectorized numpy), with the running
+product carried from block to block.  No step divides, and ``|p| >= 1``.
 
 The RK4 sweep integrates the Schrodinger equation in a truncated number
 basis with classical fixed-substep RK4; :func:`fock_bands` holds the basis
@@ -71,7 +71,7 @@ def record_steps(n_steps: int, record_every: int) -> np.ndarray:
 
 
 def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1):
-    """Fold a frequency ladder into composed coefficients, recording along the way.
+    """Fold a frequency ladder into the SU(1,1) pair ``(p, q)``, recording along the way.
 
     Parameters
     ----------
@@ -89,12 +89,12 @@ def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1):
     -------
     rec_steps : int64 array
         Segment indices (1-based) of the emitted records.
-    alpha, beta, gamma : complex128 arrays
-        Composed coefficients at each record.
+    p, q : complex128 arrays
+        The ladder product ``[[p, q], [conj(q), conj(p)]]`` at each record.
     defect : float64 array
-        ``||alpha|^2 + |beta| - 1|`` at each record.
+        ``||q|^2 + 1 - |p|^2| / |p|^2 = ||alpha|^2 + |beta| - 1|`` at each record.
     max_defect : float
-        Maximum defect seen at *any* segment, recorded or not.
+        Maximum defect seen at *any* segment, recorded or not (a nan wins).
     """
     omega = np.ascontiguousarray(omega, dtype=np.float64)
     if omega.shape[0] == 0:
@@ -124,15 +124,13 @@ def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1):
 
         p2 = p.real ** 2 + p.imag ** 2
         defect = np.abs(q.real ** 2 + q.imag ** 2 + 1.0 - p2) / p2
-        max_defect = max(max_defect, float(defect.max()))
+        max_defect = np.maximum(max_defect, defect.max())  # keeps a nan, unlike max()
         lo, hi = np.searchsorted(rec, (start + 1, start + w.shape[0] + 1))
         rows = rec[lo:hi] - (start + 1)
         rec_p[lo:hi] = p[rows]
         rec_q[lo:hi] = q[rows]
         rec_defect[lo:hi] = defect[rows]
-
-    pc = np.conj(rec_p)
-    return rec, rec_q / pc, 1.0 / (pc * pc), -np.conj(rec_q) / pc, rec_defect, max_defect
+    return rec, rec_p, rec_q, rec_defect, float(max_defect)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ProfileDomainError, TableRangeError
 
 KINDS = ("constant", "relaxing_pulse", "parametric_resonance", "janszky_adam", "sudden_jump", "tabulated")
+RULES = ("right", "midpoint")
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +221,7 @@ def discretize(profile: Profile, t_final: float, n_steps: int, rule: str = "righ
         raise ValueError(f"t_final must be positive, got {t_final}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if rule not in ("right", "midpoint"):
+    if rule not in RULES:
         raise ValueError(f"unknown sampling rule {rule!r}")
     tau = t_final / n_steps
     j = np.arange(1, n_steps + 1, dtype=np.float64)

@@ -120,7 +120,9 @@ def test_c01_normalization_on_random_ladders():
 
 def test_c02_group_self_consistency():
     n, omega1, tau = 1000, 1.5, 1e-3
-    _, alpha, beta, gamma, _, _ = kernels.fold_ladder(np.full(n, omega1), 1.0, tau, record_every=n)
+    _, p, q, _, _ = kernels.fold_ladder(np.full(n, omega1), 1.0, tau, record_every=n)
+    pc = np.conj(p)
+    alpha, beta, gamma = q / pc, 1.0 / (pc * pc), -np.conj(q) / pc
     whole = step_coeffs(omega1, 1.0, n * tau)
     err = max(abs(alpha[-1] - whole.lam_plus), abs(beta[-1] - whole.lam_c),
               abs(gamma[-1] - whole.lam_minus))
@@ -130,8 +132,8 @@ def test_c02_group_self_consistency():
 
 def test_c03_sudden_jump_analytic_peak():
     dprof = discretize(sudden_jump(1.5), 5.0, 100_000)
-    _, alpha, *_ = kernels.fold_ladder(dprof.samples, 1.0, dprof.tau, record_every=1)
-    r_max = math.atanh(float(np.max(np.abs(alpha))))
+    _, _, q, *_ = kernels.fold_ladder(dprof.samples, 1.0, dprof.tau, record_every=1)
+    r_max = math.asinh(float(np.max(np.abs(q))))
     err = abs(r_max - math.log(1.5))
     gate(3, "max_t r(t) = ln(1.5) for the 1 -> 1.5 jump", err <= 1e-6,
          f"r_max {r_max:.9f}, error {err:.3e}")
@@ -148,9 +150,10 @@ def test_c04_gcf_agrees_with_recurrence_on_presets():
     for name, dprof in presets.items():
         steps = [step_coeffs(float(w), dprof.omega0, dprof.tau) for w in dprof.samples]
         via_gcf = alpha_via_gcf(steps)
-        _, alpha, *_ = kernels.fold_ladder(dprof.samples, dprof.omega0, dprof.tau,
-                                           record_every=dprof.n_steps)
-        rel = abs(via_gcf - alpha[-1]) / abs(alpha[-1])
+        _, p, q, *_ = kernels.fold_ladder(dprof.samples, dprof.omega0, dprof.tau,
+                                          record_every=dprof.n_steps)
+        alpha = q[-1] / np.conj(p[-1])
+        rel = abs(via_gcf - alpha) / abs(alpha)
         worst = max(worst, rel)
     gate(4, "nested-fraction alpha matches the recurrence on all presets", worst <= 1e-10,
          f"worst relative difference {worst:.3e}")

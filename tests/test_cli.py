@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from su11squeeze import cli
+from su11squeeze import cli, kernels
 from su11squeeze.config import ExperimentConfig
 
 
@@ -153,13 +153,45 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 2
         assert "must be a number" in capsys.readouterr().err
 
-    def test_alpha_rounding_to_one_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line", [
+        "record_every = 2.5", "n_steps = 1000.5", "n_start = 500.5", "oracle_dim = 64.5",
+    ])
+    def test_config_file_non_integral_values_in_integer_fields_exit_2(self, line, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"profile = constant\nt_final = 1\nn_steps = 10\n{line}\n")
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+    def test_config_file_integral_float_is_an_integer(self, tmp_path, capsys):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text("profile = constant\nt_final = 1\nn_steps = 1e3\n")
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 0
+        assert "(1000 records, n_steps=1000)" in capsys.readouterr().out
+
+    def test_strong_squeezing_beyond_alpha_rounding_to_one(self, tmp_path):
         # r reaches ~31 on the square wave at t = 200, where |alpha| = tanh(r)
-        # rounds to 1 in double precision
+        # rounds to 1 in double precision; r = asinh|q| stays exact
+        out = tmp_path / "x.csv"
         code = cli.main(["simulate", "--preset", "fig4", "--t-final", "200",
-                         "--n-steps", "400000", "--output", str(tmp_path / "x.csv")])
+                         "--n-steps", "400000", "--output", str(out)])
+        assert code == 0
+        header, body, _ = read_csv(out)
+        defects = [float(row[header.index("norm_defect")]) for row in body]
+        assert max(defects) <= 1e-10
+        assert float(body[-1][header.index("r")]) > 31.0
+
+    def test_norm_defect_gate_reads_unrecorded_steps(self, tmp_path, capsys, monkeypatch):
+        fold = kernels.fold_ladder
+
+        def worse_between_records(*args):
+            *columns, _ = fold(*args)
+            return (*columns, 1e-6)
+
+        monkeypatch.setattr(kernels, "fold_ladder", worse_between_records)
+        code = cli.main(["simulate", "--profile", "constant", "--t-final", "1",
+                         "--n-steps", "100", "--output", str(tmp_path / "x.csv")])
         assert code == 3
-        assert "simulation error" in capsys.readouterr().err
+        assert "norm defect 1.000e-06" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         # omega0 = 1e-300 beside the absolute omega_l = 1.04 puts omega/omega0

@@ -21,7 +21,8 @@ from su11squeeze import (
     sudden_jump,
 )
 from su11squeeze import kernels
-from su11squeeze.errors import InvalidAccumulatorError, LeakageError
+from su11squeeze.errors import LeakageError
+from su11squeeze.profiles import DiscretizedProfile
 
 
 def squeezed_acc(r, vartheta, chi=0.0):
@@ -43,8 +44,13 @@ def reference_squeezed_amplitudes(r, phi, n_max):
 
 
 def record_of(acc, t, lam=0.0, scaling="quarter"):
-    """The record of one accumulator, through the array-valued formula."""
-    return observables([acc.alpha], [acc.beta], [t], [math.nan], [acc.norm_defect],
+    """The record of one accumulator, through the array-valued formula.
+
+    The fold's pair has ``conj(p) = beta**-1/2`` and ``q = alpha*conj(p)``;
+    the sign of the root cancels in every observable.
+    """
+    pc = 1.0 / cmath.sqrt(acc.beta)
+    return observables([pc.conjugate()], [acc.alpha * pc], [t], [math.nan], [acc.norm_defect],
                        lam=lam, scaling=scaling)[0]
 
 
@@ -82,11 +88,6 @@ class TestObservables:
     def test_mean_photon_number(self):
         obs = record_of(squeezed_acc(0.8, 0.2), 0.0)
         assert obs.mean_n == pytest.approx(math.sinh(0.8) ** 2, rel=1e-12)
-
-    def test_invalid_accumulator_rejected(self):
-        bad = PropagatorAccumulator(1.0 + 0j, 0j, 0j, 1)
-        with pytest.raises(InvalidAccumulatorError):
-            record_of(bad, 0.0)
 
     def test_unknown_scaling_rejected(self):
         with pytest.raises(ValueError):
@@ -148,23 +149,34 @@ class TestEvolve:
         # fig4 reaches r ~ 4.9, where exp(2r) amplifies any rounding in phi
         dprof = discretize(janszky_adam(omega1=1.5), 30.0, 60_000)
         traj = evolve(dprof, record_every=1)
-        steps, alpha, beta, _, defect, _ = kernels.fold_ladder(dprof.samples, dprof.omega0, dprof.tau)
+        steps, p, q, defect, _ = kernels.fold_ladder(dprof.samples, dprof.omega0, dprof.tau)
         assert np.array_equal(traj.records.t, steps * dprof.tau)
         assert np.array_equal(traj.records.omega, dprof.samples)
-        assert np.array_equal(traj.records.alpha, alpha)
+        assert np.array_equal(traj.records.alpha, q / np.conj(p))
         assert np.array_equal(traj.records.norm_defect, defect)
         assert traj.records.norm_defect.max() <= traj.max_norm_defect
         columns = [traj.records[name].tolist()
                    for name in ("r", "vartheta", "phi", "chi", "variance", "mean_n")]
-        for a, b, *got in zip(alpha.tolist(), beta.tolist(), *columns):
-            r = math.atanh(abs(a))
-            vartheta = cmath.phase(a)
+        for pj, qj, *got in zip(p.tolist(), q.tolist(), *columns):
+            r = math.asinh(abs(qj))
+            vartheta = cmath.phase(qj * pj)
             phi = vartheta + math.pi if vartheta <= 0.0 else vartheta - math.pi
             variance = 0.25 * (math.exp(2.0 * r) * math.sin(-0.5 * phi) ** 2
                                + math.exp(-2.0 * r) * math.cos(-0.5 * phi) ** 2)
-            expected = (r, vartheta, phi, cmath.phase(b), variance, math.sinh(r) ** 2)
+            expected = (r, vartheta, phi, cmath.phase(pj * pj), variance, abs(qj) ** 2)
             for g, e in zip(got, expected):
                 assert math.isclose(g, e, rel_tol=1e-11, abs_tol=0.0), (g, e)
+
+    def test_square_wave_adds_ln_1p5_per_cycle_up_to_r_30(self):
+        # two quarter periods at omega1 = 1.5, then three at omega0 = 1 (tau =
+        # pi/6): each cycle adds exactly ln 1.5 to r.  atanh|alpha| would be off
+        # by 1.4e-4 at k = 40 and infinite from k = 47.
+        ladder = DiscretizedProfile(1.0, math.pi / 6, np.tile([1.5, 1.5, 1.0, 1.0, 1.0], 74),
+                                    74 * 5 * math.pi / 6)
+        traj = evolve(ladder, record_every=5)
+        k = np.arange(1, 75)
+        np.testing.assert_allclose(traj.records.r, k * math.log(1.5), rtol=1e-15, atol=0.0)
+        assert traj.records.r[-1] > 30.0
 
     def test_final_accumulator_matches_last_record(self):
         traj = evolve(discretize(relaxing_pulse(B=math.pi), 5.0, 5000), record_every=500)

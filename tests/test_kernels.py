@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su11squeeze import IDENTITY, TruncatedHamiltonian, compose, discretize, janszky_adam, step_coeffs
 from su11squeeze.kernels import (
@@ -19,6 +21,12 @@ def resonance_ladder(n=5000, t_final=5.0):
     return omega, tau
 
 
+def triple(p, q):
+    """The composed coefficients ``(alpha, beta, gamma)`` of the fold's pair ``(p, q)``."""
+    pc = np.conj(p)
+    return q / pc, 1.0 / (pc * pc), -np.conj(q) / pc
+
+
 class TestFoldLadder:
     def test_record_steps_cover_final_step(self):
         assert list(record_steps(10, 3)) == [3, 6, 9, 10]
@@ -32,7 +40,8 @@ class TestFoldLadder:
         assert 10_007 > 2 * BLOCK and 10_007 % BLOCK
         for n, t_final, record_every in ((400, 5.0, 50), (10_007, 120.0, 1)):
             omega, tau = resonance_ladder(n=n, t_final=t_final)
-            rec, alpha, beta, gamma, defect, _ = fold_ladder(omega, 1.0, tau, record_every)
+            rec, p, q, defect, _ = fold_ladder(omega, 1.0, tau, record_every)
+            alpha, beta, gamma = triple(p, q)
             acc = IDENTITY
             k = 0
             for j, w in enumerate(omega, 1):
@@ -47,17 +56,99 @@ class TestFoldLadder:
 
     def test_strong_squeezing_stays_normalized(self):
         # the square wave reaches r ~ 15.6 at t = 100, where |alpha| = tanh(r)
-        # sits within 1e-13 of 1
+        # sits within 1e-13 of 1; |q| = sinh(r) does not come near any limit
         dprof = discretize(janszky_adam(omega1=1.5), 100.0, 200_000)
-        _, alpha, _, _, defect, max_defect = fold_ladder(dprof.samples, 1.0, dprof.tau, 40)
-        assert np.all(np.abs(alpha) < 1.0)
-        assert np.arctanh(np.abs(alpha[-1])) > 15.0
+        _, _, q, defect, max_defect = fold_ladder(dprof.samples, 1.0, dprof.tau, 40)
+        assert np.arcsinh(np.abs(q[-1])) > 15.0
         assert np.all(defect <= 1e-10)
         assert max_defect <= 1e-10
+
+    def test_max_defect_keeps_a_nan(self):
+        # omega/omega0 = 1e300 overflows the first segment's cosh(2 rho)
+        with np.errstate(over="ignore", invalid="ignore"):
+            *_, max_defect = fold_ladder(np.array([1e300, 1.0]), 1.0, 0.1, 2)
+        assert np.isnan(max_defect)
 
     def test_bad_record_every_rejected(self):
         with pytest.raises(ValueError):
             fold_ladder(np.array([1.0]), 1.0, 0.1, 0)
+
+
+#: Random ladders of up to 300 segments in the frequency band of the presets
+#: (test_matches_scalar_composition covers the block boundaries).
+ladders = st.tuples(
+    st.lists(st.floats(0.5, 2.0), min_size=1, max_size=300),
+    st.floats(1e-3, 0.5),
+).map(lambda lt: (np.array(lt[0]), lt[1]))
+
+
+class TestFoldLadderProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ladder=ladders)
+    def test_triple_matches_recurrence_at_every_step(self, ladder):
+        omega, tau = ladder
+        _, p, q, _, _ = fold_ladder(omega, 1.0, tau)
+        alpha, beta, gamma = triple(p, q)
+        acc = IDENTITY
+        for k, w in enumerate(omega):
+            acc = compose(acc, step_coeffs(float(w), 1.0, tau))
+            assert abs(acc.alpha - alpha[k]) <= 1e-12
+            assert abs(acc.beta - beta[k]) <= 1e-12
+            assert abs(acc.gamma - gamma[k]) <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ladder=ladders)
+    def test_asinh_of_q_agrees_with_atanh_of_alpha(self, ladder):
+        omega, tau = ladder
+        _, p, q, _, _ = fold_ladder(omega, 1.0, tau)
+        r = np.arcsinh(np.abs(q))
+        via_alpha = np.arctanh(np.abs(q / np.conj(p)))
+        # |alpha| carries about k ulps after k segments, and atanh turns them
+        # into cosh(r)^2 * k ulps of r: 1e-12 alone fails at r ~ 4 on 300 segments
+        budget = np.cosh(r) ** 2 * np.arange(1, len(omega) + 1) * np.finfo(float).eps
+        assert np.all((np.abs(r - via_alpha) <= 1e-12 + budget)[r < 5.0])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(head=ladders, tail=ladders)
+    def test_group_law(self, head, tail):
+        # folding a concatenated ladder equals the product of the two folds
+        (omega_a, tau), (omega_b, _) = head, tail
+        _, pa, qa, _, _ = fold_ladder(omega_a, 1.0, tau, len(omega_a))
+        _, pb, qb, _, _ = fold_ladder(omega_b, 1.0, tau, len(omega_b))
+        _, p, q, _, _ = fold_ladder(np.concatenate([omega_a, omega_b]), 1.0, tau,
+                                    len(omega_a) + len(omega_b))
+        want_p = pb[-1] * pa[-1] + qb[-1] * np.conj(qa[-1])
+        want_q = pb[-1] * qa[-1] + qb[-1] * np.conj(pa[-1])
+        scale = abs(want_p)
+        assert abs(p[-1] - want_p) <= 1e-12 * scale
+        assert abs(q[-1] - want_q) <= 1e-12 * scale
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(omega=st.floats(0.5, 2.0), tau=st.floats(1e-3, 0.5), n=st.integers(1, 300))
+    def test_constant_frequency_is_a_one_parameter_group(self, omega, tau, n):
+        # n equal segments are the one segment of duration n*tau
+        _, p, q, _, _ = fold_ladder(np.full(n, omega), 1.0, tau, n)
+        whole = step_coeffs(omega, 1.0, n * tau)
+        alpha, beta, gamma = triple(p[-1], q[-1])
+        assert abs(alpha - whole.lam_plus) <= 1e-12
+        assert abs(beta - whole.lam_c) <= 1e-12
+        assert abs(gamma - whole.lam_minus) <= 1e-12
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(ladder=ladders)
+    def test_identity(self, ladder):
+        # the fold starts from the identity, so one segment is its own step,
+        # and segments at the reference frequency never squeeze
+        omega, tau = ladder
+        _, p, q, defect, max_defect = fold_ladder(omega[:1], 1.0, tau)
+        first = compose(IDENTITY, step_coeffs(float(omega[0]), 1.0, tau))
+        alpha, beta, gamma = triple(p[0], q[0])
+        assert abs(alpha - first.alpha) <= 1e-15
+        assert abs(beta - first.beta) <= 1e-15
+        assert abs(gamma - first.gamma) <= 1e-15
+        _, p, q, defect, max_defect = fold_ladder(np.ones_like(omega), 1.0, tau)
+        assert np.all(q == 0.0)
+        assert max_defect <= 1e-12
 
 
 def dense_rk4(omega, omega0, tau, psi0, n_sub):
