@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from su11squeeze import cli, kernels
-from su11squeeze.config import ExperimentConfig
+from su11squeeze.config import FORMATS, ExperimentConfig
 
 
 def read_csv(path):
@@ -214,6 +214,14 @@ class TestSimulate:
         assert code == 4
         assert "oracle check failed: RK4 norm loss nan" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("where", ["missing_directory", "a_directory"])
+    def test_unwritable_output_exits_2(self, where, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv" if where == "missing_directory" else tmp_path
+        code = cli.main(["simulate", "--profile", "constant", "--t-final", "1",
+                         "--n-steps", "100", "--output", str(out)])
+        assert code == 2
+        assert f"cannot write output {out}" in capsys.readouterr().err
+
     def test_nonpositive_tabulated_sample_exits_3(self, tmp_path, capsys):
         table = tmp_path / "dip.dat"
         table.write_text("0.0 1.0\n1.0 -0.2\n2.0 1.0\n")
@@ -326,11 +334,89 @@ class TestSweep:
         assert "[epsilon=1.96]" in stdout
         assert "[epsilon=2.04]" in stdout
 
+    def test_repeated_sweep_value_exits_2(self, tmp_path, capsys):
+        code = cli.main(["sweep", "--profile", "constant", "--sweep-param", "omega0",
+                         "--sweep-values", "2,1,2", "--t-final", "1",
+                         "--n-steps", "100", "--output", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "repeats a value" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_equal_values_spelled_differently_are_distinct(self, tmp_path, capsys):
+        code = cli.main(["sweep", "--profile", "constant", "--sweep-param", "omega0",
+                         "--sweep-values", "2,2.0", "--t-final", "1",
+                         "--n-steps", "100", "--output", str(tmp_path / "s.csv")])
+        assert code == 0
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["s_omega02.0.csv", "s_omega02.csv"]
+        assert capsys.readouterr().out.count("wrote") == 2
+
     def test_bad_sweep_values_exit_2(self, tmp_path):
         code = cli.main(["sweep", "--profile", "constant", "--sweep-param", "omega0",
                          "--sweep-values", "1.0,zebra", "--t-final", "1",
                          "--n-steps", "100", "--output", str(tmp_path / "s.csv")])
         assert code == 2
+
+
+def reference_table(path, fmt, columns, cols, comments=(), extra=None):
+    """The csv.writer / json.dump writer that ``cli.write_table`` must match byte for byte."""
+    rows = np.column_stack(cols).tolist()
+    if fmt == "csv":
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            for line in comments:
+                fh.write(f"# {line}\r\n")
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows(rows)
+    else:
+        records = [dict(zip(columns, row)) for row in rows]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(records if extra is None else {**extra, "records": records}, fh)
+            fh.write("\n")
+
+
+#: Values whose repr or json spelling is easy to get wrong.
+_AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e-4, 1e16, 9999999999999998.0, 0.1,
+            1.7976931348623157e308, math.nan, math.inf, -math.inf]
+_EXTRAS = [None, {"verdict": "mixed ordering after transient"},
+           {"report": {"history": [[10000, 1e-3], [20000, 2.5e-6]], "converged": True,
+                       "n_final": 20000, "tol": 1e-5}}]
+
+
+class TestWriteTable:
+    def assert_matches_reference(self, tmp_path, fmt, cols, extra, comments=("c 1", "tol=1e-05")):
+        columns = [f"col{i}" for i in range(len(cols))]
+        got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
+        cli.write_table(str(got), fmt, columns, cols, comments=comments, extra=extra)
+        reference_table(str(want), fmt, columns, cols, comments=comments, extra=extra)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("extra", _EXTRAS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_seeded_sample_across_blocks(self, fmt, extra, seed, tmp_path):
+        rng = np.random.default_rng(seed)
+        n = 2 * cli.WRITE_BLOCK_ROWS + 37
+        cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n) for _ in range(5)]
+        cols.append(np.linspace(0.0, 150.0, n))
+        for col in cols[:3]:  # scatter the awkward values, some in each block
+            col[rng.integers(0, n, 60)] = rng.choice(_AWKWARD, 60)
+        self.assert_matches_reference(tmp_path, fmt, cols, extra)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("extra", _EXTRAS)
+    def test_zero_rows(self, fmt, extra, tmp_path):
+        self.assert_matches_reference(tmp_path, fmt, [np.empty(0), np.empty(0)], extra)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(shape=st.tuples(st.integers(0, 9), st.integers(1, 4)),
+           values=st.lists(st.one_of(st.floats(), st.sampled_from(_AWKWARD)), min_size=36, max_size=36),
+           fmt=st.sampled_from(FORMATS), extra=st.sampled_from(_EXTRAS))
+    def test_any_floats_in_small_blocks(self, shape, values, fmt, extra, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 4)  # 0 to 3 block boundaries
+        n_rows, n_cols = shape
+        flat = np.array(values[:n_rows * n_cols])
+        self.assert_matches_reference(tmp_path, fmt, list(flat.reshape(n_cols, n_rows)), extra)
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):
