@@ -101,10 +101,15 @@ def run_trajectory(cfg: ExperimentConfig) -> Trajectory:
     return evolve(dprof, record_every=record_every, lam=cfg.lam, scaling=cfg.scaling)
 
 
-def _oracle_check(cfg: ExperimentConfig, traj: Trajectory):
-    """Cross-check the final algebraic state against the RK4 integrator."""
-    profile = cfg.to_profile()
-    dprof = discretize(profile, cfg.t_final, traj.n_steps_used, rule=cfg.rule)
+def _verify(cfg: ExperimentConfig, traj: Trajectory, announce=print) -> int:
+    """Gate the norm defect over every step, then cross-check the final state against RK4 if asked."""
+    worst = traj.max_norm_defect  # over every step, recorded or not
+    if not worst <= NORM_DEFECT_MAX:  # a nan fails too
+        print(f"error: norm defect {worst:.3e} exceeds {NORM_DEFECT_MAX:g}", file=sys.stderr)
+        return EXIT_SIMULATION
+    if not cfg.oracle_check:
+        return EXIT_OK
+    dprof = discretize(cfg.to_profile(), cfg.t_final, traj.n_steps_used, rule=cfg.rule)
     dt_sub = cfg.oracle_dt_sub if cfg.oracle_dt_sub is not None else dprof.tau / 4.0
     if dt_sub > dprof.tau:
         raise ConfigError(f"oracle_dt_sub {dt_sub} exceeds the ladder step tau = {dprof.tau}")
@@ -112,12 +117,15 @@ def _oracle_check(cfg: ExperimentConfig, traj: Trajectory):
         oracle_state, diag = integrate(dprof, FockState.vacuum(), dt_sub, dim=cfg.oracle_dim)
         method_state = apply_to_state(traj.final, FockState.vacuum(), n_max=diag.dim - 1)
     except LeakageError as exc:
-        return EXIT_ORACLE, f"oracle check failed: {exc}"
+        announce(f"oracle check failed: {exc}")
+        return EXIT_ORACLE
     fid = fidelity(method_state.normalized(), oracle_state)
     if not fid >= ORACLE_FIDELITY_MIN:  # a diverged integration gives nan
-        return EXIT_ORACLE, (f"oracle mismatch: fidelity {fid:.8f} < {ORACLE_FIDELITY_MIN} "
-                             f"(dim={diag.dim}, leakage={diag.leakage:.2e})")
-    return EXIT_OK, f"oracle check passed: fidelity {fid:.8f} (dim={diag.dim})"
+        announce(f"oracle mismatch: fidelity {fid:.8f} < {ORACLE_FIDELITY_MIN} "
+                 f"(dim={diag.dim}, leakage={diag.leakage:.2e})")
+        return EXIT_ORACLE
+    announce(f"oracle check passed: fidelity {fid:.8f} (dim={diag.dim})")
+    return EXIT_OK
 
 
 def run_single(cfg: ExperimentConfig, announce=print) -> int:
@@ -125,29 +133,24 @@ def run_single(cfg: ExperimentConfig, announce=print) -> int:
     columns, cols = trajectory_table(traj, fingerprint=cfg.fingerprint)
     write_table(cfg.output, cfg.format, columns, cols)
     announce(f"wrote {cfg.output} ({len(traj.records)} records, n_steps={traj.n_steps_used})")
-    worst = traj.max_norm_defect  # over every step, recorded or not
-    if not worst <= NORM_DEFECT_MAX:  # a nan fails too
-        print(f"error: norm defect {worst:.3e} exceeds {NORM_DEFECT_MAX:g}", file=sys.stderr)
-        return EXIT_SIMULATION
-    if cfg.oracle_check:
-        code, message = _oracle_check(cfg, traj)
-        announce(message)
-        if code != EXIT_OK:
-            return code
-    return EXIT_OK
+    return _verify(cfg, traj, announce)
 
 
-def _overrides(args: argparse.Namespace, suffix: str = "") -> dict:
-    out = {}
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key + suffix, None)
-        if value is not None:
-            out[key] = value
-    return out
+def _check_output(path: str) -> str:
+    """Refuse, before any work runs, an output that names a directory or lies in a missing one."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"cannot write output {path}: it is a directory or lies in a missing one")
+    return path
+
+
+def _overrides(args: argparse.Namespace) -> dict:
+    return {key: value for key in _CONFIG_KEYS if (value := getattr(args, key, None)) is not None}
 
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:
-    return build_config(preset=args.preset, config_file=args.config, overrides=_overrides(args))
+    cfg = build_config(preset=args.preset, config_file=args.config, overrides=_overrides(args))
+    _check_output(cfg.output)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +179,7 @@ def cmd_sweep(args) -> int:
         overrides[args.sweep_param] = value
         cfg = build_config(preset=args.preset, config_file=args.config, overrides=overrides)
         stem, ext = os.path.splitext(cfg.output)
-        cfg.output = f"{stem}_{args.sweep_param}{token}{ext}"
+        cfg.output = _check_output(f"{stem}_{args.sweep_param}{token}{ext}")
         jobs.append((token, cfg))
 
     messages: dict[str, list] = {token: [] for token, _ in jobs}
@@ -199,10 +202,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_converge(args) -> int:
     cfg = _config(args)
-    profile = cfg.to_profile()
-    n_start = cfg.n_steps if isinstance(cfg.n_steps, int) else cfg.n_start
-    traj = auto_converge(profile, cfg.t_final, cfg.tol, n_start=n_start,
-                         rule=cfg.rule, lam=cfg.lam, scaling=cfg.scaling)
+    if isinstance(cfg.n_steps, int):  # a fixed N is where the doubling starts
+        cfg = dataclasses.replace(cfg, n_steps="auto", n_start=cfg.n_steps).validate()
+    traj = run_trajectory(cfg)
     report_lines = [f"converge N={n} max_dr={diff!r}" for n, diff in traj.convergence_history]
     report_lines.append(f"converged={str(traj.converged).lower()} n_final={traj.n_steps_used} tol={cfg.tol!r}")
     for line in report_lines:
@@ -216,7 +218,7 @@ def cmd_converge(args) -> int:
     }}
     write_table(cfg.output, cfg.format, columns, cols, comments=report_lines, extra=extra)
     print(f"wrote {cfg.output} ({len(traj.records)} records)")
-    return EXIT_OK
+    return _verify(cfg, traj)
 
 
 def _compare_config(args, suffix: str) -> ExperimentConfig:
@@ -230,6 +232,7 @@ def cmd_compare(args) -> int:
     cfg_b = _compare_config(args, "b")
     if cfg_a.t_final != cfg_b.t_final:
         raise ConfigError(f"t_final differs: {cfg_a.t_final} vs {cfg_b.t_final}")
+    out = _check_output(args.output or "compare.csv")
     traj_a = run_trajectory(cfg_a)
     traj_b = run_trajectory(cfg_b)
     t_a, t_b = traj_a.records.t, traj_b.records.t
@@ -238,12 +241,13 @@ def cmd_compare(args) -> int:
     r_a, r_b = traj_a.records.r, traj_b.records.r
     verdict = _compare_verdict(cfg_a, cfg_b, t_a, r_a, r_b)
 
-    out = args.output or "compare.csv"
     write_table(out, args.format or "csv", ["t", "r_a", "r_b", "r_diff"], [t_a, r_a, r_b, r_a - r_b],
                 comments=[f"verdict: {verdict}"], extra={"verdict": verdict})
     print(f"verdict: {verdict}")
     print(f"wrote {out} ({len(t_a)} records)")
-    return EXIT_OK
+    codes = [_verify(cfg, traj, lambda line: print(f"[{side}] {line}"))
+             for side, cfg, traj in (("a", cfg_a, traj_a), ("b", cfg_b, traj_b))]
+    return next((code for code in codes if code != EXIT_OK), EXIT_OK)  # the first failure decides
 
 
 def _compare_verdict(cfg_a, cfg_b, times, r_a, r_b) -> str:

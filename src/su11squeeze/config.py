@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .evolution import SCALINGS
+from .evolution import N_START_MIN, SCALINGS
 from .oracle import MAX_DIM as ORACLE_MAX_DIM
 from .profiles import (
     KINDS,
@@ -83,6 +83,8 @@ class ExperimentConfig:
         for name in _INT_OR_AUTO:  # a string other than "auto" failed the number check
             if (value := getattr(self, name)) != "auto" and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.n_steps == "auto" and self.n_start < N_START_MIN:
+            raise ConfigError(f"n_start must be >= {N_START_MIN}, got {self.n_start}")
         if not (self.tol > 0):
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.oracle_dim is not None and not (5 <= self.oracle_dim <= ORACLE_MAX_DIM):

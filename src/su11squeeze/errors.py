@@ -28,7 +28,7 @@ class ContinuedFractionError(ArithmeticError):
 
 
 class InvalidAccumulatorError(ValueError):
-    """|alpha| >= 1: the accumulator no longer describes a normalizable state."""
+    """The fold overflowed double precision, or ``fock_amplitudes`` got ``|alpha| >= 1``."""
 
 
 class LeakageError(RuntimeError):

@@ -29,6 +29,9 @@ SCALINGS = {"half": 0.5, "quarter": 0.25}
 #: Truncation-loss threshold for apply_to_state / the oracle.
 LEAKAGE_TOL = 1e-6
 
+#: Smallest starting N of the step-doubling loop.
+N_START_MIN = 100
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -38,7 +41,6 @@ class Trajectory:
     the column of squeezing parameters, ``records[-1].r`` the final one.
     """
 
-    profile_descriptor: str
     records: np.recarray
     n_steps_used: int
     converged: bool | None
@@ -137,7 +139,6 @@ def evolve(dprofile: DiscretizedProfile, record_every: int | None = None,
     final = PropagatorAccumulator(complex(records.alpha[-1]), 1.0 / (pc * pc),
                                   -complex(q[-1]).conjugate() / pc, n)
     return Trajectory(
-        profile_descriptor=f"omega0={dprofile.omega0!r} tau={dprofile.tau!r} n={n}",
         records=records,
         n_steps_used=n,
         converged=None,
@@ -261,8 +262,8 @@ def auto_converge(profile: Profile, t_final: float, tol: float,
     """
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
-    if n_start < 100:
-        raise ValueError(f"n_start must be >= 100, got {n_start}")
+    if n_start < N_START_MIN:
+        raise ValueError(f"n_start must be >= {N_START_MIN}, got {n_start}")
     # round up so every doubling shares the same record instants
     n = ((n_start + n_records - 1) // n_records) * n_records
 

@@ -55,13 +55,6 @@ class TruncatedHamiltonian:
         h[idx + 2, idx] = off
         return h
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        out = self.diagonal() * psi
-        off = self.offdiagonal()
-        out[2:] += off * psi[:-2]
-        out[:-2] += off * psi[2:]
-        return out
-
 
 @dataclass(frozen=True)
 class OracleDiagnostics:

@@ -138,6 +138,8 @@ class TestSimulate:
         ["simulate", "--preset", "fig2", "--epsilon", "nan"],
         *[ORACLE_RUN + ["--oracle-dim", dim] for dim in ("0", "3")],
         *[ORACLE_RUN + ["--oracle-dt-sub", dt] for dt in ("0", "-1", "1")],  # tau = 0.001
+        ["simulate", "--profile", "constant", "--t-final", "1", "--n-start", "50"],
+        ["converge", "--profile", "constant", "--t-final", "1", "--n-steps", "50"],
     ])
     def test_config_errors_exit_2(self, argv, tmp_path, capsys):
         assert cli.main(argv + ["--output", str(tmp_path / "x.csv")]) == 2
@@ -180,7 +182,8 @@ class TestSimulate:
         assert max(defects) <= 1e-10
         assert float(body[-1][header.index("r")]) > 31.0
 
-    def test_norm_defect_gate_reads_unrecorded_steps(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", ["simulate", "converge", "compare"])
+    def test_norm_defect_gate_reads_unrecorded_steps(self, command, tmp_path, capsys, monkeypatch):
         fold = kernels.fold_ladder
 
         def worse_between_records(*args):
@@ -188,7 +191,7 @@ class TestSimulate:
             return (*columns, 1e-6)
 
         monkeypatch.setattr(kernels, "fold_ladder", worse_between_records)
-        code = cli.main(["simulate", "--profile", "constant", "--t-final", "1",
+        code = cli.main([command, "--profile", "constant", "--t-final", "1",
                          "--n-steps", "100", "--output", str(tmp_path / "x.csv")])
         assert code == 3
         assert "norm defect 1.000e-06" in capsys.readouterr().err
@@ -214,13 +217,27 @@ class TestSimulate:
         assert code == 4
         assert "oracle check failed: RK4 norm loss nan" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["converge"], ["compare"],
+        ["sweep", "--sweep-param", "omega0", "--sweep-values", "1,2"],
+    ], ids=lambda command: command[0])
     @pytest.mark.parametrize("where", ["missing_directory", "a_directory"])
-    def test_unwritable_output_exits_2(self, where, tmp_path, capsys):
-        out = tmp_path / "missing" / "x.csv" if where == "missing_directory" else tmp_path
-        code = cli.main(["simulate", "--profile", "constant", "--t-final", "1",
-                         "--n-steps", "100", "--output", str(out)])
+    def test_unwritable_output_exits_2(self, command, where, tmp_path, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the ladder was folded before the output was checked")
+
+        monkeypatch.setattr(kernels, "fold_ladder", no_work)
+        folder = tmp_path / "missing" if where == "missing_directory" else tmp_path
+        if command[0] != "sweep":
+            bad = folder / "x.csv"
+        else:  # the first file lies in the missing directory; the second file is the directory
+            bad = folder / ("x_omega01.csv" if where == "missing_directory" else "x_omega02.csv")
+        if where == "a_directory":
+            bad.mkdir()
+        code = cli.main(command + ["--profile", "constant", "--t-final", "1",
+                                   "--n-steps", "100", "--output", str(folder / "x.csv")])
         assert code == 2
-        assert f"cannot write output {out}" in capsys.readouterr().err
+        assert f"cannot write output {bad}" in capsys.readouterr().err
 
     def test_nonpositive_tabulated_sample_exits_3(self, tmp_path, capsys):
         table = tmp_path / "dip.dat"
@@ -254,6 +271,12 @@ class TestConverge:
         assert payload["report"]["converged"] is True
         assert payload["report"]["history"]
         assert payload["records"]
+
+    def test_oracle_check_passes(self, tmp_path, capsys):
+        code = cli.main(["converge", "--preset", "fig4", "--t-final", "1", "--n-steps", "1000",
+                         "--oracle-check", "--output", str(tmp_path / "conv.csv")])
+        assert code == 0
+        assert "\noracle check passed: fidelity 1.00000000" in capsys.readouterr().out
 
 
 class TestCompare:
@@ -319,6 +342,14 @@ class TestCompare:
         payload = json.loads(out.read_text())
         assert payload["verdict"] == "identical"
         assert payload["records"][0]["r_diff"] == 0.0
+
+    def test_oracle_check_passes_on_both_runs(self, tmp_path, capsys):
+        code = cli.main(["compare", "--preset-a", "fig4", "--preset-b", "fig1", "--t-final", "1",
+                         "--n-steps", "1000", "--oracle-check", "--output", str(tmp_path / "cmp.csv")])
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert "\n[a] oracle check passed: fidelity 1.00000000" in stdout
+        assert "\n[b] oracle check passed: fidelity 1.00000000" in stdout
 
 
 class TestSweep:

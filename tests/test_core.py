@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su11squeeze import (
     IDENTITY,
@@ -169,6 +171,49 @@ class TestCompose:
         with pytest.raises(SingularCompositionError) as err:
             compose(acc, bad)
         assert err.value.step == 2
+
+
+#: Random ladders of up to 200 steps in the frequency band of the presets.
+ladders = st.tuples(
+    st.lists(st.floats(0.5, 2.0), min_size=1, max_size=200),
+    st.floats(1e-3, 0.5),
+).map(lambda lt: [step_coeffs(w, 1.0, lt[1]) for w in lt[0]])
+
+
+def as_step(acc):
+    """Read a composed propagator back as one step (the trailing fields are labels only)."""
+    return StepCoeffs(acc.alpha, acc.beta, acc.gamma, 1.0, 1.0, 0.0)
+
+
+class TestComposeProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(steps=ladders)
+    def test_norm_constraint_at_every_step(self, steps):
+        acc = IDENTITY
+        for step in steps:
+            acc = compose(acc, step)
+            assert acc.norm_defect <= 1e-12
+            assert abs(acc.alpha) < 1.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(steps=ladders, data=st.data())
+    def test_associative_when_a_tail_is_read_back_as_a_step(self, steps, data):
+        split = data.draw(st.integers(0, len(steps)))
+        acc = compose(fold(steps[:split]), as_step(fold(steps[split:])))
+        direct = fold(steps)
+        assert abs(acc.alpha - direct.alpha) <= 1e-12
+        assert abs(acc.beta - direct.beta) <= 1e-12
+        assert abs(acc.gamma - direct.gamma) <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(steps=ladders)
+    def test_identity_on_either_side(self, steps):
+        # the identity's zero alpha makes the denominator exactly 1, so both sides are exact
+        step, acc = steps[-1], fold(steps)
+        first = compose(IDENTITY, step)
+        assert (first.alpha, first.beta, first.gamma) == (step.lam_plus, step.lam_c, step.lam_minus)
+        last = compose(acc, as_step(IDENTITY))
+        assert (last.alpha, last.beta, last.gamma) == (acc.alpha, acc.beta, acc.gamma)
 
 
 class TestAlphaViaGcf:
