@@ -16,24 +16,26 @@ def modulation_period(profile: Profile) -> float | None:
     return None
 
 
-def trailing_mean(times, values, window: float, n_sub: int = 64) -> np.ndarray:
-    """Running mean of ``values`` over the trailing ``window`` at each time.
+def trailing_mean(times, values, window: float) -> np.ndarray:
+    """Mean of the piecewise-linear curve through (times, values) over [t - window, t] at each t.
 
-    Evaluated by linear interpolation on ``n_sub`` points per window, so the
-    result is insensitive to the record spacing.  Times earlier than
-    ``times[0] + window`` average over whatever part of the window is
-    covered.
+    Exact for that curve: with ``A`` the cumulative trapezoid area, the mean
+    at record i is ``(A_i - A(lo_i)) / (t_i - lo_i)``, where ``A(lo_i)`` adds
+    the trapezoid from the last record at or before ``lo_i`` to the linearly
+    interpolated value at ``lo_i``.  Windows reaching before ``times[0]``
+    average over the part that is covered, so the first record returns its
+    own value.  ``window <= 0`` returns a copy of ``values``.
     """
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    if window <= 0:
+    if window <= 0 or times.size < 2:
         return values.copy()
-    out = np.empty_like(values)
-    for i, t in enumerate(times):
-        lo = max(t - window, times[0])
-        grid = np.linspace(lo, t, n_sub)
-        out[i] = np.interp(grid, times, values).mean()
-    return out
+    area = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(times) * (values[1:] + values[:-1]))))
+    lo = np.maximum(times - window, times[0])
+    k = np.searchsorted(times, lo, side="right") - 1
+    area_lo = area[k] + 0.5 * (lo - times[k]) * (values[k] + np.interp(lo, times, values))
+    span = times - lo
+    return np.divide(area - area_lo, span, out=values.copy(), where=span > 0)
 
 
 def linear_fit(x, y):

@@ -102,10 +102,13 @@ def run_trajectory(cfg: ExperimentConfig) -> Trajectory:
 
 
 def _verify(cfg: ExperimentConfig, traj: Trajectory, announce=print) -> int:
-    """Gate the norm defect over every step, then cross-check the final state against RK4 if asked."""
+    """Gate the norm defect over every step, then cross-check the final state against RK4 if asked.
+
+    ``announce(line, file=None)`` prints like ``print``, under the run's label if it has one.
+    """
     worst = traj.max_norm_defect  # over every step, recorded or not
     if not worst <= NORM_DEFECT_MAX:  # a nan fails too
-        print(f"error: norm defect {worst:.3e} exceeds {NORM_DEFECT_MAX:g}", file=sys.stderr)
+        announce(f"error: norm defect {worst:.3e} exceeds {NORM_DEFECT_MAX:g}", file=sys.stderr)
         return EXIT_SIMULATION
     if not cfg.oracle_check:
         return EXIT_OK
@@ -182,19 +185,19 @@ def cmd_sweep(args) -> int:
         cfg.output = _check_output(f"{stem}_{args.sweep_param}{token}{ext}")
         jobs.append((token, cfg))
 
-    messages: dict[str, list] = {token: [] for token, _ in jobs}
+    messages: dict[str, list] = {token: [] for token, _ in jobs}  # (line, file) in order
 
     def run(job):
         token, cfg = job
-        return token, run_single(cfg, announce=messages[token].append)
+        return token, run_single(cfg, lambda line, file=None: messages[token].append((line, file)))
 
     with ThreadPoolExecutor(max_workers=min(4, len(jobs))) as pool:
         results = dict(pool.map(run, jobs))
 
     code = EXIT_OK
     for token, _ in jobs:
-        for line in messages[token]:
-            print(f"[{args.sweep_param}={token}] {line}")
+        for line, file in messages[token]:
+            print(f"[{args.sweep_param}={token}] {line}", file=file)
         if results[token] != EXIT_OK and code == EXIT_OK:
             code = results[token]
     return code
@@ -245,7 +248,7 @@ def cmd_compare(args) -> int:
                 comments=[f"verdict: {verdict}"], extra={"verdict": verdict})
     print(f"verdict: {verdict}")
     print(f"wrote {out} ({len(t_a)} records)")
-    codes = [_verify(cfg, traj, lambda line: print(f"[{side}] {line}"))
+    codes = [_verify(cfg, traj, lambda line, file=None: print(f"[{side}] {line}", file=file))
              for side, cfg, traj in (("a", cfg_a, traj_a), ("b", cfg_b, traj_b))]
     return next((code for code in codes if code != EXIT_OK), EXIT_OK)  # the first failure decides
 

@@ -35,7 +35,7 @@ FORMATS = ("csv", "json")
 @dataclass
 class ExperimentConfig:
     profile: str = "constant"
-    omega0: float = 1.0
+    omega0: float | None = None  # unset: 1, or a table's first omega
     B: float | None = None
     epsilon: float | None = None
     omega_l: float | None = None
@@ -76,7 +76,7 @@ class ExperimentConfig:
                               ("rule", RULES), ("format", FORMATS)):
             if (value := getattr(self, name)) not in choices:
                 raise ConfigError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
-        if not (self.omega0 > 0):
+        if self.omega0 is not None and not (self.omega0 > 0):
             raise ConfigError(f"omega0 must be positive, got {self.omega0}")
         if not (self.t_final > 0):
             raise ConfigError(f"t_final must be positive, got {self.t_final}")
@@ -85,6 +85,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.n_steps == "auto" and self.n_start < N_START_MIN:
             raise ConfigError(f"n_start must be >= {N_START_MIN}, got {self.n_start}")
+        if self.n_steps == "auto" and self.record_every != "auto":
+            raise ConfigError(f"record_every {self.record_every} needs a fixed n_steps, not auto")
         if not (self.tol > 0):
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.oracle_dim is not None and not (5 <= self.oracle_dim <= ORACLE_MAX_DIM):
@@ -104,20 +106,20 @@ class ExperimentConfig:
         return self
 
     def to_profile(self) -> Profile:
+        w0 = 1.0 if self.omega0 is None else self.omega0
         try:
             if self.profile == "constant":
-                return constant(self.omega0)
+                return constant(w0)
             if self.profile == "relaxing_pulse":
-                return relaxing_pulse(self.B, self.omega0)
+                return relaxing_pulse(self.B, w0)
             if self.profile == "parametric_resonance":
-                return parametric_resonance(self.epsilon, self.omega_l, self.omega0)
+                return parametric_resonance(self.epsilon, self.omega_l, w0)
             if self.profile == "janszky_adam":
-                return janszky_adam(self.omega1, self.omega0,
-                                    hold_high=self.hold_high, hold_low=self.hold_low)
+                return janszky_adam(self.omega1, w0, hold_high=self.hold_high, hold_low=self.hold_low)
             if self.profile == "sudden_jump":
-                return sudden_jump(self.omega1, self.omega0)
+                return sudden_jump(self.omega1, w0)
             if self.profile == "tabulated":
-                return load_tabulated(self.table, omega0=None if self.omega0 == 1.0 else self.omega0)
+                return load_tabulated(self.table, omega0=self.omega0)
         except (ValueError, OSError) as exc:
             raise ConfigError(str(exc)) from exc
         raise ConfigError(f"unknown profile {self.profile!r}")

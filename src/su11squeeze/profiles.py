@@ -45,17 +45,6 @@ class Profile:
         if not (self.omega0 > 0.0):
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
 
-    def describe(self) -> str:
-        """Short human/machine readable parameter summary."""
-        parts = [f"kind={self.kind}", f"omega0={self.omega0!r}"]
-        for name in ("B", "epsilon", "omega_l", "omega1", "hold_low", "hold_high"):
-            value = getattr(self, name)
-            if value is not None:
-                parts.append(f"{name}={value!r}")
-        if self.kind == "tabulated":
-            parts.append(f"table_points={len(self.table_t)}")
-        return " ".join(parts)
-
 
 def constant(omega0: float = 1.0) -> Profile:
     """omega(t) = omega0 for all t."""

@@ -140,6 +140,8 @@ class TestSimulate:
         *[ORACLE_RUN + ["--oracle-dt-sub", dt] for dt in ("0", "-1", "1")],  # tau = 0.001
         ["simulate", "--profile", "constant", "--t-final", "1", "--n-start", "50"],
         ["converge", "--profile", "constant", "--t-final", "1", "--n-steps", "50"],
+        ["simulate", "--profile", "constant", "--t-final", "1", "--n-steps", "auto", "--record-every", "7"],
+        ["converge", "--profile", "constant", "--t-final", "1", "--n-steps", "1000", "--record-every", "3"],
     ])
     def test_config_errors_exit_2(self, argv, tmp_path, capsys):
         assert cli.main(argv + ["--output", str(tmp_path / "x.csv")]) == 2
@@ -182,8 +184,13 @@ class TestSimulate:
         assert max(defects) <= 1e-10
         assert float(body[-1][header.index("r")]) > 31.0
 
-    @pytest.mark.parametrize("command", ["simulate", "converge", "compare"])
-    def test_norm_defect_gate_reads_unrecorded_steps(self, command, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("command, labels", [
+        (["simulate"], [""]),
+        (["converge"], [""]),
+        (["compare"], ["[a] ", "[b] "]),
+        (["sweep", "--sweep-param", "lam", "--sweep-values", "0.5,0"], ["[lam=0.5] ", "[lam=0] "]),
+    ], ids=["simulate", "converge", "compare", "sweep"])
+    def test_norm_defect_gate_reads_unrecorded_steps(self, command, labels, tmp_path, capsys, monkeypatch):
         fold = kernels.fold_ladder
 
         def worse_between_records(*args):
@@ -191,10 +198,39 @@ class TestSimulate:
             return (*columns, 1e-6)
 
         monkeypatch.setattr(kernels, "fold_ladder", worse_between_records)
-        code = cli.main([command, "--profile", "constant", "--t-final", "1",
-                         "--n-steps", "100", "--output", str(tmp_path / "x.csv")])
+        code = cli.main(command + ["--profile", "constant", "--t-final", "1",
+                                   "--n-steps", "100", "--output", str(tmp_path / "x.csv")])
         assert code == 3
-        assert "norm defect 1.000e-06" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        # each run's error carries the label of its stdout lines; sweep keeps value order
+        assert err.splitlines() == [f"{label}error: norm defect 1.000e-06 exceeds 1e-10" for label in labels]
+        if command[0] == "sweep":
+            assert [line.split()[0] for line in out.splitlines()] == ["[lam=0.5]", "[lam=0]"]
+
+    def test_explicit_omega0_of_one_holds_for_tabulated_profiles(self, tmp_path):
+        table = tmp_path / "t.dat"
+        table.write_text("0 2.0\n1 2.5\n2 2.0\n")
+        run = ["--profile", "tabulated", "--table", str(table), "--t-final", "2", "--n-steps", "2000"]
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("omega0 = 1\n")
+
+        def final_r(path):
+            header, body, _ = read_csv(path)
+            return float(body[-1][header.index("r")])
+
+        finals = {}
+        for name, extra in {"unset": [], "first": ["--omega0", "2"], "flag": ["--omega0", "1"],
+                            "file": ["--config", str(cfg)]}.items():
+            out = tmp_path / f"{name}.csv"
+            assert cli.main(["simulate", *run, *extra, "--output", str(out)]) == 0
+            finals[name] = final_r(out)
+        assert cli.main(["sweep", *run, "--sweep-param", "omega0", "--sweep-values", "1",
+                         "--output", str(tmp_path / "s.csv")]) == 0
+        finals["sweep"] = final_r(tmp_path / "s_omega01.csv")
+        # unset means the table's first omega; an explicit 1 is kept from every source
+        assert finals["unset"] == finals["first"]
+        assert finals["flag"] == finals["file"] == finals["sweep"]
+        assert abs(finals["flag"] - finals["unset"]) > 0.5
 
     @pytest.mark.parametrize("argv", [
         # omega0 = 1e-300 beside the absolute omega_l = 1.04 puts omega/omega0

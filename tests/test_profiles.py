@@ -196,9 +196,3 @@ def test_factory_validation():
         Profile(kind="wiggle")
     with pytest.raises(ValueError):
         Profile(kind="constant", omega0=0.0)
-
-
-def test_describe_mentions_kind_and_params():
-    text = parametric_resonance(epsilon=2.04, omega_l=1.04).describe()
-    assert "parametric_resonance" in text
-    assert "epsilon=2.04" in text
