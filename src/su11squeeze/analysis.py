@@ -4,17 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .profiles import Profile
-
-
-def modulation_period(profile: Profile) -> float | None:
-    """One modulation period of a periodic profile, None for aperiodic ones."""
-    if profile.kind == "parametric_resonance":
-        return 2.0 * np.pi / (profile.epsilon * profile.omega0)
-    if profile.kind == "janszky_adam":
-        return profile.hold_high + profile.hold_low
-    return None
-
 
 def trailing_mean(times, values, window: float) -> np.ndarray:
     """Mean of the piecewise-linear curve through (times, values) over [t - window, t] at each t.

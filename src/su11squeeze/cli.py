@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import analysis
-from .config import FORMATS, PRESETS, ExperimentConfig, build_config
+from .config import FORMATS, PRESETS, ExperimentConfig, build_config, profile_parameters
 from .errors import (
     ConfigError,
     InvalidAccumulatorError,
@@ -44,6 +44,9 @@ BASE_COLUMNS = ("t", "omega", "re_alpha", "im_alpha", "abs_alpha",
 
 #: Rows per ``write`` call: larger blocks gain no speed, and a whole table would hold all its text.
 WRITE_BLOCK_ROWS = 1024
+
+#: Sweep parameters that every profile kind accepts because the run, not the profile, reads them.
+_RUN_SWEEP_PARAMS = ("t_final", "lam")
 
 #: Configuration fields that a command-line flag sets (each command picks presets itself).
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "preset")
@@ -181,6 +184,8 @@ def cmd_sweep(args) -> int:
         overrides = dict(base)
         overrides[args.sweep_param] = value
         cfg = build_config(preset=args.preset, config_file=args.config, overrides=overrides)
+        if args.sweep_param not in (*_RUN_SWEEP_PARAMS, *profile_parameters(cfg.profile)):
+            raise ConfigError(f"profile {cfg.profile!r} takes no parameter {args.sweep_param!r}")
         stem, ext = os.path.splitext(cfg.output)
         cfg.output = _check_output(f"{stem}_{args.sweep_param}{token}{ext}")
         jobs.append((token, cfg))
@@ -256,8 +261,8 @@ def cmd_compare(args) -> int:
 def _compare_verdict(cfg_a, cfg_b, times, r_a, r_b) -> str:
     if np.array_equal(r_a, r_b):
         return "identical"
-    period_a = analysis.modulation_period(cfg_a.to_profile())
-    period_b = analysis.modulation_period(cfg_b.to_profile())
+    period_a = cfg_a.to_profile().period
+    period_b = cfg_b.to_profile().period
     transient = max(period_a or 0.0, period_b or 0.0) or times[-1] / 10.0
     bar_a = analysis.trailing_mean(times, r_a, period_a or 0.0)
     bar_b = analysis.trailing_mean(times, r_b, period_b or 0.0)
@@ -332,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--preset", choices=sorted(PRESETS))
     p_sweep.add_argument("--sweep-param", required=True, dest="sweep_param",
                          choices=("B", "epsilon", "omega_l", "omega1", "hold_low", "hold_high",
-                                  "t_final", "lam", "omega0"))
+                                  *_RUN_SWEEP_PARAMS, "omega0"))
     p_sweep.add_argument("--sweep-values", required=True, dest="sweep_values",
                          help="comma-separated numeric values")
     _add_config_flags(p_sweep)

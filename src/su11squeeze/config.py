@@ -2,23 +2,14 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .evolution import N_START_MIN, SCALINGS
 from .oracle import MAX_DIM as ORACLE_MAX_DIM
-from .profiles import (
-    KINDS,
-    RULES,
-    Profile,
-    constant,
-    janszky_adam,
-    load_tabulated,
-    parametric_resonance,
-    relaxing_pulse,
-    sudden_jump,
-)
+from .profiles import KINDS, PROFILES, RULES, Profile
 
 #: Parameter sets reproducing the shipped reference workflows.
 PRESETS = {
@@ -93,36 +84,24 @@ class ExperimentConfig:
             raise ConfigError(f"oracle_dim must be in [5, {ORACLE_MAX_DIM}], got {self.oracle_dim}")
         if self.oracle_dt_sub is not None and not (self.oracle_dt_sub > 0):
             raise ConfigError(f"oracle_dt_sub must be positive, got {self.oracle_dt_sub}")
-        required = {
-            "relaxing_pulse": ("B",),
-            "parametric_resonance": ("epsilon", "omega_l"),
-            "janszky_adam": ("omega1",),
-            "sudden_jump": ("omega1",),
-            "tabulated": ("table",),
-        }.get(self.profile, ())
-        for name in required:
-            if getattr(self, name) is None:
+        for name, param in profile_parameters(self.profile).items():
+            if param.default is param.empty and getattr(self, name) is None:
                 raise ConfigError(f"profile {self.profile!r} needs parameter {name!r}")
         return self
 
     def to_profile(self) -> Profile:
-        w0 = 1.0 if self.omega0 is None else self.omega0
+        """Call the kind's factory with the parameters that are set; unset ones take its defaults."""
+        params = {name: value for name in profile_parameters(self.profile)
+                  if (value := getattr(self, name)) is not None}
         try:
-            if self.profile == "constant":
-                return constant(w0)
-            if self.profile == "relaxing_pulse":
-                return relaxing_pulse(self.B, w0)
-            if self.profile == "parametric_resonance":
-                return parametric_resonance(self.epsilon, self.omega_l, w0)
-            if self.profile == "janszky_adam":
-                return janszky_adam(self.omega1, w0, hold_high=self.hold_high, hold_low=self.hold_low)
-            if self.profile == "sudden_jump":
-                return sudden_jump(self.omega1, w0)
-            if self.profile == "tabulated":
-                return load_tabulated(self.table, omega0=self.omega0)
+            return PROFILES[self.profile](**params)
         except (ValueError, OSError) as exc:
             raise ConfigError(str(exc)) from exc
-        raise ConfigError(f"unknown profile {self.profile!r}")
+
+
+def profile_parameters(kind: str):
+    """The parameters of a kind's factory, by name: the configuration fields that kind reads."""
+    return inspect.signature(PROFILES[kind]).parameters
 
 
 _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}

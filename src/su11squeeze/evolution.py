@@ -169,18 +169,25 @@ def fock_amplitudes(acc: PropagatorAccumulator, n_max: int = 64) -> FockState:
     return FockState(amp)
 
 
-def _apply_lowering(amp: np.ndarray) -> np.ndarray:
-    # K_- |n+2> = 0.5*sqrt((n+1)(n+2)) |n>
-    out = np.zeros_like(amp)
-    out[:-2] = kernels.fock_bands(amp.shape[0])[1] * amp[2:]
-    return out
+def _exp_shift(coeff: complex, amp: np.ndarray, shift: int, n_max: int) -> np.ndarray:
+    """exp(coeff K) amp as its power series, with K = K_- (shift -2) or K_+ (shift +2).
 
-
-def _apply_raising(amp: np.ndarray) -> np.ndarray:
-    # K_+ |n> = 0.5*sqrt((n+1)(n+2)) |n+2>; amplitudes pushed past the end are dropped
-    out = np.zeros_like(amp)
-    out[2:] = kernels.fock_bands(amp.shape[0])[1] * amp[:-2]
-    return out
+    K_- |n+2> = 0.5*sqrt((n+1)(n+2)) |n> and K_+ |n> = 0.5*sqrt((n+1)(n+2)) |n+2>;
+    amplitudes that K_+ pushes past the end are dropped.  The series stops
+    at the first zero term.
+    """
+    band = kernels.fock_bands(amp.shape[0])[1]
+    dst, src = (slice(None, -2), slice(2, None)) if shift < 0 else (slice(2, None), slice(None, -2))
+    total = amp.copy()
+    term = amp
+    for k in range(1, n_max // 2 + 2):
+        shifted = np.zeros_like(term)
+        shifted[dst] = band * term[src]
+        term = (coeff / k) * shifted
+        if not term.any():
+            break
+        total += term
+    return total
 
 
 def apply_to_state(acc: PropagatorAccumulator, initial: FockState, n_max: int | None = None) -> FockState:
@@ -214,14 +221,7 @@ def apply_to_state(acc: PropagatorAccumulator, initial: FockState, n_max: int | 
 
     # exp(gamma K_-): nilpotent on any finite state, the series terminates
     if acc.gamma != 0:
-        total = amp.copy()
-        term = amp
-        for k in range(1, n_max // 2 + 2):
-            term = (acc.gamma / k) * _apply_lowering(term)
-            if not term.any():
-                break
-            total += term
-        amp = total
+        amp = _exp_shift(acc.gamma, amp, -2, n_max)
 
     logb = cmath.log(acc.beta)
     levels = np.arange(n_max + 1, dtype=np.float64)
@@ -229,14 +229,7 @@ def apply_to_state(acc: PropagatorAccumulator, initial: FockState, n_max: int | 
 
     # exp(alpha K_+): truncated at n_max, terms decay like |alpha|^k for |alpha| < 1
     if acc.alpha != 0:
-        total = amp.copy()
-        term = amp
-        for k in range(1, n_max // 2 + 2):
-            term = (acc.alpha / k) * _apply_raising(term)
-            if not term.any():
-                break
-            total += term
-        amp = total
+        amp = _exp_shift(acc.alpha, amp, 2, n_max)
 
     out = FockState(amp)
     leakage = max(0.0, 1.0 - out.norm2())

@@ -69,7 +69,7 @@ def _edge_occupancy(amp: np.ndarray) -> float:
 
 
 def integrate(dprofile: DiscretizedProfile, initial: FockState, dt_sub: float,
-              dim: int | None = None, max_dim: int = MAX_DIM):
+              dim: int | None = None):
     """RK4-integrate the state across the ladder; returns (state, diagnostics).
 
     Parameters
@@ -84,7 +84,7 @@ def integrate(dprofile: DiscretizedProfile, initial: FockState, dt_sub: float,
     dim : int, optional
         Pin the basis size.  When omitted, starts at 256 (or the initial
         state size) and doubles while the boundary occupancy exceeds the
-        tolerance, up to ``max_dim``.
+        tolerance, up to ``MAX_DIM``.
 
     Returns
     -------
@@ -111,11 +111,11 @@ def integrate(dprofile: DiscretizedProfile, initial: FockState, dt_sub: float,
     else:
         d = max(DEFAULT_DIM, initial.n_max + 1)
         dims = []
-        while d <= max_dim:
+        while d <= MAX_DIM:
             dims.append(d)
             d *= 2
         if not dims:
-            raise ValueError(f"initial state ({initial.n_max + 1}) larger than max_dim={max_dim}")
+            raise ValueError(f"initial state ({initial.n_max + 1}) larger than MAX_DIM={MAX_DIM}")
 
     last_leakage = math.inf
     for d in dims:

@@ -9,38 +9,32 @@ midpoint rule is available behind the ``rule`` flag.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ProfileDomainError, TableRangeError
 
-KINDS = ("constant", "relaxing_pulse", "parametric_resonance", "janszky_adam", "sudden_jump", "tabulated")
 RULES = ("right", "midpoint")
 
 
 @dataclass(frozen=True, eq=False)
 class Profile:
-    """A frequency-modulation function omega(t).
+    """A frequency-modulation function: ``omega0`` for t <= 0, ``curve(t)`` for t > 0.
 
-    Use the factory functions (:func:`constant`, :func:`relaxing_pulse`,
-    :func:`parametric_resonance`, :func:`janszky_adam`, :func:`sudden_jump`,
-    :func:`tabulated`) rather than building instances by hand.
+    ``curve`` maps an array of positive times to frequencies; ``period`` is
+    one modulation period, None for an aperiodic profile.  Use the factory
+    functions of :data:`PROFILES` rather than building instances by hand.
     """
 
     kind: str
-    omega0: float = 1.0
-    B: float | None = None
-    epsilon: float | None = None
-    omega_l: float | None = None
-    omega1: float | None = None
-    hold_low: float | None = None    # dwell at omega0 (square wave)
-    hold_high: float | None = None   # dwell at omega1 (square wave)
-    table_t: np.ndarray | None = field(default=None, repr=False)
-    table_omega: np.ndarray | None = field(default=None, repr=False)
+    omega0: float
+    curve: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    period: float | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in PROFILES:
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if not (self.omega0 > 0.0):
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
@@ -48,7 +42,7 @@ class Profile:
 
 def constant(omega0: float = 1.0) -> Profile:
     """omega(t) = omega0 for all t."""
-    return Profile(kind="constant", omega0=omega0)
+    return Profile("constant", omega0, lambda t: np.full_like(t, omega0))
 
 
 def relaxing_pulse(B: float, omega0: float = 1.0) -> Profile:
@@ -59,7 +53,8 @@ def relaxing_pulse(B: float, omega0: float = 1.0) -> Profile:
     """
     if not (B > 0.0):
         raise ValueError(f"B must be positive, got {B}")
-    return Profile(kind="relaxing_pulse", omega0=omega0, B=B)
+    return Profile("relaxing_pulse", omega0,
+                   lambda t: omega0 * (1.0 + 0.5 * omega0 * t * np.exp(-omega0 * t / B)))
 
 
 def parametric_resonance(epsilon: float, omega_l: float, omega0: float = 1.0) -> Profile:
@@ -67,13 +62,16 @@ def parametric_resonance(epsilon: float, omega_l: float, omega0: float = 1.0) ->
 
     For t > 0: ``0.5*((omega0 + omega_l) + (omega0 - omega_l)*cos(epsilon*omega0*t))``.
     Continuous at t = 0; omega_l is the extreme value reached.  Resonant
-    growth occurs when ``epsilon*omega0`` equals ``omega0 + omega_l``.
+    growth occurs when ``epsilon*omega0`` equals ``omega0 + omega_l``.  The
+    period is ``2*pi/(epsilon*omega0)``.
     """
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not (omega_l > 0.0):
         raise ValueError(f"omega_l must be positive, got {omega_l}")
-    return Profile(kind="parametric_resonance", omega0=omega0, epsilon=epsilon, omega_l=omega_l)
+    return Profile("parametric_resonance", omega0,
+                   lambda t: 0.5 * ((omega0 + omega_l) + (omega0 - omega_l) * np.cos(epsilon * omega0 * t)),
+                   period=2.0 * np.pi / (epsilon * omega0))
 
 
 def janszky_adam(omega1: float, omega0: float = 1.0,
@@ -83,7 +81,8 @@ def janszky_adam(omega1: float, omega0: float = 1.0,
     The default dwell times are a quarter oscillation period at each
     frequency (``pi/(2*omega1)`` at omega1, ``pi/(2*omega0)`` at omega0),
     the synchronization that adds ``ln(omega1/omega0)`` to the squeezing
-    parameter per full cycle.  Both dwells can be overridden.
+    parameter per full cycle.  Both dwells can be overridden.  The period
+    is ``hold_high + hold_low``.
     """
     if not (omega1 > 0.0):
         raise ValueError(f"omega1 must be positive, got {omega1}")
@@ -91,15 +90,20 @@ def janszky_adam(omega1: float, omega0: float = 1.0,
     hold_low = math.pi / (2.0 * omega0) if hold_low is None else hold_low
     if not (hold_high > 0.0 and hold_low > 0.0):
         raise ValueError("hold durations must be positive")
-    return Profile(kind="janszky_adam", omega0=omega0, omega1=omega1,
-                   hold_high=hold_high, hold_low=hold_low)
+    period = hold_high + hold_low
+
+    def curve(t):
+        phase = np.mod(t, period)
+        return np.where((phase > 0) & (phase <= hold_high), omega1, omega0)
+
+    return Profile("janszky_adam", omega0, curve, period=period)
 
 
 def sudden_jump(omega1: float, omega0: float = 1.0) -> Profile:
     """One jump at t = 0 from omega0 to omega1, constant afterwards."""
     if not (omega1 > 0.0):
         raise ValueError(f"omega1 must be positive, got {omega1}")
-    return Profile(kind="sudden_jump", omega0=omega0, omega1=omega1)
+    return Profile("sudden_jump", omega0, lambda t: np.full_like(t, omega1))
 
 
 def tabulated(times, omegas, omega0: float | None = None) -> Profile:
@@ -109,32 +113,53 @@ def tabulated(times, omegas, omega0: float | None = None) -> Profile:
     range (for t > 0) raises :class:`TableRangeError`.  ``omega0`` defaults
     to the first tabulated omega.
     """
-    t = np.asarray(times, dtype=np.float64)
-    w = np.asarray(omegas, dtype=np.float64)
-    if t.ndim != 1 or t.shape != w.shape or t.size < 2:
+    tt = np.asarray(times, dtype=np.float64)
+    ww = np.asarray(omegas, dtype=np.float64)
+    if tt.ndim != 1 or tt.shape != ww.shape or tt.size < 2:
         raise ValueError("need matching 1-d arrays with at least two samples")
-    if not np.all(np.diff(t) > 0):
+    if not np.all(np.diff(tt) > 0):
         raise ValueError("tabulated times must be strictly increasing")
     if omega0 is None:
-        omega0 = float(w[0])
-    return Profile(kind="tabulated", omega0=omega0, table_t=t, table_omega=w)
+        omega0 = float(ww[0])
+
+    def curve(t):
+        bad = (t < tt[0]) | (t > tt[-1])
+        if np.any(bad):
+            raise TableRangeError(f"t={float(t[bad][0])} outside tabulated range [{tt[0]}, {tt[-1]}]")
+        return np.interp(t, tt, ww)
+
+    return Profile("tabulated", omega0, curve)
 
 
-def load_tabulated(path, omega0: float | None = None) -> Profile:
+def load_tabulated(table, omega0: float | None = None) -> Profile:
     """Read a two-column (t, omega) text file; '#' starts a comment."""
     times = []
     omegas = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(table, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             cols = line.split()
             if len(cols) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two columns, got {len(cols)}")
+                raise ValueError(f"{table}:{lineno}: expected two columns, got {len(cols)}")
             times.append(float(cols[0]))
             omegas.append(float(cols[1]))
     return tabulated(times, omegas, omega0=omega0)
+
+
+#: Each profile kind and the factory that defines it.  The factory's
+#: parameters are the configuration fields the kind reads; a parameter
+#: without a default is required.  ``tabulated`` is read from a table file.
+PROFILES = {
+    "constant": constant,
+    "relaxing_pulse": relaxing_pulse,
+    "parametric_resonance": parametric_resonance,
+    "janszky_adam": janszky_adam,
+    "sudden_jump": sudden_jump,
+    "tabulated": load_tabulated,
+}
+KINDS = tuple(PROFILES)
 
 
 def eval_profile(profile: Profile, t):
@@ -146,36 +171,12 @@ def eval_profile(profile: Profile, t):
     ts = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(ts)):
         raise ValueError("evaluation times must be finite")
-    w0 = profile.omega0
-
-    if profile.kind == "constant":
-        out = np.full_like(ts, w0)
-    elif profile.kind == "relaxing_pulse":
-        safe = np.where(ts > 0, ts, 0.0)
-        out = np.where(ts <= 0, w0, w0 * (1.0 + 0.5 * w0 * safe * np.exp(-w0 * safe / profile.B)))
-    elif profile.kind == "parametric_resonance":
-        wl = profile.omega_l
-        out = np.where(ts <= 0, w0, 0.5 * ((w0 + wl) + (w0 - wl) * np.cos(profile.epsilon * w0 * ts)))
-    elif profile.kind == "sudden_jump":
-        out = np.where(ts <= 0, w0, profile.omega1)
-    elif profile.kind == "janszky_adam":
-        period = profile.hold_high + profile.hold_low
-        phase = np.mod(ts, period)
-        high = (phase > 0) & (phase <= profile.hold_high)
-        out = np.where(ts <= 0, w0, np.where(high, profile.omega1, w0))
-    elif profile.kind == "tabulated":
-        tt, ww = profile.table_t, profile.table_omega
-        positive = ts > 0
-        bad = positive & ((ts < tt[0]) | (ts > tt[-1]))
-        if np.any(bad):
-            t_bad = float(np.asarray(ts)[bad].flat[0]) if ts.ndim else float(ts)
-            raise TableRangeError(
-                f"t={t_bad} outside tabulated range [{tt[0]}, {tt[-1]}]"
-            )
-        out = np.where(positive, np.interp(ts, tt, ww), w0)
-    else:  # pragma: no cover - guarded in __post_init__
-        raise ValueError(f"unknown profile kind {profile.kind!r}")
-
+    positive = ts > 0
+    if positive.all():  # a ladder's times: no masked copies
+        out = profile.curve(ts)
+    else:
+        out = np.full_like(ts, profile.omega0)
+        out[positive] = profile.curve(ts[positive])
     return float(out) if scalar else out
 
 

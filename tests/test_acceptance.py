@@ -322,7 +322,7 @@ def test_c10_oracle_equivalence_detuned_resonance():
 def test_c10_oracle_equivalence_square_wave():
     profile = janszky_adam(omega1=1.5)
     cycles = 4  # r grows by ln(1.5) per cycle; four keeps it below 2
-    t_final = cycles * (profile.hold_high + profile.hold_low)
+    t_final = cycles * profile.period
     dprof = discretize(profile, t_final, int(t_final * 2000))
     fid, parity, diag, r_final = _cross_check(dprof, dim=256)
     gate(10, "square wave at r <= 2: algebraic state matches RK4 state",

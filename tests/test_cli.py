@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import inspect
 import json
 import math
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from su11squeeze import cli, kernels
 from su11squeeze.config import FORMATS, ExperimentConfig
+from su11squeeze.profiles import PROFILES
 
 
 def read_csv(path):
@@ -417,6 +419,22 @@ class TestSweep:
         assert sorted(f.name for f in tmp_path.iterdir()) == ["s_omega02.0.csv", "s_omega02.csv"]
         assert capsys.readouterr().out.count("wrote") == 2
 
+    @pytest.mark.parametrize("preset,param", [("fig2", "B"), ("fig4", "epsilon"), ("fig1", "omega1")])
+    def test_parameter_the_profile_does_not_take_exits_2(self, preset, param, tmp_path, capsys):
+        code = cli.main(["sweep", "--preset", preset, "--sweep-param", param,
+                         "--sweep-values", "1,2", "--output", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert f"takes no parameter {param!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("param", ["t_final", "lam", "omega0"])
+    def test_run_parameters_and_omega0_sweep_any_profile(self, param, tmp_path, capsys):
+        code = cli.main(["sweep", "--profile", "sudden_jump", "--omega1", "1.5", "--sweep-param", param,
+                         "--sweep-values", "1,2", "--t-final", "1", "--n-steps", "100",
+                         "--output", str(tmp_path / "s.csv")])
+        assert code == 0
+        assert len(list(tmp_path.iterdir())) == 2
+
     def test_bad_sweep_values_exit_2(self, tmp_path):
         code = cli.main(["sweep", "--profile", "constant", "--sweep-param", "omega0",
                          "--sweep-values", "1.0,zebra", "--t-final", "1",
@@ -499,6 +517,17 @@ def test_every_config_field_has_a_flag():
     for name, parser in commands.choices.items():
         flags = {a.dest for a in parser._actions if a.option_strings}
         assert wanted <= flags, (name, sorted(wanted - flags))
+
+
+def test_every_factory_parameter_is_a_config_field_and_a_flag():
+    # config.to_profile hands the fields to each factory by parameter name
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    flags = {a.dest for a in commands.choices["simulate"]._actions if a.option_strings}
+    for kind, factory in PROFILES.items():
+        params = set(inspect.signature(factory).parameters)
+        assert params <= fields & flags, (kind, sorted(params - (fields & flags)))
 
 
 # Values that no numeric flag accepts, drawn for about one flag in four; the

@@ -292,7 +292,7 @@ class TestAutoConverge:
 class TestPlateaus:
     def test_squeezing_is_flat_on_reference_holds_and_grows_on_high_holds(self):
         profile = janszky_adam(omega1=1.5)
-        cycle = profile.hold_high + profile.hold_low
+        cycle = profile.period
         dprof = discretize(profile, 4 * cycle, 12_000)
         traj = evolve(dprof, record_every=1)
         r = traj.records.r

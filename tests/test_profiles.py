@@ -77,8 +77,9 @@ class TestParametricResonance:
 class TestJanszkyAdam:
     def test_defaults_are_quarter_periods(self):
         profile = janszky_adam(omega1=1.5)
-        assert profile.hold_high == pytest.approx(math.pi / 3.0)
-        assert profile.hold_low == pytest.approx(math.pi / 2.0)
+        assert profile.period == pytest.approx(math.pi / 3.0 + math.pi / 2.0)
+        assert eval_profile(profile, math.pi / 3.0) == 1.5
+        assert eval_profile(profile, math.pi / 3.0 + 1e-9) == 1.0
 
     def test_two_values_only(self):
         profile = janszky_adam(omega1=1.5)
@@ -193,6 +194,13 @@ def test_factory_validation():
     with pytest.raises(ValueError):
         janszky_adam(omega1=-2.0)
     with pytest.raises(ValueError):
-        Profile(kind="wiggle")
+        Profile("wiggle", 1.0, lambda t: t)
     with pytest.raises(ValueError):
-        Profile(kind="constant", omega0=0.0)
+        Profile("constant", 0.0, lambda t: t)
+
+
+def test_period_of_the_periodic_kinds_only():
+    assert parametric_resonance(epsilon=2.04, omega_l=1.04, omega0=1.3).period == 2.0 * math.pi / (2.04 * 1.3)
+    assert janszky_adam(omega1=2.0, hold_high=0.25, hold_low=0.75).period == 1.0
+    aperiodic = [p for p in all_kinds() if p.kind not in ("parametric_resonance", "janszky_adam")]
+    assert [p.period for p in aperiodic] == [None] * 4
