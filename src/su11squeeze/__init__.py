@@ -4,8 +4,8 @@ The propagator of each constant-frequency segment is disentangled into
 three su(1,1) coefficients; an exact composition recurrence folds any
 piecewise-constant frequency ladder into a single coefficient triple, from
 which squeezing parameter, phase, quadrature variance and number-basis
-amplitudes follow.  A truncated-basis RK4 integrator provides an
-independent cross-check.
+amplitudes follow.  RK4 on the Heisenberg pair (a, a+) provides an
+independent cross-check, and RK4 in a truncated number basis a second one.
 """
 
 from .core import (
@@ -36,7 +36,7 @@ from .evolution import (
     observables,
 )
 from .kernels import active_backend, fold_ladder, rk4_propagate
-from .oracle import OracleDiagnostics, TruncatedHamiltonian, fidelity, integrate
+from .oracle import OracleDiagnostics, TruncatedHamiltonian, evolve_vacuum, fidelity, heisenberg, integrate
 from .profiles import (
     DiscretizedProfile,
     Profile,
@@ -80,7 +80,9 @@ __all__ = [
     "rk4_propagate",
     "OracleDiagnostics",
     "TruncatedHamiltonian",
+    "evolve_vacuum",
     "fidelity",
+    "heisenberg",
     "integrate",
     "DiscretizedProfile",
     "Profile",

@@ -112,24 +112,26 @@ def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1):
     rec_defect = np.empty(rec.shape[0], dtype=np.float64)
     max_defect = 0.0
     carry_p, carry_q = 1.0 + 0j, 0j
-    for start in range(0, omega.shape[0], BLOCK):
-        w = omega[start:start + BLOCK]
-        rho2 = np.log(w / omega0)
-        wt = w * tau
-        s = np.sin(wt)
-        d = np.cos(wt) + 1j * np.cosh(rho2) * s
-        p, q = _prefix_products(np.conj(d), -1j * np.sinh(rho2) * s)
-        p, q = _mul(p, q, carry_p, carry_q)
-        carry_p, carry_q = p[-1], q[-1]
+    # a product or defect beyond double range gives a nan defect, which the caller reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, omega.shape[0], BLOCK):
+            w = omega[start:start + BLOCK]
+            rho2 = np.log(w / omega0)
+            wt = w * tau
+            s = np.sin(wt)
+            d = np.cos(wt) + 1j * np.cosh(rho2) * s
+            p, q = _prefix_products(np.conj(d), -1j * np.sinh(rho2) * s)
+            p, q = _mul(p, q, carry_p, carry_q)
+            carry_p, carry_q = p[-1], q[-1]
 
-        p2 = p.real ** 2 + p.imag ** 2
-        defect = np.abs(q.real ** 2 + q.imag ** 2 + 1.0 - p2) / p2
-        max_defect = np.maximum(max_defect, defect.max())  # keeps a nan, unlike max()
-        lo, hi = np.searchsorted(rec, (start + 1, start + w.shape[0] + 1))
-        rows = rec[lo:hi] - (start + 1)
-        rec_p[lo:hi] = p[rows]
-        rec_q[lo:hi] = q[rows]
-        rec_defect[lo:hi] = defect[rows]
+            p2 = p.real ** 2 + p.imag ** 2
+            defect = np.abs(q.real ** 2 + q.imag ** 2 + 1.0 - p2) / p2
+            max_defect = np.maximum(max_defect, defect.max())  # keeps a nan, unlike max()
+            lo, hi = np.searchsorted(rec, (start + 1, start + w.shape[0] + 1))
+            rows = rec[lo:hi] - (start + 1)
+            rec_p[lo:hi] = p[rows]
+            rec_q[lo:hi] = q[rows]
+            rec_defect[lo:hi] = defect[rows]
     return rec, rec_p, rec_q, rec_defect, float(max_defect)
 
 

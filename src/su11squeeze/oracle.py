@@ -1,13 +1,20 @@
-"""Independent truncated-Fock-basis validator.
+"""Independent validators: RK4 on the Heisenberg pair and on the Fock basis.
 
-Integrates i dC/dt = H(t) C directly with classical RK4 on the same
-piecewise-constant frequency ladder the algebraic method uses, so the two
+Both integrate with classical fixed-substep RK4 on the same
+piecewise-constant frequency ladder the algebraic method uses, so the
 routes share a discretization and differ only in how the propagator is
-evaluated.  Deliberately simple: fixed substep, no adaptivity.  The kernel,
-:func:`su11squeeze.kernels.rk4_propagate`, applies each substep as the
-banded RK4 step matrix of the truncated Hamiltonian; it shares the basis
-bands with :class:`TruncatedHamiltonian` and nothing with the su(1,1)
-algebra.
+evaluated.  Neither uses the disentangling algebra.
+
+H is quadratic, so ``(a, a+)`` evolve linearly::
+
+    d/dt (a, a+) = -i omega [[cosh 2rho, sinh 2rho], [-sinh 2rho, -cosh 2rho]] (a, a+)
+
+:func:`heisenberg` runs RK4 on this 2x2 system and returns the Bogoliubov
+pair ``(u, v)`` with ``a(T) = u a + v a+``; :func:`evolve_vacuum` builds
+the vacuum's image from it, which ``--oracle-check`` compares with the
+method.  :func:`integrate` runs RK4 on the Schrodinger equation in a
+truncated number basis (:func:`su11squeeze.kernels.rk4_propagate`) and
+takes any initial state.
 """
 
 from __future__ import annotations
@@ -30,6 +37,10 @@ MAX_DIM = 4096
 #: A usable basis must hold the initial state with at most this much
 #: population in the top four levels.
 INITIAL_EDGE_TOL = 1e-10
+
+#: Segments whose matrices :func:`heisenberg` builds and multiplies
+#: together; bounds its scratch memory at a few ``(1024, 2, 2)`` stacks.
+HEISENBERG_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -68,6 +79,127 @@ def _edge_occupancy(amp: np.ndarray) -> float:
     return float(np.sum(np.abs(amp[-4:]) ** 2))
 
 
+def substeps(tau: float, dt_sub: float) -> int:
+    """RK4 substeps per segment for a requested substep: ``ceil(tau/dt_sub)``, at least 1."""
+    if not (0.0 < dt_sub <= tau):
+        raise ValueError(f"dt_sub must satisfy 0 < dt_sub <= tau = {tau}, got {dt_sub}")
+    return max(1, math.ceil(tau / dt_sub))
+
+
+def _ordered_product(m: np.ndarray) -> np.ndarray:
+    """``m[n-1] @ ... @ m[0]`` of a stack of 2x2 matrices, by pairwise matmul."""
+    while m.shape[0] > 1:
+        even = m.shape[0] // 2 * 2
+        pairs = np.matmul(m[1:even:2], m[0:even:2])
+        m = pairs if even == m.shape[0] else np.concatenate((pairs, m[even:]))
+    return m[0]
+
+
+def heisenberg(dprofile: DiscretizedProfile, n_sub: int):
+    """RK4-integrate ``(a, a+)`` across the ladder; returns ``(u, v, norm_drift)``.
+
+    On a segment the generator is ``G = -i omega M`` with ``M = [[cosh 2rho,
+    sinh 2rho], [-sinh 2rho, -cosh 2rho]]`` and ``M^2 = I``, so ``X = dt G``
+    has ``X^2 = delta I`` with ``delta = -(omega dt)^2``.  One RK4 substep,
+    ``1 + X + X^2/2 + X^3/6 + X^4/24``, is then ``c0 I + c1 X`` with ``c0 = 1
+    + delta/2 + delta^2/24`` and ``c1 = 1 + delta/6``, and its ``n_sub``-th
+    power is ``A I + B X`` with real ``A, B``.  The segment matrices are
+    multiplied in time order, ``HEISENBERG_BLOCK`` at a time by pairwise
+    ``np.matmul``, with the running product carried from block to block.  The product is ``[[u, v], [conj(v), conj(u)]]`` with
+    ``a(T) = u a + v a+``; it equals the fold's ``(p, q)`` up to RK4 error.
+
+    ``norm_drift`` is ``|1 - (|u|^2 - |v|^2)|``, the RK4 loss of the pair's
+    norm.  ``|u|^2 - |v|^2`` is the determinant of the product, so it is
+    taken as the product of the segment determinants ``A^2 - delta B^2``,
+    which does not cancel at large ``|u|`` as ``|u|^2 - |v|^2`` would.
+
+    Raises
+    ------
+    LeakageError
+        If ``norm_drift`` exceeds ``LEAKAGE_TOL`` or is nan: the substep is
+        too coarse (or the integration overflowed).
+    """
+    if n_sub < 1:
+        raise ValueError("n_sub must be >= 1")
+    omega = np.ascontiguousarray(dprofile.samples, dtype=np.float64)
+    dt = dprofile.tau / n_sub
+    phi = np.eye(2, dtype=np.complex128)
+    log_det = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, omega.shape[0], HEISENBERG_BLOCK):
+            w = omega[start:start + HEISENBERG_BLOCK]
+            rho2 = np.log(w / dprofile.omega0)
+            theta = w * dt
+            delta = -theta * theta
+            c0, c1 = 1.0 + delta / 2.0 + delta * delta / 24.0, 1.0 + delta / 6.0
+            a, b = c0, c1
+            for _ in range(n_sub - 1):  # (a I + b X)(c0 I + c1 X), with X^2 = delta I
+                a, b = a * c0 + b * c1 * delta, a * c1 + b * c0
+            log_det += float(np.sum(np.log(a * a - delta * b * b)))
+            diag = b * theta * np.cosh(rho2)
+            off = b * theta * np.sinh(rho2)
+            m = np.empty((w.shape[0], 2, 2), dtype=np.complex128)
+            m[:, 0, 0] = a - 1j * diag  # a I + b X, X = -i theta M
+            m[:, 0, 1] = -1j * off
+            m[:, 1, 0] = 1j * off
+            m[:, 1, 1] = a + 1j * diag
+            phi = _ordered_product(m) @ phi
+        norm_drift = float(abs(np.expm1(log_det)))
+    if not norm_drift <= LEAKAGE_TOL:
+        raise LeakageError(
+            f"RK4 norm loss {norm_drift:.3e} exceeds {LEAKAGE_TOL:g}; "
+            f"the substep dt={dt:.3g} is too coarse (lower dt_sub, --oracle-dt-sub)",
+            leakage=norm_drift,
+        )
+    return complex(phi[0, 0]), complex(phi[0, 1]), norm_drift
+
+
+def evolve_vacuum(dprofile: DiscretizedProfile, dt_sub: float, dim: int | None = None):
+    """The vacuum's image ``U|0>`` from :func:`heisenberg`; returns ``(state, diagnostics, (u, v))``.
+
+    ``U|0>`` is the state that ``conj(u) a - v a+`` annihilates::
+
+        c_{n+1} = (v/conj(u)) sqrt(n/(n+1)) c_{n-1},   |c_0|^2 = sqrt(1 - |v/u|^2)
+
+    which is normalized over all levels.  Without ``dim`` the basis starts
+    at 256 levels and doubles, up to ``MAX_DIM``, while the population of
+    its top four levels and beyond (``leakage``) exceeds ``LEAKAGE_TOL``.
+    ``dt_sub`` is the RK4 substep, as in :func:`integrate`.
+
+    Raises
+    ------
+    LeakageError
+        From :func:`heisenberg`, or if the state does not fit the largest
+        basis tried.
+    """
+    n_sub = substeps(dprofile.tau, dt_sub)
+    u, v, norm_drift = heisenberg(dprofile, n_sub)
+    dims = [DEFAULT_DIM] if dim is None else [int(dim)]
+    while dim is None and 2 * dims[-1] <= MAX_DIM:
+        dims.append(2 * dims[-1])
+    alpha = v / u.conjugate()
+    k = np.arange(1, (dims[-1] - 1) // 2 + 1)
+    amp = np.zeros(dims[-1], dtype=np.complex128)
+    amp[0] = max(0.0, (1.0 - abs(alpha)) * (1.0 + abs(alpha))) ** 0.25
+    amp[2::2] = amp[0] * np.cumprod(alpha * np.sqrt((2.0 * k - 1.0) / (2.0 * k)))
+    for d in dims:
+        leakage = max(0.0, 1.0 - float(np.sum(np.abs(amp[:d - 4]) ** 2)))  # amp is normalized over all n
+        if leakage <= LEAKAGE_TOL:
+            diag = OracleDiagnostics(dim=d, leakage=leakage, norm_drift=norm_drift, n_sub=n_sub)
+            return FockState(amp[:d]).normalized(), diag, (u, v)
+    raise LeakageError(
+        f"leakage {leakage:.3e} exceeds {LEAKAGE_TOL:g} at dim={dims[-1]}; "
+        "state too wide for the truncated basis",
+        leakage=leakage,
+    )
+
+
+def pair_error(u: complex, v: complex, acc) -> float:
+    """``max(|v/conj(u) - alpha|, |conj(u)^-2 - beta|)`` against a composed propagator."""
+    uc = u.conjugate()
+    return max(abs(v / uc - acc.alpha), abs(uc ** -2 - acc.beta))
+
+
 def integrate(dprofile: DiscretizedProfile, initial: FockState, dt_sub: float,
               dim: int | None = None):
     """RK4-integrate the state across the ladder; returns (state, diagnostics).
@@ -102,9 +234,7 @@ def integrate(dprofile: DiscretizedProfile, initial: FockState, dt_sub: float,
         boundary occupancy exceeds it at the largest basis tried.
     """
     tau = dprofile.tau
-    if not (0.0 < dt_sub <= tau):
-        raise ValueError(f"dt_sub must satisfy 0 < dt_sub <= tau = {tau}, got {dt_sub}")
-    n_sub = max(1, math.ceil(tau / dt_sub))
+    n_sub = substeps(tau, dt_sub)
 
     if dim is not None:
         dims = [int(dim)]

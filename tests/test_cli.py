@@ -4,13 +4,17 @@ import dataclasses
 import inspect
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from su11squeeze import cli, kernels
+from su11squeeze import cli, kernels, oracle
 from su11squeeze.config import FORMATS, ExperimentConfig
 from su11squeeze.profiles import PROFILES
 
@@ -254,6 +258,47 @@ class TestSimulate:
                          "--oracle-check", "--oracle-dim", "64", "--output", str(tmp_path / "x.csv")])
         assert code == 4
         assert "oracle check failed: RK4 norm loss nan" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--preset", "fig2", "--t-final", "1.5", "--omega0", "1e-300", "--n-steps", "1",
+          "--epsilon", "7.024474751815672e+291"], 3),
+        (["--preset", "fig2", "--omega0", "1e150", "--t-final", "1", "--n-steps", "100",
+          "--oracle-check", "--oracle-dim", "8"], 4),
+    ], ids=["fold_overflow", "oracle_overflow"])
+    def test_overflow_prints_no_numpy_warning(self, argv, code, tmp_path):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        run = subprocess.run([sys.executable, "-m", "su11squeeze.cli", "simulate", *argv,
+                              "--output", str(tmp_path / "x.csv")],
+                             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == code
+        assert "RuntimeWarning" not in run.stderr
+
+    def test_vacuum_wider_than_the_largest_basis_exits_4(self, tmp_path, capsys):
+        # r = 4.87 at t = 30: the vacuum's image does not fit in 4096 levels
+        code = cli.main(["simulate", "--preset", "fig4", "--oracle-check", "--output", str(tmp_path / "x.csv")])
+        assert code == 4
+        assert "at dim=4096; state too wide for the truncated basis" in capsys.readouterr().out
+
+    def test_pair_error_sees_what_fidelity_does_not(self, tmp_path, capsys, monkeypatch):
+        def pair_error(argv):
+            assert cli.main(argv + ["--output", str(tmp_path / "x.csv")]) == 0
+            found = re.search(r"oracle check passed: fidelity (\S+) \(dim=\d+, pair error (\S+)\)",
+                              capsys.readouterr().out)
+            return found[1], float(found[2])
+
+        healthy = pair_error(ORACLE_RUN)
+        integrate_pair = oracle.heisenberg
+
+        def one_sample_off(dprofile, n_sub):
+            samples = dprofile.samples.copy()
+            samples[500] *= 1.0 + 1e-6
+            return integrate_pair(dataclasses.replace(dprofile, samples=samples), n_sub)
+
+        monkeypatch.setattr(oracle, "heisenberg", one_sample_off)
+        perturbed = pair_error(ORACLE_RUN)
+        assert healthy[0] == perturbed[0] == "1.00000000"
+        assert healthy[1] <= 1e-11
+        assert perturbed[1] >= 1e-9
 
     @pytest.mark.parametrize("command", [
         ["simulate"], ["converge"], ["compare"],

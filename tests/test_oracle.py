@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from su11squeeze import (
+    DiscretizedProfile,
     FockState,
     TruncatedHamiltonian,
     apply_to_state,
@@ -12,12 +13,14 @@ from su11squeeze import (
     discretize,
     evolve,
     fidelity,
+    heisenberg,
     integrate,
     janszky_adam,
     relaxing_pulse,
     sudden_jump,
 )
-from su11squeeze import kernels
+from su11squeeze import cli, kernels, oracle
+from su11squeeze.config import build_config
 from su11squeeze.errors import LeakageError
 
 
@@ -151,6 +154,89 @@ class TestIntegrate:
         dprof = discretize(constant(), 1.0, 100)
         with pytest.raises(ValueError):
             integrate(dprof, FockState.vacuum(), dt_sub=1.0, dim=16)
+
+
+def one_segment(omega, omega0, tau):
+    return DiscretizedProfile(omega0=omega0, tau=tau, samples=np.array([omega]), t_final=tau)
+
+
+def preset_ladder(name, **overrides):
+    cfg = build_config(preset=name, overrides=overrides)
+    return discretize(cfg.to_profile(), cfg.t_final, cfg.n_steps)
+
+
+class TestHeisenberg:
+    def test_closed_form_substep_is_the_rk4_polynomial(self, rng):
+        # one segment, so the pair is the first row of P(X)^n_sub
+        for _ in range(50):
+            omega, omega0 = rng.uniform(0.5, 2.0, size=2)
+            tau = rng.uniform(0.01, 0.06)  # omega*dt <= 0.12 keeps the norm loss below the guard
+            n_sub = int(rng.integers(1, 4))
+            c, s = math.cosh(math.log(omega / omega0)), math.sinh(math.log(omega / omega0))
+            x = -1j * omega * (tau / n_sub) * np.array([[c, s], [-s, -c]])
+            step = np.eye(2) + x + x @ x / 2 + x @ x @ x / 6 + x @ x @ x @ x / 24
+            want = np.linalg.matrix_power(step, n_sub)[0]
+            u, v, _ = heisenberg(one_segment(omega, omega0, tau), n_sub)
+            assert abs(u - want[0]) <= 1e-15 and abs(v - want[1]) <= 1e-15
+
+    @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig4"])
+    def test_pair_is_the_folds_p_q(self, preset):
+        dprof = preset_ladder(preset)
+        _, p, q, _, _ = kernels.fold_ladder(dprof.samples, dprof.omega0, dprof.tau, dprof.n_steps)
+        u, v, drift = heisenberg(dprof, 4)
+        assert abs(u - p[-1]) <= 1e-9 * abs(p[-1])
+        assert abs(v - q[-1]) <= 1e-9 * abs(p[-1])
+        assert drift <= 1e-9
+
+    def test_constant_profile_does_not_squeeze(self):
+        u, v, _ = heisenberg(discretize(constant(1.3), 5.0, 500), 4)
+        assert v == 0.0
+        assert abs(u) == pytest.approx(1.0, abs=1e-12)
+
+    def test_method_is_fourth_order(self):
+        # against the exact segment product, the fold's; each halving of the
+        # substep cuts the pair error about 16x
+        dprof = discretize(sudden_jump(1.5), 2.0, 40)
+        acc = evolve(dprof).final
+        errors = [oracle.pair_error(*heisenberg(dprof, n_sub)[:2], acc) for n_sub in (1, 2, 4, 8)]
+        assert errors[-1] > 1e-13  # still above rounding
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine >= 12.0
+
+    def test_coarse_substep_raises(self):
+        dprof = discretize(constant(1e3), 1.0, 1000)
+        with pytest.raises(LeakageError, match="--oracle-dt-sub") as err:
+            heisenberg(dprof, 4)
+        assert err.value.leakage > 1e-6
+
+    @pytest.mark.parametrize("profile, t_final, n_steps", [
+        (relaxing_pulse(B=3.0 * math.pi), 30.0, 30_000),
+        (janszky_adam(omega1=1.5), 8.0, 8000),
+        (sudden_jump(2.2), 0.7, 2000),
+    ])
+    def test_vacuum_image_matches_apply_to_state(self, profile, t_final, n_steps):
+        dprof = discretize(profile, t_final, n_steps)
+        state, diag, _ = oracle.evolve_vacuum(dprof, dprof.tau / 4)
+        method = apply_to_state(evolve(dprof).final, FockState.vacuum(), n_max=diag.dim - 1).normalized()
+        overlap = np.vdot(method.amplitudes, state.amplitudes)
+        aligned = method.amplitudes * (overlap / abs(overlap))
+        assert np.max(np.abs(state.amplitudes - aligned)) <= 1e-10
+        assert diag.leakage <= 1e-6 and diag.n_sub == 4
+
+    def test_basis_doubles_until_the_state_fits(self):
+        dprof = discretize(sudden_jump(2.2), 0.7, 2000)
+        _, pinned_diag, _ = oracle.evolve_vacuum(dprof, dprof.tau / 4, dim=256)
+        _, diag, _ = oracle.evolve_vacuum(dprof, dprof.tau / 4)
+        assert diag.dim == 256 and diag.leakage == pinned_diag.leakage
+        with pytest.raises(LeakageError, match="state too wide for the truncated basis"):
+            oracle.evolve_vacuum(dprof, dprof.tau / 4, dim=16)
+
+    def test_pinned_dim_too_small_exits_4(self, tmp_path, capsys):
+        code = cli.main(["simulate", "--profile", "sudden_jump", "--omega1", "2.2", "--t-final", "0.7",
+                         "--n-steps", "2000", "--oracle-check", "--oracle-dim", "16",
+                         "--output", str(tmp_path / "x.csv")])
+        assert code == 4
+        assert "at dim=16; state too wide for the truncated basis" in capsys.readouterr().out
 
 
 class TestFidelity:
