@@ -1,10 +1,12 @@
 """Command-line front end: simulate | sweep | converge | compare.
 
-Exit codes: 0 success, 2 configuration error (an unwritable output or a repeated
-sweep value is one), 3 simulation error, 4 oracle mismatch.  Output is CSV or
-JSON, the bytes ``csv.writer`` and ``json.dump`` write (full double precision
-through shortest round-trip reprs), formatted in row blocks straight from the
-column arrays; identical configurations produce byte-identical files.
+Exit codes: 0 success, 2 configuration error (an unwritable output, a repeated
+sweep value or a parameter the profile does not take is one), 3 simulation
+error, 4 oracle mismatch.  Output is CSV or JSON, the bytes ``csv.writer`` and
+``json.dump`` write (full double precision through shortest round-trip reprs).
+``write_table`` formats them in row blocks straight from the column arrays,
+through :mod:`floatfmt`'s vectorized Ryū formatter; identical configurations
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import analysis
-from .config import FORMATS, PRESETS, ExperimentConfig, build_config, profile_parameters
+from .config import FORMATS, PRESETS, ExperimentConfig, build_config
 from .errors import (
     ConfigError,
     InvalidAccumulatorError,
@@ -43,8 +45,9 @@ NORM_DEFECT_MAX = 1e-10
 BASE_COLUMNS = ("t", "omega", "re_alpha", "im_alpha", "abs_alpha",
                 "r", "vartheta", "phi", "variance", "mean_n", "norm_defect")
 
-#: Rows per ``write`` call: larger blocks gain no speed, and a whole table would hold all its text.
-WRITE_BLOCK_ROWS = 1024
+#: Rows per block that ``write_table`` formats in one call and writes in one ``write``.  It bounds
+#: the writer's scratch, about 0.2 kB per value (1 MB for 11 columns); larger blocks run faster.
+WRITE_BLOCK_ROWS = 512
 
 #: Sweep parameters that every profile kind accepts because the run, not the profile, reads them.
 _RUN_SWEEP_PARAMS = ("t_final", "lam")
@@ -71,24 +74,62 @@ def trajectory_table(traj: Trajectory, fingerprint: bool = False):
 
 
 def write_table(path: str, fmt: str, columns, cols, comments=(), extra: dict | None = None):
-    """Write equal-length columns, in row blocks, as ``csv.writer`` or ``json.dump`` would."""
+    """Write equal-length columns, in row blocks, as ``csv.writer`` or ``json.dump`` would.
+
+    Each block of rows is one byte matrix: per value, the text that comes
+    before it (a separator, a key) right-aligned in a fixed slot, then the
+    value's repr from :func:`floatfmt.format_repr`.  A mask of the bytes in
+    use drops the padding, and the block goes out in one ``write``.  The
+    first value of the table takes only the tail of its row's leading text.
+    """
+    n_rows = len(cols[0])
+    if fmt == "csv":
+        head = "".join(f"# {line}\r\n" for line in comments) + ",".join(columns)
+        lead = ["\r\n"] + [","] * (len(columns) - 1)  # the row break ends the line before
+        first, tail = lead[0], "\r\n"
+    else:
+        head = "[" if extra is None else json.dumps({**extra, "records": []})[:-2]
+        lead = [f", {json.dumps(name)}: " for name in columns]
+        lead[0] = "}, {" + lead[0][2:]
+        first = lead[0][3:]
+        tail = ("}" if n_rows else "") + ("]\n" if extra is None else "]}\n")
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if fmt == "csv":
-                fh.write("".join(f"# {line}\r\n" for line in comments) + ",".join(columns) + "\r\n")
-                row, sep, tail = ",".join(["%s"] * len(columns)) + "\r\n", "", ""
-            else:
-                fh.write("[" if extra is None else json.dumps({**extra, "records": []})[:-2])
-                row = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in columns) + "}"
-                sep, tail = ", ", "]\n" if extra is None else "]}\n"
-                cols = [c if np.isfinite(c).all() else np.array([json.dumps(v) for v in c.tolist()])
-                        for c in cols]  # json spells nan and +-inf NaN and Infinity
-            for lo in range(0, len(cols[0]), WRITE_BLOCK_ROWS):
-                block = [c[lo:lo + WRITE_BLOCK_ROWS].tolist() for c in cols]
-                fh.write((sep if lo else "") + sep.join(row % vals for vals in zip(*block)))
-            fh.write(tail)
+        with open(path, "wb") as fh:
+            fh.write(head.encode("utf-8"))
+            if n_rows:
+                _write_blocks(fh, fmt, lead, first, cols, n_rows)
+            fh.write(tail.encode("utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot write output {path}: {exc.strerror or exc}") from exc
+
+
+def _write_blocks(fh, fmt, lead, first, cols, n_rows):
+    """The rows of :func:`write_table`, ``WRITE_BLOCK_ROWS`` at a time through one byte matrix."""
+    # imported here, not with the module: compiling it would add ~6 ms to every start-up
+    # that runs without cached bytecode, and only writing needs it
+    from . import floatfmt
+
+    nonfinite = floatfmt.CSV_NONFINITE if fmt == "csv" else floatfmt.JSON_NONFINITE
+    rows = min(WRITE_BLOCK_ROWS, n_rows)
+    pad = -(-max(len(text) for text in lead) // 8) * 8  # keeps each value's slot 8-byte aligned
+    slot = pad + floatfmt.WIDTH
+    text = np.zeros((rows, len(lead), slot), dtype=np.uint8)
+    used = np.zeros((rows, len(lead), slot), dtype=bool)
+    for c, piece in enumerate(lead):
+        raw = np.frombuffer(piece.encode("utf-8"), dtype=np.uint8)
+        text[:, c, pad - len(raw):pad] = raw
+        used[:, c, pad - len(raw):pad] = True
+    skip = slice(pad - len(lead[0]), pad - len(first))  # what the table's first row leaves out
+    used[0, 0, skip] = False
+    width = np.arange(floatfmt.WIDTH, dtype=np.uint8)
+    for lo in range(0, n_rows, rows):
+        values = np.column_stack([c[lo:lo + rows] for c in cols])
+        n = len(values)
+        slots = text[:n, :, pad:].reshape(-1, floatfmt.WIDTH)  # a view: the text lands in place
+        _, length = floatfmt.format_repr(values, nonfinite, out=slots)
+        np.less(width, length.reshape(n, -1, 1), out=used[:n, :, pad:])
+        fh.write(text[:n][used[:n]])
+        used[0, 0, skip] = True
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +231,6 @@ def cmd_sweep(args) -> int:
         overrides = dict(base)
         overrides[args.sweep_param] = value
         cfg = build_config(preset=args.preset, config_file=args.config, overrides=overrides)
-        if args.sweep_param not in (*_RUN_SWEEP_PARAMS, *profile_parameters(cfg.profile)):
-            raise ConfigError(f"profile {cfg.profile!r} takes no parameter {args.sweep_param!r}")
         stem, ext = os.path.splitext(cfg.output)
         cfg.output = _check_output(f"{stem}_{args.sweep_param}{token}{ext}")
         jobs.append((token, cfg))

@@ -84,9 +84,13 @@ class ExperimentConfig:
             raise ConfigError(f"oracle_dim must be in [5, {ORACLE_MAX_DIM}], got {self.oracle_dim}")
         if self.oracle_dt_sub is not None and not (self.oracle_dt_sub > 0):
             raise ConfigError(f"oracle_dt_sub must be positive, got {self.oracle_dt_sub}")
-        for name, param in profile_parameters(self.profile).items():
+        takes = profile_parameters(self.profile)
+        for name, param in takes.items():
             if param.default is param.empty and getattr(self, name) is None:
                 raise ConfigError(f"profile {self.profile!r} needs parameter {name!r}")
+        for name in _PROFILE_FIELDS:  # set, but the profile would never read it
+            if name not in takes and getattr(self, name) is not None:
+                raise ConfigError(f"profile {self.profile!r} takes no parameter {name!r}")
         return self
 
     def to_profile(self) -> Profile:
@@ -105,6 +109,9 @@ def profile_parameters(kind: str):
 
 
 _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
+_PROFILE_READS = {name for kind in KINDS for name in profile_parameters(kind)}
+#: Fields that some profile kind's factory reads, in field order.
+_PROFILE_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.name in _PROFILE_READS)
 #: Fields annotated ``int`` or ``float``, alone or in a union.
 _NUMBER_FIELDS = {f.name for f in fields(ExperimentConfig)
                   if {"int", "float"} & set(f.type.split(" | "))}

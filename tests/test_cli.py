@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from su11squeeze import cli, kernels, oracle
-from su11squeeze.config import FORMATS, ExperimentConfig
+from su11squeeze.config import FORMATS, ExperimentConfig, build_config
 from su11squeeze.profiles import PROFILES
 
 
@@ -472,6 +473,22 @@ class TestSweep:
         assert f"takes no parameter {param!r}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv,param", [
+        (["simulate", "--preset", "fig2", "--B", "3"], "B"),
+        (["converge", "--preset", "fig1", "--epsilon", "2.0"], "epsilon"),
+        (["compare", "--preset-a", "fig5", "--preset-b", "fig2", "--omega1", "1.2"], "omega1"),
+        (["simulate", "--profile", "constant", "--hold-low", "2"], "hold_low"),
+        # a preset's own parameters are not dropped when --profile names another kind
+        (["simulate", "--preset", "fig2", "--profile", "sudden_jump", "--omega1", "1.5"], "epsilon"),
+    ])
+    def test_other_commands_refuse_a_parameter_the_profile_does_not_take(self, argv, param,
+                                                                         tmp_path, capsys):
+        code = cli.main([*argv, "--t-final", "5", "--n-steps", "1000",
+                         "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert f"takes no parameter {param!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("param", ["t_final", "lam", "omega0"])
     def test_run_parameters_and_omega0_sweep_any_profile(self, param, tmp_path, capsys):
         code = cli.main(["sweep", "--profile", "sudden_jump", "--omega1", "1.5", "--sweep-param", param,
@@ -547,6 +564,28 @@ class TestWriteTable:
         n_rows, n_cols = shape
         flat = np.array(values[:n_rows * n_cols])
         self.assert_matches_reference(tmp_path, fmt, list(flat.reshape(n_cols, n_rows)), extra)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_scratch_is_small_and_does_not_grow_with_the_table(self, fmt, tmp_path):
+        # the --oracle-check workload's table: fig4, t = 10, N = 20000, 5000 rows of 11 columns
+        cfg = build_config(preset="fig4", overrides={"t_final": 10.0, "n_steps": 20000})
+        columns, cols = cli.trajectory_table(cli.run_trajectory(cfg))
+        assert (len(cols[0]), len(cols)) == (5000, 11)
+        long_cols = [np.tile(c, 30) for c in cols]
+        path = str(tmp_path / f"t.{fmt}")
+        cli.write_table(path, fmt, columns, cols)  # first use builds the formatter's tables
+        peaks = []
+        tracemalloc.start()
+        try:
+            for table in (cols, long_cols):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                cli.write_table(path, fmt, columns, table)
+                peaks.append((tracemalloc.get_traced_memory()[1] - base) / 1e6)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] <= 2.0, peaks
+        assert abs(peaks[1] - peaks[0]) <= 0.25, peaks
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):
