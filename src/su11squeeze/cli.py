@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import analysis
-from .config import FORMATS, PRESETS, ExperimentConfig, build_config
+from .config import FORMATS, PRESETS, ExperimentConfig, build_config, oracle_substeps_or_error
 from .errors import (
     ConfigError,
     InvalidAccumulatorError,
@@ -163,8 +163,7 @@ def _verify(cfg: ExperimentConfig, traj: Trajectory, announce=print) -> int:
         return EXIT_OK
     dprof = discretize(cfg.to_profile(), cfg.t_final, traj.n_steps_used, rule=cfg.rule)
     dt_sub = cfg.oracle_dt_sub if cfg.oracle_dt_sub is not None else dprof.tau / 4.0
-    if dt_sub > dprof.tau:
-        raise ConfigError(f"oracle_dt_sub {dt_sub} exceeds the ladder step tau = {dprof.tau}")
+    oracle_substeps_or_error(dprof.tau, dt_sub)
     try:
         oracle_state, diag, (u, v) = evolve_vacuum(dprof, dt_sub, dim=cfg.oracle_dim)
         method_state = apply_to_state(traj.final, FockState.vacuum(), n_max=diag.dim - 1)
@@ -416,6 +415,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (ProfileDomainError, TableRangeError, InvalidAccumulatorError, LeakageError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
+        return EXIT_SIMULATION
+    except MemoryError:  # every command has --n-steps
+        asked = f"n_steps = {args.n_steps}" if args.n_steps is not None else "the configured n_steps"
+        print(f"simulation error: out of memory for {asked}; lower n_steps", file=sys.stderr)
         return EXIT_SIMULATION
 
 

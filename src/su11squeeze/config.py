@@ -9,6 +9,7 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 from .evolution import N_START_MIN, SCALINGS
 from .oracle import MAX_DIM as ORACLE_MAX_DIM
+from .oracle import substeps as oracle_substeps
 from .profiles import KINDS, PROFILES, RULES, Profile
 
 #: Parameter sets reproducing the shipped reference workflows.
@@ -84,6 +85,9 @@ class ExperimentConfig:
             raise ConfigError(f"oracle_dim must be in [5, {ORACLE_MAX_DIM}], got {self.oracle_dim}")
         if self.oracle_dt_sub is not None and not (self.oracle_dt_sub > 0):
             raise ConfigError(f"oracle_dt_sub must be positive, got {self.oracle_dt_sub}")
+        if self.oracle_check and self.oracle_dt_sub is not None and self.n_steps != "auto":
+            # with n_steps auto the ladder step is known, and checked, only after convergence
+            oracle_substeps_or_error(self.t_final / self.n_steps, self.oracle_dt_sub)
         takes = profile_parameters(self.profile)
         for name, param in takes.items():
             if param.default is param.empty and getattr(self, name) is None:
@@ -101,6 +105,14 @@ class ExperimentConfig:
             return PROFILES[self.profile](**params)
         except (ValueError, OSError) as exc:
             raise ConfigError(str(exc)) from exc
+
+
+def oracle_substeps_or_error(tau: float, dt_sub: float) -> int:
+    """:func:`oracle.substeps`, with its refusal raised as a :class:`ConfigError`."""
+    try:
+        return oracle_substeps(tau, dt_sub)
+    except ValueError as exc:
+        raise ConfigError(f"oracle_dt_sub: {exc}") from exc
 
 
 def profile_parameters(kind: str):

@@ -10,9 +10,20 @@ conj(p)]]``, kept and handed on as the two complex numbers ``(p, q)``:
 ``|q| = sinh(r)`` holds the squeezing to full precision at any r.  The
 triple that :func:`su11squeeze.core.compose` builds one segment at a time
 is ``alpha = q/conj(p)``, ``beta = conj(p)**-2``, ``gamma = -conj(q)/conj(p)``.
-The product is associative, so it is computed as an inclusive prefix scan
-inside blocks of ``BLOCK`` segments (vectorized numpy), with the running
-product carried from block to block.  No step divides, and ``|p| >= 1``.
+With ``x = w/omega0``, ``cosh(2*rho)`` and ``sinh(2*rho)`` are ``(x +- 1/x)/2``.
+
+The product is associative, so its prefixes come from a work-efficient
+two-level scan over blocks of ``BLOCK`` segments, with the running product
+carried from block to block.  A block is viewed as ``(CHUNK, m)``: column
+``c`` holds the ``CHUNK`` consecutive segments of chunk ``c``, so segment
+``k`` sits at ``[k % CHUNK, k // CHUNK]``.  The scan runs down the rows,
+each step one vectorized product over the ``m`` chunks; it scans the chunk
+totals, seeded with the carry; and it multiplies each chunk by the product
+of the chunks before it in one broadcast product.  That is about two
+products per segment, where a Hillis-Steele scan of the whole block takes
+``log2(BLOCK)`` (Blelloch, "Prefix sums and their applications", 1990).  A
+short last chunk is padded with identity segments, whose defect reads 0.
+No step divides, and ``|p| >= 1``.
 
 The RK4 sweep integrates the Schrodinger equation in a truncated number
 basis with classical fixed-substep RK4; :func:`fock_bands` holds the basis
@@ -32,9 +43,15 @@ import numpy as np
 
 from .errors import ProfileDomainError
 
-#: Segments per prefix-scan block: the scan is vectorized inside a block and
-#: sequential across blocks, and this bounds the fold's scratch memory.
-BLOCK = 4096
+#: Segments per fold block.  It sets the fold's scratch, seven
+#: ``(CHUNK, BLOCK // CHUNK)`` arrays (0.7 MB) allocated once per call and
+#: reused by every block.  Blocks run in sequence, each seeded with the
+#: running product of the ones before.
+BLOCK = 8192
+
+#: Consecutive segments per chunk of the two-level scan: the scan runs down a
+#: block's ``CHUNK`` rows with one vectorized product per row.
+CHUNK = 16
 
 
 def active_backend() -> str:
@@ -51,8 +68,21 @@ def _mul(ap, aq, bp, bq):
     return ap * bp + aq * np.conj(bq), ap * bq + aq * np.conj(bp)
 
 
+def _mul_into(ap, aq, bp, bq, t, u):
+    """``(ap, aq) <- A @ B`` in place, as :func:`_mul` computes it.
+
+    ``B`` may broadcast against ``A``; ``t`` and ``u`` are scratch shaped like ``ap``.
+    """
+    np.multiply(aq, np.conj(bq), out=t)
+    np.multiply(aq, np.conj(bp), out=u)
+    np.multiply(ap, bq, out=aq)
+    aq += u
+    ap *= bp
+    ap += t
+
+
 def _prefix_products(p, q):
-    """Inclusive prefix products ``S_i ... S_0`` of one block (Hillis-Steele scan)."""
+    """Inclusive prefix products ``S_i ... S_0``, in place (Hillis-Steele scan; for the chunk totals)."""
     shift = 1
     while shift < p.shape[0]:
         p[shift:], q[shift:] = _mul(p[shift:], q[shift:], p[:-shift], q[:-shift])
@@ -97,41 +127,89 @@ def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1):
         Maximum defect seen at *any* segment, recorded or not (a nan wins).
     """
     omega = np.ascontiguousarray(omega, dtype=np.float64)
-    if omega.shape[0] == 0:
+    n_seg = omega.shape[0]
+    if n_seg == 0:
         raise ValueError("empty frequency ladder")
-    if not np.all(omega > 0.0):
+    if not omega.min() > 0.0:  # a nan fails too
         bad = int(np.flatnonzero(~(omega > 0.0))[0])
         raise ProfileDomainError(
             f"ladder sample omega_{bad + 1} = {omega[bad]} is not positive",
             step=bad + 1,
             omega=float(omega[bad]),
         )
-    rec = record_steps(omega.shape[0], record_every)
+    rec = record_steps(n_seg, record_every)
     rec_p = np.empty(rec.shape[0], dtype=np.complex128)
     rec_q = np.empty(rec.shape[0], dtype=np.complex128)
     rec_defect = np.empty(rec.shape[0], dtype=np.float64)
     max_defect = 0.0
     carry_p, carry_q = 1.0 + 0j, 0j
+
+    # scratch for every block, allocated once: segment k of a block sits at [k % CHUNK, k // CHUNK]
+    shape = (CHUNK, -(-min(n_seg, BLOCK) // CHUNK))
+    reals = np.empty((3, *shape))
+    pairs = np.empty((4, *shape), dtype=np.complex128)
+    tot_p = np.empty(shape[1] + 1, dtype=np.complex128)
+    tot_q = np.empty(shape[1] + 1, dtype=np.complex128)
     # a product or defect beyond double range gives a nan defect, which the caller reports
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, omega.shape[0], BLOCK):
-            w = omega[start:start + BLOCK]
-            rho2 = np.log(w / omega0)
-            wt = w * tau
-            s = np.sin(wt)
-            d = np.cos(wt) + 1j * np.cosh(rho2) * s
-            p, q = _prefix_products(np.conj(d), -1j * np.sinh(rho2) * s)
-            p, q = _mul(p, q, carry_p, carry_q)
-            carry_p, carry_q = p[-1], q[-1]
+        for start in range(0, n_seg, BLOCK):
+            block = omega[start:start + BLOCK]
+            full, rem = divmod(block.shape[0], CHUNK)
+            m = full + (rem > 0)
+            # contiguous (CHUNK, m) views: on strided ones numpy ufuncs allocate buffers
+            x, s, y = reals.reshape(3, -1)[:, :CHUNK * m].reshape(3, CHUNK, m)
+            p, q, t, u = pairs.reshape(4, -1)[:, :CHUNK * m].reshape(4, CHUNK, m)
+            x[:, :full] = block[:full * CHUNK].reshape(full, CHUNK).T
+            if rem:  # the tail chunk: any positive frequency here, the identity below
+                x[:rem, full] = block[full * CHUNK:]
+                x[rem:, full] = 1.0
 
-            p2 = p.real ** 2 + p.imag ** 2
-            defect = np.abs(q.real ** 2 + q.imag ** 2 + 1.0 - p2) / p2
-            max_defect = np.maximum(max_defect, defect.max())  # keeps a nan, unlike max()
-            lo, hi = np.searchsorted(rec, (start + 1, start + w.shape[0] + 1))
-            rows = rec[lo:hi] - (start + 1)
-            rec_p[lo:hi] = p[rows]
-            rec_q[lo:hi] = q[rows]
-            rec_defect[lo:hi] = defect[rows]
+            # S_j as (conj(D), v), with cosh 2rho and sinh 2rho = (x +- 1/x)/2 at x = omega/omega0
+            np.multiply(x, tau, out=s)
+            np.cos(s, out=p.real)
+            np.sin(s, out=s)
+            x /= omega0
+            np.divide(1.0, x, out=y)
+            np.add(x, y, out=p.imag)
+            p.imag *= s
+            p.imag *= -0.5
+            q.real = 0.0
+            np.subtract(x, y, out=q.imag)
+            q.imag *= s
+            q.imag *= -0.5
+            if rem:
+                p[rem:, full] = 1.0
+                q[rem:, full] = 0.0
+
+            # inclusive products down each chunk, then the chunk totals seeded
+            # with the carry, then each chunk times its exclusive prefix
+            for i in range(1, CHUNK):
+                _mul_into(p[i], q[i], p[i - 1], q[i - 1], t[0], u[0])
+            tot_p[0], tot_q[0] = carry_p, carry_q
+            tot_p[1:m + 1], tot_q[1:m + 1] = p[-1], q[-1]
+            _prefix_products(tot_p[:m + 1], tot_q[:m + 1])
+            carry_p, carry_q = tot_p[m], tot_q[m]
+            _mul_into(p, q, tot_p[:m], tot_q[:m], t, u)
+
+            np.multiply(p.real, p.real, out=x)
+            np.multiply(p.imag, p.imag, out=s)
+            x += s  # |p|^2
+            np.multiply(q.real, q.real, out=y)
+            np.multiply(q.imag, q.imag, out=s)
+            y += s
+            y += 1.0
+            y -= x
+            np.abs(y, out=y)
+            y /= x  # the defect
+            if rem:
+                y[rem:, full] = 0.0
+            max_defect = np.maximum(max_defect, y.max())  # keeps a nan, unlike max()
+
+            lo, hi = np.searchsorted(rec, (start + 1, start + block.shape[0] + 1))
+            col, row = np.divmod(rec[lo:hi] - (start + 1), CHUNK)
+            rec_p[lo:hi] = p[row, col]
+            rec_q[lo:hi] = q[row, col]
+            rec_defect[lo:hi] = y[row, col]
     return rec, rec_p, rec_q, rec_defect, float(max_defect)
 
 

@@ -38,6 +38,11 @@ MAX_DIM = 4096
 #: population in the top four levels.
 INITIAL_EDGE_TOL = 1e-10
 
+#: Most RK4 substeps per segment that :func:`substeps` grants.  Every substep
+#: costs a pass over the whole ladder, and at ``tau/MAX_SUBSTEPS`` RK4's error
+#: on a segment with ``omega*tau <= 1`` already lies below double rounding.
+MAX_SUBSTEPS = 10_000
+
 #: Segments whose matrices :func:`heisenberg` builds and multiplies
 #: together; bounds its scratch memory at a few ``(1024, 2, 2)`` stacks.
 HEISENBERG_BLOCK = 1024
@@ -80,10 +85,18 @@ def _edge_occupancy(amp: np.ndarray) -> float:
 
 
 def substeps(tau: float, dt_sub: float) -> int:
-    """RK4 substeps per segment for a requested substep: ``ceil(tau/dt_sub)``, at least 1."""
+    """RK4 substeps per segment for a requested substep: ``ceil(tau/dt_sub)``, at least 1.
+
+    Raises ValueError for a substep longer than ``tau`` or one that would
+    take more than ``MAX_SUBSTEPS`` substeps per segment.
+    """
     if not (0.0 < dt_sub <= tau):
         raise ValueError(f"dt_sub must satisfy 0 < dt_sub <= tau = {tau}, got {dt_sub}")
-    return max(1, math.ceil(tau / dt_sub))
+    ratio = tau / dt_sub
+    if ratio > MAX_SUBSTEPS:
+        raise ValueError(f"dt_sub = {dt_sub} takes {ratio:.3g} RK4 substeps per segment of tau = {tau}, "
+                         f"more than MAX_SUBSTEPS = {MAX_SUBSTEPS}")
+    return max(1, math.ceil(ratio))
 
 
 def _ordered_product(m: np.ndarray) -> np.ndarray:

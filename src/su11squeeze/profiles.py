@@ -214,8 +214,10 @@ def discretize(profile: Profile, t_final: float, n_steps: int, rule: str = "righ
     if rule not in RULES:
         raise ValueError(f"unknown sampling rule {rule!r}")
     tau = t_final / n_steps
-    j = np.arange(1, n_steps + 1, dtype=np.float64)
-    times = j * tau if rule == "right" else (j - 0.5) * tau
+    times = np.arange(1, n_steps + 1, dtype=np.float64)  # built in place: no second N-length array
+    if rule == "midpoint":
+        times -= 0.5
+    times *= tau
     samples = np.asarray(eval_profile(profile, times), dtype=np.float64)
     nonpos = np.flatnonzero(samples <= 0.0)
     if nonpos.size:

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -331,6 +332,40 @@ class TestSimulate:
                          "--output", str(tmp_path / "dip.csv")])
         assert code == 3
         assert "simulation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_steps", ["10", "auto"])
+    def test_oracle_substeps_beyond_the_bound_exit_2_at_once(self, n_steps, tmp_path, capsys, monkeypatch):
+        # ceil(tau/dt_sub) ~ 1e299 substeps per segment would never finish; a fixed
+        # n_steps is refused before the fold, auto before the oracle runs
+        def no_work(*args):
+            raise AssertionError("ran before the substep count was checked")
+
+        monkeypatch.setattr(oracle, "heisenberg", no_work)
+        if n_steps != "auto":
+            monkeypatch.setattr(kernels, "fold_ladder", no_work)
+        start = time.perf_counter()
+        code = cli.main(["simulate", "--profile", "sudden_jump", "--omega1", "2", "--t-final", "1",
+                         "--n-steps", n_steps, "--oracle-check", "--oracle-dt-sub", "1e-300",
+                         "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert time.perf_counter() - start < 10.0
+        assert f"more than MAX_SUBSTEPS = {oracle.MAX_SUBSTEPS}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--profile", "sudden_jump", "--omega1", "2", "--t-final", "1", "--n-steps", "100000000000"],
+         "n_steps = 100000000000"),
+        (["--preset", "fig1"], "the configured n_steps"),
+    ], ids=["flag", "preset"])
+    def test_out_of_memory_exits_3_naming_n_steps(self, argv, named, tmp_path, capsys, monkeypatch):
+        # numpy raises a MemoryError subclass when it cannot allocate the ladder;
+        # whether it can depends on the machine, so the test does not allocate
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "discretize", out_of_memory)
+        code = cli.main(["simulate", *argv, "--output", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == f"simulation error: out of memory for {named}; lower n_steps\n"
 
 
 class TestConverge:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from su11squeeze import IDENTITY, TruncatedHamiltonian, compose, discretize, janszky_adam, step_coeffs
 from su11squeeze.kernels import (
     BLOCK,
+    CHUNK,
     RK4_BLOCK,
     fock_bands,
     fold_ladder,
@@ -35,10 +38,10 @@ class TestFoldLadder:
         assert list(record_steps(4, 1)) == [1, 2, 3, 4]
 
     def test_matches_scalar_composition(self):
-        # the long ladder spans three blocks and ends mid-block, so the
-        # running product is carried across every block boundary
-        assert 10_007 > 2 * BLOCK and 10_007 % BLOCK
-        for n, t_final, record_every in ((400, 5.0, 50), (10_007, 120.0, 1)):
+        # the long ladder spans three blocks and ends mid-block and mid-chunk,
+        # so the running product is carried across every block boundary
+        n_long = 2 * BLOCK + 5 * CHUNK + 7
+        for n, t_final, record_every in ((400, 5.0, 50), (n_long, 120.0, 1)):
             omega, tau = resonance_ladder(n=n, t_final=t_final)
             rec, p, q, defect, _ = fold_ladder(omega, 1.0, tau, record_every)
             alpha, beta, gamma = triple(p, q)
@@ -54,6 +57,55 @@ class TestFoldLadder:
                     k += 1
             assert k == rec.shape[0]
 
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_chunk_and_block_edges_match_compose(self, n, rng):
+        # a block of n segments fills its last chunk only when CHUNK divides n;
+        # the identity padding of the tail chunk must change no record or defect
+        omega = rng.uniform(0.5, 2.0, n)
+        tau = 0.05
+        rec, p, q, defect, max_defect = fold_ladder(omega, 1.0, tau)
+        alpha, beta, gamma = triple(p, q)
+        acc = IDENTITY
+        want = np.empty((n, 4), dtype=np.complex128)
+        for j, w in enumerate(omega):
+            acc = compose(acc, step_coeffs(float(w), 1.0, tau))
+            want[j] = acc.alpha, acc.beta, acc.gamma, acc.norm_defect
+        np.testing.assert_array_equal(rec, np.arange(1, n + 1))
+        assert np.max(np.abs(alpha - want[:, 0])) <= 1e-12
+        assert np.max(np.abs(beta - want[:, 1])) <= 1e-12
+        assert np.max(np.abs(gamma - want[:, 2])) <= 1e-12
+        assert np.max(np.abs(defect - want[:, 3].real)) <= 1e-12
+        assert max_defect == defect.max()
+
+    @pytest.mark.parametrize("n", [CHUNK + 3, BLOCK + 5])
+    def test_integer_omega0_folds_as_its_float(self, n, rng):
+        # a configuration file may give omega0 = 1 or 2 as a Python int
+        for omega0 in (1, 2):
+            omega = omega0 * rng.uniform(0.5, 2.0, n)
+            got = fold_ladder(omega, omega0, 0.05, 4)
+            want = fold_ladder(omega, float(omega0), 0.05, 4)
+            for g, w in zip(got[:4], want[:4]):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+            assert got[4] == want[4]
+
+    def test_scratch_is_small_and_does_not_grow_with_the_ladder(self):
+        # the scratch is allocated once per call and reused by every block, so
+        # with few records the peak does not grow with the ladder's length
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n in (150_000, 300_000):
+                omega, tau = resonance_ladder(n=n, t_final=120.0)
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                fold_ladder(omega, 1.0, tau, 1000)
+                peaks.append((tracemalloc.get_traced_memory()[1] - base) / 1e6)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= 1.0, peaks
+        assert abs(peaks[1] - peaks[0]) <= 0.1, peaks
+
     def test_strong_squeezing_stays_normalized(self):
         # the square wave reaches r ~ 15.6 at t = 100, where |alpha| = tanh(r)
         # sits within 1e-13 of 1; |q| = sinh(r) does not come near any limit
@@ -64,7 +116,7 @@ class TestFoldLadder:
         assert max_defect <= 1e-10
 
     def test_max_defect_keeps_a_nan(self):
-        # omega/omega0 = 1e300 overflows the first segment's cosh(2 rho)
+        # omega/omega0 = 1e300 overflows the first segment's |p|^2
         with np.errstate(over="ignore", invalid="ignore"):
             *_, max_defect = fold_ladder(np.array([1e300, 1.0]), 1.0, 0.1, 2)
         assert np.isnan(max_defect)
