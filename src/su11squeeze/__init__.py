@@ -32,7 +32,6 @@ from .evolution import (
     apply_to_state,
     auto_converge,
     evolve,
-    fock_amplitudes,
     observables,
 )
 from .kernels import active_backend, fold_ladder, rk4_propagate
@@ -73,7 +72,6 @@ __all__ = [
     "apply_to_state",
     "auto_converge",
     "evolve",
-    "fock_amplitudes",
     "observables",
     "active_backend",
     "fold_ladder",

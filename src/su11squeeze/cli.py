@@ -45,9 +45,11 @@ NORM_DEFECT_MAX = 1e-10
 BASE_COLUMNS = ("t", "omega", "re_alpha", "im_alpha", "abs_alpha",
                 "r", "vartheta", "phi", "variance", "mean_n", "norm_defect")
 
-#: Rows per block that ``write_table`` formats in one call and writes in one ``write``.  It bounds
-#: the writer's scratch, about 0.2 kB per value (1 MB for 11 columns); larger blocks run faster.
-WRITE_BLOCK_ROWS = 512
+#: Values per block that ``write_table`` formats in one call and writes in one ``write``; a block
+#: holds ``WRITE_BLOCK_VALUES // n_columns`` rows.  Each call has a fixed cost of some 250 numpy
+#: calls, which larger blocks spread thinner; the scratch, about 0.15 kB per value (1.2 MB for a
+#: CSV table, 1.3 MB for JSON, traced), bounds the block.
+WRITE_BLOCK_VALUES = 8192
 
 #: Sweep parameters that every profile kind accepts because the run, not the profile, reads them.
 _RUN_SWEEP_PARAMS = ("t_final", "lam")
@@ -104,32 +106,31 @@ def write_table(path: str, fmt: str, columns, cols, comments=(), extra: dict | N
 
 
 def _write_blocks(fh, fmt, lead, first, cols, n_rows):
-    """The rows of :func:`write_table`, ``WRITE_BLOCK_ROWS`` at a time through one byte matrix."""
+    """The rows of :func:`write_table`, ``WRITE_BLOCK_VALUES // len(cols)`` at a time in one byte matrix."""
     # imported here, not with the module: compiling it would add ~6 ms to every start-up
     # that runs without cached bytecode, and only writing needs it
     from . import floatfmt
 
     nonfinite = floatfmt.CSV_NONFINITE if fmt == "csv" else floatfmt.JSON_NONFINITE
-    rows = min(WRITE_BLOCK_ROWS, n_rows)
+    rows = max(1, min(WRITE_BLOCK_VALUES // len(cols), n_rows))
     pad = -(-max(len(text) for text in lead) // 8) * 8  # keeps each value's slot 8-byte aligned
-    slot = pad + floatfmt.WIDTH
-    text = np.zeros((rows, len(lead), slot), dtype=np.uint8)
-    used = np.zeros((rows, len(lead), slot), dtype=bool)
+    text = np.zeros((rows, len(lead), pad + floatfmt.WIDTH), dtype=np.uint8)
     for c, piece in enumerate(lead):
         raw = np.frombuffer(piece.encode("utf-8"), dtype=np.uint8)
         text[:, c, pad - len(raw):pad] = raw
-        used[:, c, pad - len(raw):pad] = True
+    # the leading texts hold no NUL (json.dumps escapes it) and format_repr zeroes the bytes
+    # past each value's text, so the bytes in use are the nonzero ones
     skip = slice(pad - len(lead[0]), pad - len(first))  # what the table's first row leaves out
-    used[0, 0, skip] = False
-    width = np.arange(floatfmt.WIDTH, dtype=np.uint8)
+    skipped = text[0, 0, skip].copy()
+    text[0, 0, skip] = 0
     for lo in range(0, n_rows, rows):
         values = np.column_stack([c[lo:lo + rows] for c in cols])
-        n = len(values)
-        slots = text[:n, :, pad:].reshape(-1, floatfmt.WIDTH)  # a view: the text lands in place
-        _, length = floatfmt.format_repr(values, nonfinite, out=slots)
-        np.less(width, length.reshape(n, -1, 1), out=used[:n, :, pad:])
-        fh.write(text[:n][used[:n]])
-        used[0, 0, skip] = True
+        block = text[:len(values)]
+        slots = block[:, :, pad:].reshape(-1, floatfmt.WIDTH)  # a view: the text lands in place
+        floatfmt.format_repr(values, nonfinite, out=slots)
+        del values, slots
+        fh.write(block[block != 0])
+        text[0, 0, skip] = skipped
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +138,23 @@ def _write_blocks(fh, fmt, lead, first, cols, n_rows):
 # ---------------------------------------------------------------------------
 
 def run_trajectory(cfg: ExperimentConfig) -> Trajectory:
+    """Fold the configured ladder; then refuse an oracle substep beyond ``oracle.MAX_SUBSTEPS``.
+
+    With ``--n-steps auto`` the segment length is known only once the step
+    doubling has ended, so the refusal (a :class:`ConfigError`) comes here,
+    before any command writes its table.
+    """
     profile = cfg.to_profile()
     if cfg.n_steps == "auto":
-        return auto_converge(profile, cfg.t_final, cfg.tol, n_start=cfg.n_start,
+        traj = auto_converge(profile, cfg.t_final, cfg.tol, n_start=cfg.n_start,
                              rule=cfg.rule, lam=cfg.lam, scaling=cfg.scaling)
-    record_every = None if cfg.record_every == "auto" else cfg.record_every
-    dprof = discretize(profile, cfg.t_final, cfg.n_steps, rule=cfg.rule)
-    return evolve(dprof, record_every=record_every, lam=cfg.lam, scaling=cfg.scaling)
+    else:
+        record_every = None if cfg.record_every == "auto" else cfg.record_every
+        dprof = discretize(profile, cfg.t_final, cfg.n_steps, rule=cfg.rule)
+        traj = evolve(dprof, record_every=record_every, lam=cfg.lam, scaling=cfg.scaling)
+    if cfg.oracle_check and cfg.oracle_dt_sub is not None:
+        oracle_substeps_or_error(cfg.t_final / traj.n_steps_used, cfg.oracle_dt_sub)
+    return traj
 
 
 def _verify(cfg: ExperimentConfig, traj: Trajectory, announce=print) -> int:
@@ -151,7 +162,8 @@ def _verify(cfg: ExperimentConfig, traj: Trajectory, announce=print) -> int:
 
     The oracle is :func:`oracle.evolve_vacuum`, RK4 on the Heisenberg pair; the
     passed line also prints its pair error against ``traj.final``, which is
-    not gated.
+    not gated.  ``traj`` comes from :func:`run_trajectory`, which has checked
+    the substep count.
 
     ``announce(line, file=None)`` prints like ``print``, under the run's label if it has one.
     """
@@ -163,7 +175,6 @@ def _verify(cfg: ExperimentConfig, traj: Trajectory, announce=print) -> int:
         return EXIT_OK
     dprof = discretize(cfg.to_profile(), cfg.t_final, traj.n_steps_used, rule=cfg.rule)
     dt_sub = cfg.oracle_dt_sub if cfg.oracle_dt_sub is not None else dprof.tau / 4.0
-    oracle_substeps_or_error(dprof.tau, dt_sub)
     try:
         oracle_state, diag, (u, v) = evolve_vacuum(dprof, dt_sub, dim=cfg.oracle_dim)
         method_state = apply_to_state(traj.final, FockState.vacuum(), n_max=diag.dim - 1)

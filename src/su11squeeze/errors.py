@@ -28,7 +28,7 @@ class ContinuedFractionError(ArithmeticError):
 
 
 class InvalidAccumulatorError(ValueError):
-    """The fold overflowed double precision, or ``fock_amplitudes`` got ``|alpha| >= 1``."""
+    """The fold overflowed double precision."""
 
 
 class LeakageError(RuntimeError):

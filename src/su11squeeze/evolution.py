@@ -5,9 +5,8 @@ recorded columns of the fold's SU(1,1) pair ``(p, q)`` to ``observables``,
 which evaluates the closed-form squeezing observables on whole arrays and
 returns one record array (a column per observable, a row per record).
 ``auto_converge`` wraps ``evolve`` in a step-doubling loop.
-``fock_amplitudes`` and ``apply_to_state`` expand the composed propagator,
-the triple ``(alpha, beta, gamma)`` of the last ``(p, q)``, in the number
-basis.
+``apply_to_state`` expands the composed propagator, the triple
+``(alpha, beta, gamma)`` of the last ``(p, q)``, in the number basis.
 """
 
 from __future__ import annotations
@@ -145,28 +144,6 @@ def evolve(dprofile: DiscretizedProfile, record_every: int | None = None,
         final=final,
         max_norm_defect=max_defect,
     )
-
-
-def fock_amplitudes(acc: PropagatorAccumulator, n_max: int = 64) -> FockState:
-    """Number-basis amplitudes of the vacuum-evolved state.
-
-    Only even levels are populated::
-
-        c_{2n} = |beta|^{1/4} * (sqrt((2n)!)/n!) * (|alpha| e^{i vartheta} / 2)^n
-
-    computed by stable ratio iteration.  The global phase is removed
-    (c_0 is real positive).
-    """
-    if n_max % 2 != 0:
-        raise ValueError(f"n_max must be even, got {n_max}")
-    if abs(acc.alpha) >= 1.0:
-        raise InvalidAccumulatorError(f"|alpha| = {abs(acc.alpha)} >= 1")
-    amp = np.zeros(n_max + 1, dtype=np.complex128)
-    amp[0] = abs(acc.beta) ** 0.25
-    factor = 0.5 * acc.alpha  # |alpha| e^{i vartheta} / 2
-    for n in range(1, n_max // 2 + 1):
-        amp[2 * n] = amp[2 * n - 2] * (math.sqrt((2.0 * n) * (2.0 * n - 1.0)) / n) * factor
-    return FockState(amp)
 
 
 def _exp_shift(coeff: complex, amp: np.ndarray, shift: int, n_max: int) -> np.ndarray:

@@ -14,9 +14,15 @@ once and lays the digits out by CPython's rules: positional notation when
 
 All integer work is uint64 with uint64 operands (int64 with int64 for the one
 carry that can be negative, intp for table indices), so numpy's legacy
-value-based promotion and NEP 50 give the same dtypes.  Each value's text is
-built in three little-endian 64-bit words (24 bytes), so moving text by a few
-bytes is a shift of three words, not a gather per byte.
+value-based promotion and NEP 50 give the same dtypes.  The operands are 0-d
+arrays built once at import: building ``np.uint64(k)`` anew doubles the cost
+of an operation on a small array.  Each value's text is built in three
+little-endian 64-bit words (24 bytes), so moving text by a few bytes is a
+shift of three words, not a gather per byte.  A call's fixed cost is its
+number of numpy calls, so what depends only on a value's exponent field, or
+only on its sign, digit count and decimal point, comes from table gathers of
+several rows at once, and the three text words are worked on as one
+``(3, n)`` array.
 """
 
 from __future__ import annotations
@@ -31,12 +37,34 @@ WIDTH = 24
 CSV_NONFINITE = ("nan", "inf", "-inf")
 JSON_NONFINITE = ("NaN", "Infinity", "-Infinity")
 
-_U = np.uint64
 _POW5_BITS = 125  # Ryū's DOUBLE_POW5_BITCOUNT and DOUBLE_POW5_INV_BITCOUNT
 _DIGITS = 17      # a double's shortest repr has at most 17 significant digits
-_LOW32 = _U(0xFFFFFFFF)
-_ONE_BITS = _U(0x3FF0000000000000)  # 1.0, formatted in place of zeros and non-finite values
-_EXP_BIAS = 400  # row of exponent 0 in the exponent-suffix tables
+_EXP_BIAS = 400   # row of exponent 0 in the exponent-suffix tables
+
+
+def _u64(value: int) -> np.ndarray:
+    return np.array(value, dtype=np.uint64)
+
+
+_U0, _U1, _U2, _U3, _U5, _U7, _U8, _U10 = map(_u64, (0, 1, 2, 3, 5, 7, 8, 10))
+_U19, _U32, _U52, _U56, _U63, _U64 = map(_u64, (19, 32, 52, 56, 63, 64))
+_ALL = _u64(2 ** 64 - 1)
+_LOW32 = _u64(0xFFFFFFFF)
+_FIELD = _u64(0x7FF)
+_MANTISSA = _u64(2 ** 52 - 1)
+_ONE_BITS = _u64(0x3FF0000000000000)  # 1.0, formatted in place of zeros and non-finite values
+_INF_TWICE = _u64(0xFFE0000000000000)  # bits << 1 of an infinity; nans lie above
+_SPECIAL = _u64(0xFFE0000000000000 - 1)  # (bits << 1) - 1 of zeros (it wraps), infinities and nans
+_1E4, _1E9 = _u64(10 ** 4), _u64(10 ** 9)
+_ASCII0 = _u64(ord("0"))
+_TENS = tuple((k, _u64(10 ** k)) for k in (16, 8, 4, 2, 1))
+
+# rows of the Ryū table, in the groups that are gathered together; column f serves biased
+# exponent field f
+_HIDDEN, _TZ_MASK, _KIND, _M, _TWO_M, _SHIFT, _E10 = 0, 1, 2, 3, 5, 7, 8
+# rows of the layout table, one column per (decimal point, digit count, sign) class
+_LEAD, _FILL, _KEEP, _DOT, _MASK, _LENGTH = 0, 1, 2, 5, 8, 11
+_CLASSES = 22  # decimal points -4 to 17; -4 and 17 stand for every exponential one
 
 
 def _words(values):
@@ -52,12 +80,11 @@ def _text_word(text: bytes) -> int:
 
 @functools.cache
 def _tables():
-    """Per-exponent multipliers and shifts, and the text tables; built on first use, not at import.
+    """The Ryū, layout and text tables; built on first use, not at import.
 
-    Entry ``f`` of the exponent tables serves every double whose biased
-    exponent field is ``f`` (0 to 2046).  Following Ryū's ``d2d``, with
-    ``bits(x)`` the bit length of ``x`` and ``e2`` the binary exponent of
-    ``mv = 4 * m2``:
+    Column ``f`` of ``ryu`` serves every double whose biased exponent field
+    is ``f`` (0 to 2046).  Following Ryū's ``d2d``, with ``bits(x)`` the bit
+    length of ``x`` and ``e2`` the binary exponent of ``mv = 4 * m2``:
 
     * ``e2 >= 0``: ``q = log10Pow2(e2) - (e2 > 3)``; the multiplier is
       ``POW5_INV_SPLIT[q] = 2**(bits(5**q) - 1 + 125) // 5**q + 1`` and the
@@ -66,12 +93,22 @@ def _tables():
       multiplier is ``POW5_SPLIT[i]``, ``5**i`` cut or padded to 125 bits, and
       the shift ``j = q - (bits(5**i) - 125)``; the decimal exponent is ``q + e2``.
 
-    ``j - 64`` lies in (0, 64) for every entry.  ``tz_mask`` gives ``vr``'s
-    trailing-zero flag as ``mv & tz_mask == 0``: ``2**q - 1`` for ``e2 < 0,
-    1 < q < 63``, 0 (always set) for ``e2 < 0, q <= 1``, all ones (never set,
-    or left to the mod-5 test) otherwise.  ``kind`` marks the entries whose
-    flags or ``vp`` need more: 1 for ``e2 < 0, q <= 1``, 2 for
-    ``e2 >= 0, q <= 21``.
+    The rows hold the hidden bit, ``tz_mask``, ``kind``, the multiplier
+    ``M`` (low and high words), ``2 M``, the shift ``j - 64`` (in (0, 64)
+    for every entry) and the decimal exponent; column ``2 f + mmShift`` of
+    ``bound`` holds the bound offset ``B = (1 + mmShift) M``.  ``tz_mask``
+    gives ``vr``'s trailing-zero flag as ``mv & tz_mask == 0``: ``2**q - 1``
+    for ``e2 < 0, 1 < q < 63``, 0 (always set) for ``e2 < 0, q <= 1``, all
+    ones (never set, or left to the mod-5 test) otherwise.  ``kind`` marks
+    the entries whose flags or ``vp`` need more: 1 for ``e2 < 0, q <= 1``, 2
+    for ``e2 >= 0, q <= 21``.
+
+    Column ``(d + 4) * 36 + 2 * olen + negative`` of ``layout`` describes the
+    text of a value with ``olen`` digits and decimal point ``d`` (clipped to
+    [-4, 17]; ``value = 0.DIGITS * 10**d``): the bit shift and fill of its
+    sign and leading zeros, the masks that keep the bytes before its ``.``
+    and put the ``.`` there, the mask of the bytes it keeps, and its length
+    (for an exponential value, the length of its mantissa).
     """
     pow5 = [5 ** k for k in range(342)]
     bits = [p.bit_length() for p in pow5]
@@ -92,147 +129,198 @@ def _tables():
             mult, j, e10 = pos[i], q - (bits[i] - _POW5_BITS), q + e2
             tz_mask = 0 if q <= 1 else 2 ** q - 1 if q < 63 else 2 ** 64 - 1
             kind = 1 if q <= 1 else 0
-        rows.append((mult, j - 64, e10, q, tz_mask, kind))
-    mult, shift, e10, q, tz_mask, kind = zip(*rows)
-    m_lo, m_hi = _words(mult)
-    b_lo, b_hi = _words([k * m for m in mult for k in (1, 2)])  # entry 2 f + k - 1: k M
+        rows.append((mult, j - 64, e10 % 2 ** 64, q, tz_mask, kind, 0 if field == 0 else 2 ** 52))
+    mult, shift, e10, q, tz_mask, kind, hidden = zip(*rows)
+    ryu = np.empty((9, 2047), dtype=np.uint64)
+    ryu[_M:_M + 2] = _words(mult)
+    ryu[_TWO_M:_TWO_M + 2] = _words([2 * m for m in mult])
+    ryu[_SHIFT], ryu[_E10], ryu[_HIDDEN], ryu[_TZ_MASK], ryu[_KIND] = shift, e10, hidden, tz_mask, kind
 
-    # low[w, k] keeps the first k bytes of a text in word w; dot[w, p] is a '.' at byte p
-    low = np.array([[2 ** (8 * min(max(k - 8 * w, 0), 8)) - 1 for k in range(WIDTH + 1)]
-                    for w in range(3)], dtype=np.uint64)
-    dot = np.array([[ord(".") << 8 * (p - 8 * w) if p // 8 == w else 0 for p in range(WIDTH)]
-                    for w in range(3)], dtype=np.uint64)
+    # low[k] keeps the first k bytes of a text in its three words; dot[p] is a '.' at byte p
+    low = [[2 ** (8 * min(max(k - 8 * w, 0), 8)) - 1 for w in range(3)] for k in range(WIDTH + 1)]
+    dot = [[ord(".") << 8 * (p - 8 * w) if p // 8 == w else 0 for w in range(3)] for p in range(WIDTH)]
+    classes = []
+    for point in range(-4, _CLASSES - 4):
+        positional = -3 <= point <= 16
+        zeros = max(1 - point, 0) if positional else 0
+        for olen in range(_DIGITS + 1):
+            for negative in (0, 1):
+                lead = negative + zeros
+                p = (max(point, 1) if positional else 1) + negative  # the '.' lands at byte p
+                if positional:
+                    length = max(olen, point + 1) + negative + 1 + zeros
+                else:
+                    length = negative + olen + (olen > 1)  # the suffix goes here
+                classes.append([8 * lead, _text_word(b"-" * negative + b"0" * zeros),
+                                *low[p], *dot[p], *low[length], length])
+    layout = np.array(classes, dtype=np.uint64).T.copy()
+
+    pow10 = [10 ** k for k in range(20)]
+    # log10_guess[f]: floor(log10 x) of an x whose nearest double has exponent field f, or
+    # one less, and log10_power[f] the power of ten that tells which (1233 / 4096 is just
+    # below log10(2))
+    guess = [max(f - 1023, 0) * 1233 >> 12 for f in range(2048)]
     exponents = range(-_EXP_BIAS, _EXP_BIAS)
     return {
-        "m_lo": m_lo, "m_hi": m_hi, "b_lo": b_lo, "b_hi": b_hi,
-        "shift": np.array(shift, dtype=np.uint64), "e10": np.array(e10, dtype=np.intp),
-        "q": np.array(q, dtype=np.intp), "tz_mask": np.array(tz_mask, dtype=np.uint64),
-        "kind": np.array(kind, dtype=np.uint8),
-        "hidden": np.array([0] + [2 ** 52] * 2046, dtype=np.uint64),
+        "ryu": ryu, "layout": layout,
+        # bound[:, 2 f + mmShift]: B, the low and high words
+        "bound": np.array(_words([(1 + mm_shift) * m for m in mult for mm_shift in (0, 1)])),
+        "shift": ryu[_SHIFT], "q": np.array(q, dtype=np.intp),
         "pow5": np.array(pow5[:22], dtype=np.uint64),
-        "pow10": np.array([10 ** k for k in range(20)], dtype=np.uint64),
+        "pow10": np.array(pow10, dtype=np.uint64),
+        "log10_guess": np.array(guess, dtype=np.intp),
+        "log10_power": np.array([pow10[g + 1] if g < 19 else 2 ** 64 - 1 for g in guess],
+                                dtype=np.uint64),
         # half[k] = 10**k / 2: k removed digits at or above it round up (k >= 1)
         "half": np.array([1] + [5 * 10 ** (k - 1) for k in range(1, 20)], dtype=np.uint64),
-        "low": low, "dot": dot,
-        # fill[5 * negative + zeros]: the sign and the zeros before the digits
-        "fill": np.array([_text_word(b"-" * s + b"0" * z) for s in range(2) for z in range(5)],
-                         dtype=np.uint64),
+        # pad[olen] = 10**(17 - olen) fills the digits out to 17
+        "pad": np.array([10 ** (_DIGITS - min(k, _DIGITS)) for k in range(_DIGITS + 1)],
+                        dtype=np.uint64),
+        # ascii4[k]: the four digits of k < 10**4, most significant first, as a little-endian word
+        "ascii4": sum((np.arange(10 ** 4, dtype=np.uint64) // 10 ** (3 - i) % 10 + ord("0")) << 8 * i
+                      for i in range(4)).astype(np.uint64),
         "exp_text": np.array([_text_word(b"e%+03d" % e) for e in exponents], dtype=np.uint64),
         "exp_len": np.array([len(b"e%+03d" % e) for e in exponents], dtype=np.intp),
     }
 
 
+@functools.cache
+def _special_texts(nonfinite):
+    """Words and lengths of ``0.0``, ``-0.0``, inf, -inf and nan (twice), by ``2 * kind + sign``."""
+    texts = [b"0.0", b"-0.0"] + [s.encode("ascii") for s in (nonfinite[1], nonfinite[2],
+                                                              nonfinite[0], nonfinite[0])]
+    words = np.array([[_text_word(t[8 * w:8 * w + 8]) for t in texts] for w in range(3)],
+                     dtype=np.uint64)
+    return words, np.array([len(t) for t in texts], dtype=np.intp)
+
+
 def _mul(a0, a1, b):
-    """Low and high words of ``a * b`` for uint64 arrays, ``a`` given as 32-bit halves ``a0``, ``a1``."""
-    b0 = b & _LOW32
-    b >>= _U(32)
-    low = a0 * b0
-    b0 *= a1
-    b0 += low >> _U(32)                    # a1 * b0 + carry, below 2**64
-    mid = a0 * b
-    mid += b0 & _LOW32
+    """Low and high words of ``a * b`` for uint64 arrays, ``a`` given as 32-bit halves ``a0``, ``a1``.
+
+    ``b`` is overwritten with the high words.
+    """
+    x = b & _LOW32
+    b >>= _U32
+    low = x * a0
+    x *= a1
+    t = low >> _U32
+    x += t                              # a1 * b0 + carry, below 2**64
+    y = b * a0
     b *= a1
-    b0 >>= _U(32)
-    b += b0
-    b += mid >> _U(32)
+    np.right_shift(x, _U32, out=t)
+    b += t
+    x &= _LOW32
+    y += x
+    np.right_shift(y, _U32, out=t)
+    b += t
     low &= _LOW32
-    mid <<= _U(32)
-    low |= mid
+    y <<= _U32
+    low |= y
     return low, b
 
 
-def _ryu(bits, tab):
+def _ryu(bits):
     """Ryū's ``d2d`` on finite nonzero doubles given as uint64 bit patterns.
 
     Returns the shortest correctly rounded decimal digits as an integer and
-    their power of ten: ``value = digits * 10**exponent``.
+    their power of ten: ``value = digits * 10**exponent``.  The table rows
+    are gathered in groups, each when it is first needed, so that the
+    scratch stays near 100 bytes per value.
     """
-    field = bits >> _U(52)
-    field &= _U(0x7FF)
-    field = field.astype(np.intp)
-    mv = bits & _U((1 << 52) - 1)
-    accept = (bits & _U(1)) == 0  # an even mantissa accepts the interval's bounds
-    mm_shift = (mv != 0) | (field <= 1)
-    mv |= tab["hidden"][field]
-    mv <<= _U(2)
-    vr_tz = (mv & tab["tz_mask"][field]) == 0
+    tab = _tables()
+    ryu = tab["ryu"]
+    field = bits >> _U52
+    field &= _FIELD
+    mv = bits & _MANTISSA
+    accept = (bits & _U1) == _U0  # an even mantissa accepts the interval's bounds
+    mm_shift = mv != _U0
+    mm_shift |= field <= _U1
+    column = field.view(np.intp)
+    hidden, tz_mask, kind = ryu[_HIDDEN:_KIND + 1].take(column, axis=1)
+    mv |= hidden
+    mv <<= _U2
+    vr_tz = (mv & tz_mask) == _U0
     vm_tz = np.zeros(len(bits), dtype=bool)
-    kind = tab["kind"][field]
-    edge = np.flatnonzero(kind)
-    vp_drop = _edge_flags(edge, kind[edge], field[edge], mv[edge], accept, mm_shift, vr_tz, vm_tz, tab)
-    del kind, edge
+    vp_drop = None
+    if kind.any():
+        vp_drop = _edge_flags(kind, column, mv, accept, mm_shift, vr_tz, vm_tz, tab)
+    del hidden, tz_mask, kind
 
     # P = mv * M as a 192-bit number (p2, p1, p0); vr = P >> (64 + s)
     a0 = mv & _LOW32
-    mv >>= _U(32)
-    p0, h0 = _mul(a0, mv, tab["m_lo"][field])
-    p1, p2 = _mul(a0, mv, tab["m_hi"][field])
+    mv >>= _U32
+    p0, h0 = _mul(a0, mv, ryu[_M].take(column))  # a word at a time: half the scratch of both
+    p1, p2 = _mul(a0, mv, ryu[_M + 1].take(column))
     del a0, mv
     p1 += h0
     p2 += p1 < h0
     del h0
-    s = tab["shift"][field]
+    two_m_lo, two_m_hi, s = ryu[_TWO_M:_SHIFT + 1].take(column, axis=1)
+    e10 = ryu[_E10].take(column).view(np.intp)
+    field <<= _U1  # field, and column with it, become 2 f + mmShift, the column of B
+    field |= mm_shift
+    b_lo, b_hi = tab["bound"].take(column, axis=1)
+    del field, column, mm_shift
     vr = p1 >> s
-    p2 <<= _U(64) - s
+    back = _U64 - s
+    p2 <<= back
     vr |= p2
     del p2
-    # vp = (P + 2M) >> (64 + s) and vm = (P - B) >> (64 + s), B = (1 + mmShift) M, differ
-    # from vr by the carry out of the bits below the shift: (p1 mod 2**s, p0) + 2M or - B
-    p1 &= _U(2 ** 64 - 1) >> (_U(64) - s)
-    b_row = 2 * field + 1  # 2M
-    low = tab["b_lo"][b_row]
-    low += p0
-    vp = tab["b_hi"][b_row]
-    vp += p1
-    vp += low < p0
+    # vp = (P + 2M) >> (64 + s) and vm = (P - B) >> (64 + s) differ from vr by the
+    # carry out of the bits below the shift: (p1 mod 2**s, p0) + 2M or - B
+    np.right_shift(_ALL, back, out=back)
+    p1 &= back
+    del back
+    two_m_lo += p0
+    vp = two_m_hi + p1
+    vp += two_m_lo < p0
     vp >>= s
     vp += vr
-    vp[vp_drop] -= _U(1)
-    b_row -= ~mm_shift  # B
-    e10 = tab["e10"][field]
-    del field, mm_shift, low
-    borrow = p0 < tab["b_lo"][b_row]
-    del p0
+    if vp_drop is not None:
+        vp[vp_drop] -= _U1
+    borrow = p0 < b_lo
     carry = p1.view(np.int64)  # below 2**63, so the difference below can go negative
-    carry -= tab["b_hi"][b_row].view(np.int64)
+    carry -= b_hi.view(np.int64)
     carry -= borrow
     carry >>= s.view(np.int64)
     vm = vr + carry.view(np.uint64)
-    del carry, p1, s, b_row, borrow
+    del carry, borrow, p0, p1, two_m_lo, two_m_hi, b_lo, b_hi, s
     digits, removed = _shortest(vr, vp, vm, vr_tz, vm_tz, accept, tab)
     removed += e10
     return digits, removed
 
 
-def _edge_flags(rows, kind, field, mv, accept, mm_shift, vr_tz, vm_tz, tab):
-    """Ryū's trailing-zero and bound rules for the ``rows`` the ``kind`` table marks.
+def _edge_flags(kind, field, mv, accept, mm_shift, vr_tz, vm_tz, tab):
+    """Ryū's trailing-zero and bound rules for the rows the ``kind`` table marks.
 
     Sets the flags in place and returns the rows whose ``vp`` drops by one.
     """
+    rows = np.flatnonzero(kind)
+    kind = kind[rows]
     # e2 < 0, q <= 1: vr's flag is set already; vm's is mmShift, or else vp drops by one
-    one = rows[kind == 1]
+    one = rows[kind == _U1]
     vm_tz[one] = accept[one] & mm_shift[one]
     drop = [one[~accept[one]]]
     # e2 >= 0, q <= 21: at most one of mv, mv - 1 - mmShift and mv + 2 is a multiple of 5
-    two = kind == 2
+    two = kind == _U2
     if two.any():
-        rows, mv, field = rows[two], mv[two], field[two]
-        acc, p5 = accept[rows], tab["pow5"][tab["q"][field]]
-        mv5 = mv % _U(5) == 0
-        vr_tz[rows] = mv5 & (mv % p5 == 0)
-        vm_tz[rows] = ~mv5 & acc & ((mv - _U(1) - mm_shift[rows]) % p5 == 0)
-        drop.append(rows[~mv5 & ~acc & ((mv + _U(2)) % p5 == 0)])
+        rows = rows[two]
+        mv, acc, p5 = mv[rows], accept[rows], tab["pow5"][tab["q"][field[rows]]]
+        mv5 = mv % _U5 == _U0
+        vr_tz[rows] = mv5 & (mv % p5 == _U0)
+        vm_tz[rows] = ~mv5 & acc & ((mv - _U1 - mm_shift[rows]) % p5 == _U0)
+        drop.append(rows[~mv5 & ~acc & ((mv + _U2) % p5 == _U0)])
     return np.concatenate(drop)
 
 
 def _trailing_zeros(w):
-    """How many decimal zeros each nonzero uint64 in ``w`` ends with; ``w`` is overwritten."""
+    """How many decimal zeros each nonzero uint64 in ``w`` ends with."""
     count = np.zeros(len(w), dtype=np.intp)
-    for k in (16, 8, 4, 2, 1):
-        cut = w // _U(10 ** k)
-        whole = w == cut * _U(10 ** k)
-        np.copyto(w, cut, where=whole)
-        count += k * whole
+    for k, power in _TENS:
+        cut = w // power
+        whole = w == cut * power
+        w = np.where(whole, cut, w)  # faster than a masked copyto on these small subsets
+        count += whole * k
     return count
 
 
@@ -250,13 +338,17 @@ def _shortest(vr, vp, vm, vr_tz, vm_tz, accept, tab):
     """
     pow10 = tab["pow10"]
     d = vp - vm
-    removed = _log10(d, pow10)
-    scale = pow10[removed + 1]
+    removed = _log10(d, tab)
+    scale = pow10.take(removed + 1)
     w = vp // scale
-    one_more = vp - w * scale < d
-    del d, scale
-    w10 = w // _U(10)
-    zero = one_more & (w == w10 * _U(10))
+    scale *= w
+    np.subtract(vp, scale, out=scale)
+    one_more = scale < d
+    del d
+    w10 = w // _U10
+    np.multiply(w10, _U10, out=scale)
+    zero = w == scale
+    zero &= one_more
     removed += one_more
     del w, one_more
     more = np.flatnonzero(zero)
@@ -268,11 +360,13 @@ def _shortest(vr, vp, vm, vr_tz, vm_tz, accept, tab):
     if flagged.size:
         sub = (vr[flagged], vm[flagged], vr_tz[flagged], vm_tz[flagged], accept[flagged], removed[flagged])
         flagged_out = _shortest_flagged(*sub, tab)
-    scale = pow10[removed]
+    scale = pow10.take(removed)
     digits = vr // scale
     scale *= digits
     vr -= scale
-    digits += (vm >= scale) | (vr >= tab["half"][removed])
+    up = vm >= scale
+    up |= vr >= tab["half"].take(removed)
+    digits += up
     if flagged.size:
         digits[flagged], removed[flagged] = flagged_out
     return digits, removed
@@ -288,49 +382,33 @@ def _shortest_flagged(vr, vm, vr_tz, vm_tz, accept, removed, tab):
     flag holds.
     """
     pow10 = tab["pow10"]
-    cut = vm // pow10[removed]
-    vm_tz &= vm == cut * pow10[removed]
-    extra = np.flatnonzero(vm_tz & (cut != 0))
-    removed[extra] += _trailing_zeros(cut[extra])
+    scale = pow10[removed]
+    cut = vm // scale
+    vm_tz &= vm == cut * scale
+    extra = np.flatnonzero(vm_tz & (cut != _U0))
+    if extra.size:
+        removed[extra] += _trailing_zeros(cut[extra])
+        scale = pow10[removed]
+        cut = vm // scale
     before = pow10[np.maximum(removed, 1) - 1]
     above = vr // before
     vr_tz &= (removed == 0) | (vr == above * before)
-    last = np.where(removed > 0, above % _U(10), _U(0))
-    digits = vr // pow10[removed]
-    cut = vm // pow10[removed]
-    last[vr_tz & (last == 5) & ((digits & _U(1)) == 0)] = 4
-    digits += ((digits == cut) & ~(accept & vm_tz)) | (last >= 5)
+    last = np.where(removed > 0, above % _U10, _U0)
+    digits = vr // scale
+    last[vr_tz & (last == _U5) & ((digits & _U1) == _U0)] = 4
+    digits += ((digits == cut) & ~(accept & vm_tz)) | (last >= _U5)
     return digits, removed
 
 
-def _log10(x, pow10):
+def _log10(x, tab):
     """``floor(log10(x))`` of each uint64 ``x >= 1``, as intp."""
-    # floor(log2 x) from the double nearest x, which may round up to the next power of two;
-    # 1233 / 4096 is just below log10(2), so the estimate is floor(log10 x) or one less
-    log = (x.astype(np.float64).view(np.uint64) >> _U(52)).astype(np.intp)
-    log -= 1023
-    log *= 1233
-    log >>= 12
-    log += x >= pow10[log + 1]
+    # the exponent field of the double nearest x, which may round up to the next power of two
+    field = x.astype(np.float64).view(np.uint64)
+    field >>= _U52
+    field = field.view(np.intp)
+    log = tab["log10_guess"].take(field)
+    log += x >= tab["log10_power"].take(field)
     return log
-
-
-def _ascii8(v):
-    """Eight ASCII digits of each ``v < 10**8``, the most significant in the lowest byte."""
-    hi = v // _U(10000)
-    w = v - hi * _U(10000)
-    w <<= _U(32)
-    w |= hi                                                      # 4-digit halves in 32-bit lanes
-    q = ((w * _U(5243)) >> _U(19)) & _U(0x0000007F0000007F)     # lane // 100
-    w -= q * _U(100)
-    w <<= _U(16)
-    w |= q                                                       # 2-digit quarters in 16-bit lanes
-    q = ((w * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)      # lane // 10
-    w -= q * _U(10)
-    w <<= _U(8)
-    w |= q
-    w += _U(0x3030303030303030)
-    return w
 
 
 def format_repr(values, nonfinite=CSV_NONFINITE, out=None):
@@ -338,116 +416,125 @@ def format_repr(values, nonfinite=CSV_NONFINITE, out=None):
 
     Returns a ``(n, 24)`` uint8 matrix whose row ``i`` starts with the text
     of value ``i``, and the lengths of those texts (uint8).  Bytes past a
-    text's length are unspecified.  ``nonfinite`` gives the spellings of nan,
-    inf and -inf.  ``out``, if given, is the ``(n, 24)`` uint8 matrix to write
+    text's length are zero.  ``nonfinite`` gives the spellings of nan, inf
+    and -inf.  ``out``, if given, is the ``(n, 24)`` uint8 matrix to write
     into; its rows must be 8-byte aligned and its bytes contiguous within a row.
     """
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    tab = _tables()
     bits = x.view(np.uint64)
-    negative = (bits >> _U(63)).astype(np.intp)
-    special = ~np.isfinite(x)
-    special |= x == 0.0
-    any_special = special.any()
-    if any_special:
-        bits = np.where(special, _ONE_BITS, bits)
-    digits, decpt = _ryu(bits, tab)
-    del bits
-    pow10 = tab["pow10"]
-    olen = _log10(digits, pow10) + 1
-    if any_special:
-        digits[x == 0.0] = 0  # and 1.0's olen and exponent give "0.0"
-    digits *= pow10[_DIGITS - olen]  # pad to 17 digits
+    twice = bits << _U1  # without the sign
+    twice -= _U1
+    special = np.flatnonzero(twice >= _SPECIAL)
+    if special.size:  # code 2 * kind + sign, kind 0 for zeros, 1 for infinities, 2 for nans
+        twice = twice[special]
+        twice += _U1
+        code = (twice != _U0).astype(np.intp)
+        code += twice > _INF_TWICE
+        code <<= 1
+        code += (bits[special] >> _U63).view(np.intp)
+        bits = bits.copy()
+        bits[special] = _ONE_BITS
+    del twice
+    digits, decpt = _ryu(bits)
+    tab = _tables()
+    olen = _log10(digits, tab)
+    olen += 1
     decpt += olen  # value = 0.DIGITS * 10**decpt
-    chars, length = _layout(digits, olen, decpt, negative, tab, out)
-    if any_special:
-        for which, spelling in zip((np.isnan(x), np.isposinf(x), np.isneginf(x)), nonfinite):
-            if which.any():
-                text = np.frombuffer(spelling.encode("ascii"), dtype=np.uint8)
-                chars[which, :len(text)] = text
-                length[which] = len(text)
-    return chars, length
+    digits *= tab["pad"].take(olen)  # pad to 17 digits
+    words = _ascii17(digits, tab)
+    del digits
+    length = _layout(words, olen, decpt, (bits >> _U63).view(np.intp), tab)
+    if special.size:
+        texts, lengths = _special_texts(tuple(nonfinite))
+        words[:, special] = texts[:, code]
+        length[special] = lengths[code]
+    if out is None:
+        out = np.empty((len(x), WIDTH), dtype=np.uint8)
+    lanes = out.view("<u8")
+    for w, word in enumerate(words):
+        lanes[:, w] = word
+    return out, length.astype(np.uint8)
 
 
-def _layout(digits, olen, decpt, negative, tab, out):
-    """Lay out 17-digit strings as repr text: ``value = 0.DIGITS * 10**decpt``, ``olen`` digits shown.
+def _ascii17(digits, tab):
+    """The 17 digits of each ``digits < 10**17`` in ASCII, as bytes 0..16 of a ``(3, n)`` array of words.
 
     ``digits`` is overwritten.
     """
-    n = len(digits)
-    # bytes 0..16 of the words (g0, g1, g2): the 17 digits in ASCII
-    hi = digits // _U(10 ** 9)
-    digits -= hi * _U(10 ** 9)
-    g0 = _ascii8(hi)
-    np.floor_divide(digits, _U(10), out=hi)
-    digits -= hi * _U(10)
-    g2 = digits
-    g2 += _U(ord("0"))
-    g1 = _ascii8(hi)
-    del hi, digits
+    words = np.empty((3, len(digits)), dtype=np.uint64)
+    np.floor_divide(digits, _1E9, out=words[0])
+    digits -= words[0] * _1E9
+    np.floor_divide(digits, _U10, out=words[1])
+    digits -= words[1] * _U10
+    np.add(digits, _ASCII0, out=words[2])
+    eight = words[:2]  # eight digits each, cut into halves of four
+    half = eight // _1E4
+    eight -= half * _1E4
+    ascii4 = tab["ascii4"]
+    low = ascii4.take(eight.view(np.intp))
+    low <<= _U32
+    ascii4.take(half.view(np.intp), out=eight, mode="clip")  # "raise" would buffer the output
+    eight |= low
+    return words
 
-    # positional for -3 <= decpt <= 16: sign, zeros before the digits, '.' at byte p;
-    # otherwise sign, first digit, '.', the other digits, then the exponent
-    positional = (decpt >= -3) & (decpt <= 16)
-    zeros = np.maximum(1 - decpt, 0)
-    zeros *= positional
-    lead = negative + zeros
-    fill = tab["fill"][lead + 4 * negative]
-    lead <<= 3
-    bitshift = lead.astype(np.uint64)
-    del lead
-    back = _U(63) - bitshift
-    g2 <<= bitshift
-    g2 |= (g1 >> _U(1)) >> back
-    g1 <<= bitshift
-    g1 |= (g0 >> _U(1)) >> back
-    g0 <<= bitshift
-    g0 |= fill
-    del back, bitshift, fill
 
-    p = np.maximum(decpt, 1)
-    p *= positional
-    p += ~positional  # 1 where exponential
-    p += negative
-    if out is None:
-        out = np.empty((n, WIDTH), dtype=np.uint8)
-    lanes = out.view("<u8")
-    # insert the '.' at byte p: the bytes from p on move up one
-    low, dot = tab["low"], tab["dot"]
-    carry = None
-    for w, g in enumerate((g0, g1, g2)):
-        keep = low[w][p]
-        keep &= g        # the bytes before p
-        g ^= keep        # the bytes from p on
-        spill = g >> _U(56)
-        g <<= _U(8)
-        g |= keep
-        del keep
-        g |= dot[w][p]
-        if carry is not None:
-            g |= carry
-        lanes[:, w] = g
-        carry = spill
-    del g0, g1, g2, g, carry, spill
+def _layout(words, olen, decpt, negative, tab):
+    """Lay out 17 ASCII digits as repr text: ``value = 0.DIGITS * 10**decpt``, ``olen`` digits shown.
 
-    # positional: sign, max(olen, decpt + 1) digits and the '.', and the zeros before
-    length = np.maximum(olen, decpt + 1)
-    length += negative + 1
-    length += zeros
-    expo = np.flatnonzero(~positional)
-    if expo.size:  # cut after the mantissa and append "e-05"
-        cut = negative[expo] + olen[expo] + (olen[expo] > 1)
-        e = decpt[expo] + (_EXP_BIAS - 1)
-        suffix = tab["exp_text"][e]
-        bitshift = (cut & 7).astype(np.uint64) << _U(3)
-        spill = (suffix >> _U(1)) >> (_U(63) - bitshift)
+    ``words`` holds the digits as :func:`_ascii17` returns them and is
+    overwritten with the text, zero past each text's end.  Returns the lengths.
+    Every per-value quantity but the exponent comes from the value's column of
+    the layout table, a few rows at a time.
+    """
+    column = np.maximum(decpt, -4)
+    np.minimum(column, _CLASSES - 5, out=column)
+    column += 4
+    column *= 36
+    column += olen << 1
+    column += negative
+    layout = tab["layout"]
+
+    # positional: sign, zeros before the digits, '.' at its byte; otherwise sign,
+    # first digit, '.', the other digits, then the exponent
+    lead, fill = layout[_LEAD:_FILL + 1].take(column, axis=1)
+    carry = words[:2] >> _U1
+    carry >>= _U63 - lead
+    words <<= lead
+    words[1:] |= carry
+    words[0] |= fill
+    del lead, fill
+    # insert the '.': the bytes from its byte on move up one
+    keep = layout[_KEEP:_KEEP + 3].take(column, axis=1)
+    keep &= words     # the bytes before the '.'
+    words ^= keep     # the bytes from it on
+    np.right_shift(words[:2], _U56, out=carry)
+    words <<= _U8
+    words |= keep
+    words[1:] |= carry
+    del carry, keep
+    words |= layout[_DOT:_DOT + 3].take(column, axis=1)
+    mask = layout[_MASK:_LENGTH + 1].take(column, axis=1)
+    del column
+    words &= mask[:3]
+    length = mask[3].view(np.intp)
+
+    expo = np.flatnonzero((decpt + 3).view(np.uint64) > _U19)  # decpt < -3 or > 16
+    if expo.size:  # append "e-05" after the mantissa
+        e = decpt[expo]
+        e += _EXP_BIAS - 1
+        cut = length[expo]
+        suffix = tab["exp_text"].take(e)
+        length[expo] = cut + tab["exp_len"].take(e)
+        bitshift = cut.view(np.uint64) & _U7
+        bitshift <<= _U3
+        spill = suffix >> _U1
+        spill >>= _U63 - bitshift
         suffix <<= bitshift
-        at = cut >> 3
-        for w in range(3):
-            text = lanes[expo, w] & low[w][cut]
-            text |= np.where(at == w, suffix, _U(0))
-            if w:
-                text |= np.where(at == w - 1, spill, _U(0))
-            lanes[expo, w] = text
-        length[expo] = cut + tab["exp_len"][e]
-    return out, length.astype(np.uint8)
+        cut >>= 3  # the word the suffix starts in; it ends in that word or the next
+        at = np.arange(len(expo))
+        placed = np.zeros((4, len(expo)), dtype=np.uint64)
+        placed[cut, at] = suffix
+        placed[cut + 1, at] = spill
+        placed[:3] |= words[:, expo]
+        words[:, expo] = placed[:3]
+    return length

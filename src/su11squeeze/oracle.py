@@ -38,9 +38,10 @@ MAX_DIM = 4096
 #: population in the top four levels.
 INITIAL_EDGE_TOL = 1e-10
 
-#: Most RK4 substeps per segment that :func:`substeps` grants.  Every substep
-#: costs a pass over the whole ladder, and at ``tau/MAX_SUBSTEPS`` RK4's error
-#: on a segment with ``omega*tau <= 1`` already lies below double rounding.
+#: Most RK4 substeps per segment that :func:`substeps` grants.  In the Fock
+#: basis every substep costs a pass over the whole ladder, and at
+#: ``tau/MAX_SUBSTEPS`` RK4's error on a segment with ``omega*tau <= 1``
+#: already lies below double rounding.
 MAX_SUBSTEPS = 10_000
 
 #: Segments whose matrices :func:`heisenberg` builds and multiplies
@@ -108,6 +109,23 @@ def _ordered_product(m: np.ndarray) -> np.ndarray:
     return m[0]
 
 
+def _substep_power(c0, c1, delta, n: int):
+    """``(A, B)`` with ``(c0 I + c1 X)^n = A I + B X`` for ``X^2 = delta I``, by repeated squaring.
+
+    ``(a I + b X)(c I + d X) = (a c + delta b d) I + (a d + b c) X``, so
+    the power takes ``log2(n)`` squarings and as many products, not
+    ``n - 1`` products.
+    """
+    a = b = None
+    while True:
+        if n & 1:
+            a, b = (c0, c1) if a is None else (a * c0 + delta * b * c1, a * c1 + b * c0)
+        n >>= 1
+        if not n:
+            return a, b
+        c0, c1 = c0 * c0 + delta * c1 * c1, 2.0 * c0 * c1
+
+
 def heisenberg(dprofile: DiscretizedProfile, n_sub: int):
     """RK4-integrate ``(a, a+)`` across the ladder; returns ``(u, v, norm_drift)``.
 
@@ -116,10 +134,12 @@ def heisenberg(dprofile: DiscretizedProfile, n_sub: int):
     has ``X^2 = delta I`` with ``delta = -(omega dt)^2``.  One RK4 substep,
     ``1 + X + X^2/2 + X^3/6 + X^4/24``, is then ``c0 I + c1 X`` with ``c0 = 1
     + delta/2 + delta^2/24`` and ``c1 = 1 + delta/6``, and its ``n_sub``-th
-    power is ``A I + B X`` with real ``A, B``.  The segment matrices are
-    multiplied in time order, ``HEISENBERG_BLOCK`` at a time by pairwise
-    ``np.matmul``, with the running product carried from block to block.  The product is ``[[u, v], [conj(v), conj(u)]]`` with
-    ``a(T) = u a + v a+``; it equals the fold's ``(p, q)`` up to RK4 error.
+    power is ``A I + B X`` with real ``A, B``, taken by repeated squaring
+    (:func:`_substep_power`).  The segment matrices are multiplied in time
+    order, ``HEISENBERG_BLOCK`` at a time by pairwise ``np.matmul``, with the
+    running product carried from block to block.  The product is ``[[u, v],
+    [conj(v), conj(u)]]`` with ``a(T) = u a + v a+``; it equals the fold's
+    ``(p, q)`` up to RK4 error.
 
     ``norm_drift`` is ``|1 - (|u|^2 - |v|^2)|``, the RK4 loss of the pair's
     norm.  ``|u|^2 - |v|^2`` is the determinant of the product, so it is
@@ -145,9 +165,7 @@ def heisenberg(dprofile: DiscretizedProfile, n_sub: int):
             theta = w * dt
             delta = -theta * theta
             c0, c1 = 1.0 + delta / 2.0 + delta * delta / 24.0, 1.0 + delta / 6.0
-            a, b = c0, c1
-            for _ in range(n_sub - 1):  # (a I + b X)(c0 I + c1 X), with X^2 = delta I
-                a, b = a * c0 + b * c1 * delta, a * c1 + b * c0
+            a, b = _substep_power(c0, c1, delta, n_sub)
             log_det += float(np.sum(np.log(a * a - delta * b * b)))
             diag = b * theta * np.cosh(rho2)
             off = b * theta * np.sinh(rho2)

@@ -351,6 +351,21 @@ class TestSimulate:
         assert time.perf_counter() - start < 10.0
         assert f"more than MAX_SUBSTEPS = {oracle.MAX_SUBSTEPS}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["simulate"],
+        ["converge"],
+        ["compare"],
+        ["sweep", "--sweep-param", "omega1", "--sweep-values", "2,2.5"],
+    ], ids=lambda command: command[0])
+    def test_auto_steps_refuse_the_substep_bound_before_writing(self, command, tmp_path, capsys):
+        # with --n-steps auto the segment length is known only after the doubling
+        code = cli.main([*command, "--profile", "sudden_jump", "--omega1", "2", "--t-final", "1",
+                         "--n-steps", "auto", "--oracle-check", "--oracle-dt-sub", "1e-300",
+                         "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"more than MAX_SUBSTEPS = {oracle.MAX_SUBSTEPS}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv, named", [
         (["--profile", "sudden_jump", "--omega1", "2", "--t-final", "1", "--n-steps", "100000000000"],
          "n_steps = 100000000000"),
@@ -577,12 +592,13 @@ class TestWriteTable:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_seeded_sample_across_blocks(self, fmt, extra, seed, tmp_path):
         rng = np.random.default_rng(seed)
-        n = 2 * cli.WRITE_BLOCK_ROWS + 37
-        cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n) for _ in range(5)]
-        cols.append(np.linspace(0.0, 150.0, n))
-        for col in cols[:3]:  # scatter the awkward values, some in each block
-            col[rng.integers(0, n, 60)] = rng.choice(_AWKWARD, 60)
-        self.assert_matches_reference(tmp_path, fmt, cols, extra)
+        for n_cols in (4, 11, 13):  # compare's table, the trajectory and the fingerprinted one
+            n = 2 * (cli.WRITE_BLOCK_VALUES // n_cols) + 37  # two block boundaries and a short block
+            cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n) for _ in range(n_cols - 1)]
+            cols.append(np.linspace(0.0, 150.0, n))
+            for col in cols[:3]:  # scatter the awkward values, some in each block
+                col[rng.integers(0, n, 60)] = rng.choice(_AWKWARD, 60)
+            self.assert_matches_reference(tmp_path, fmt, cols, extra)
 
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("extra", _EXTRAS)
@@ -595,8 +611,8 @@ class TestWriteTable:
            values=st.lists(st.one_of(st.floats(), st.sampled_from(_AWKWARD)), min_size=36, max_size=36),
            fmt=st.sampled_from(FORMATS), extra=st.sampled_from(_EXTRAS))
     def test_any_floats_in_small_blocks(self, shape, values, fmt, extra, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 4)  # 0 to 3 block boundaries
         n_rows, n_cols = shape
+        monkeypatch.setattr(cli, "WRITE_BLOCK_VALUES", 4 * n_cols)  # 4 rows a block: up to 3 blocks
         flat = np.array(values[:n_rows * n_cols])
         self.assert_matches_reference(tmp_path, fmt, list(flat.reshape(n_cols, n_rows)), extra)
 

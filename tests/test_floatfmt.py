@@ -19,6 +19,7 @@ def formatted(values, nonfinite=floatfmt.CSV_NONFINITE) -> bytes:
     out = []
     for lo in range(0, len(values), CHUNK):
         chars, length = floatfmt.format_repr(values[lo:lo + CHUNK], nonfinite)
+        assert not chars[np.arange(floatfmt.WIDTH) >= length[:, None]].any()  # zero past the text
         lines = np.empty((len(chars), floatfmt.WIDTH + 1), dtype=np.uint8)
         lines[:, :-1] = chars
         lines[np.arange(len(chars)), length] = ord("\n")
@@ -70,6 +71,30 @@ def test_notation_switch_points_and_edges():
     assert_repr(np.concatenate([switch, -switch, around_2_53, -around_2_53, edges]))
 
 
+def test_blocks_with_and_without_the_rare_paths(monkeypatch):
+    # every row of a block may skip Ryu's edge rules (exponent fields of kind 1 and 2),
+    # its trailing-zero general case and the exponent suffix, or every row may need one
+    rng = np.random.default_rng(7)
+    plain = rng.uniform(1e-3, 1e3, 5000)
+    plain = (plain.view(np.uint64) | np.uint64(1)).view(np.float64)  # odd mantissas: no trailing zeros
+    edge = np.concatenate([2.0 ** 52 + rng.integers(0, 2 ** 52, 200),  # kind 1
+                           2.0 ** 54 * rng.uniform(1.0, 2.0 ** 17, 200),  # kind 2
+                           np.ldexp(1.0, np.arange(54, 74))])
+    flagged = np.concatenate([np.arange(1.0, 1000.0), np.ldexp(1.0, np.arange(-14, 53)),
+                              rng.integers(-99, 100, 200) / 8.0])
+    exponent = np.concatenate([rng.uniform(-1e-4, 1e-4, 500), 1e16 * rng.uniform(1.0, 1e10, 500),
+                               np.ldexp(rng.uniform(1.0, 2.0, 100), rng.integers(-1074, 1024, 100))])
+    assert_repr(np.concatenate([edge, -flagged, flagged, exponent]))
+
+    def never(*args):
+        raise AssertionError("a row took a rare path")
+
+    monkeypatch.setattr(floatfmt, "_edge_flags", never)
+    monkeypatch.setattr(floatfmt, "_shortest_flagged", never)
+    assert_repr(plain)
+    assert_repr(-plain)
+
+
 def test_short_decimals_on_a_grid():
     # record times are short decimals; each sheds many digits
     assert_repr(np.arange(150001) * (120 / 150000))
@@ -108,6 +133,12 @@ def test_empty_input():
 def test_every_exponent_shifts_within_one_word():
     shift = floatfmt._tables()["shift"]
     assert len(shift) == 2047 and ((shift > 0) & (shift < 64)).all()
+
+
+def test_cli_imports_the_formatter_on_first_write():
+    # compiling floatfmt would add to every start-up that runs without cached bytecode
+    code = "import sys, su11squeeze.cli; assert 'su11squeeze.floatfmt' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_tables_are_built_on_first_use_not_at_import():

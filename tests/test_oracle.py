@@ -179,6 +179,19 @@ class TestHeisenberg:
             u, v, _ = heisenberg(one_segment(omega, omega0, tau), n_sub)
             assert abs(u - want[0]) <= 1e-15 and abs(v - want[1]) <= 1e-15
 
+    @pytest.mark.parametrize("n_sub", [1, 2, 3, 5, 8, 1000])
+    def test_substep_power_matches_the_sequential_product(self, n_sub):
+        theta = np.linspace(1e-4, 0.3, 64)  # omega * dt of one substep
+        delta = -theta * theta
+        c0, c1 = 1.0 + delta / 2.0 + delta * delta / 24.0, 1.0 + delta / 6.0
+        a, b = c0, c1
+        for _ in range(n_sub - 1):  # (a I + b X)(c0 I + c1 X), with X^2 = delta I
+            a, b = a * c0 + b * c1 * delta, a * c1 + b * c0
+        got_a, got_b = oracle._substep_power(c0, c1, delta, n_sub)
+        scale = np.hypot(a, b * theta)  # the size of A I + B X, X = -i theta M
+        assert np.max(np.abs(got_a - a) / scale) <= 1e-12
+        assert np.max(np.abs(got_b - b) * theta / scale) <= 1e-12
+
     @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig4"])
     def test_pair_is_the_folds_p_q(self, preset):
         dprof = preset_ladder(preset)
