@@ -44,9 +44,8 @@ INITIAL_EDGE_TOL = 1e-10
 #: already lies below double rounding.
 MAX_SUBSTEPS = 10_000
 
-#: Segments whose matrices :func:`heisenberg` builds and multiplies
-#: together; bounds its scratch memory at a few ``(1024, 2, 2)`` stacks.
-HEISENBERG_BLOCK = 1024
+#: Segments per block of :func:`heisenberg`'s product; its traced scratch is ~0.75 MB.
+HEISENBERG_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -100,15 +99,6 @@ def substeps(tau: float, dt_sub: float) -> int:
     return max(1, math.ceil(ratio))
 
 
-def _ordered_product(m: np.ndarray) -> np.ndarray:
-    """``m[n-1] @ ... @ m[0]`` of a stack of 2x2 matrices, by pairwise matmul."""
-    while m.shape[0] > 1:
-        even = m.shape[0] // 2 * 2
-        pairs = np.matmul(m[1:even:2], m[0:even:2])
-        m = pairs if even == m.shape[0] else np.concatenate((pairs, m[even:]))
-    return m[0]
-
-
 def _substep_power(c0, c1, delta, n: int):
     """``(A, B)`` with ``(c0 I + c1 X)^n = A I + B X`` for ``X^2 = delta I``, by repeated squaring.
 
@@ -135,11 +125,11 @@ def heisenberg(dprofile: DiscretizedProfile, n_sub: int):
     ``1 + X + X^2/2 + X^3/6 + X^4/24``, is then ``c0 I + c1 X`` with ``c0 = 1
     + delta/2 + delta^2/24`` and ``c1 = 1 + delta/6``, and its ``n_sub``-th
     power is ``A I + B X`` with real ``A, B``, taken by repeated squaring
-    (:func:`_substep_power`).  The segment matrices are multiplied in time
-    order, ``HEISENBERG_BLOCK`` at a time by pairwise ``np.matmul``, with the
-    running product carried from block to block.  The product is ``[[u, v],
-    [conj(v), conj(u)]]`` with ``a(T) = u a + v a+``; it equals the fold's
-    ``(p, q)`` up to RK4 error.
+    (:func:`_substep_power`).  Each block of segment matrices is held as four
+    complex entry arrays and reduced pairwise in time order by a general 2x2
+    product into ping-pong buffers; the running product is carried from block
+    to block.  The product is ``[[u, v], [conj(v), conj(u)]]`` with ``a(T) =
+    u a + v a+``; it equals the fold's ``(p, q)`` up to RK4 error.
 
     ``norm_drift`` is ``|1 - (|u|^2 - |v|^2)|``, the RK4 loss of the pair's
     norm.  ``|u|^2 - |v|^2`` is the determinant of the product, so it is
@@ -156,25 +146,33 @@ def heisenberg(dprofile: DiscretizedProfile, n_sub: int):
         raise ValueError("n_sub must be >= 1")
     omega = np.ascontiguousarray(dprofile.samples, dtype=np.float64)
     dt = dprofile.tau / n_sub
-    phi = np.eye(2, dtype=np.complex128)
-    log_det = 0.0
+    bufs = [np.empty((4, size), np.complex128) for size in (HEISENBERG_BLOCK, HEISENBERG_BLOCK // 2 + 1)]
+    tmp = np.empty(HEISENBERG_BLOCK // 2, np.complex128)
+    phi, log_det = np.eye(2, dtype=np.complex128), 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, omega.shape[0], HEISENBERG_BLOCK):
             w = omega[start:start + HEISENBERG_BLOCK]
-            rho2 = np.log(w / dprofile.omega0)
             theta = w * dt
             delta = -theta * theta
-            c0, c1 = 1.0 + delta / 2.0 + delta * delta / 24.0, 1.0 + delta / 6.0
-            a, b = _substep_power(c0, c1, delta, n_sub)
+            a, b = _substep_power(1.0 + delta / 2.0 + delta * delta / 24.0, 1.0 + delta / 6.0, delta, n_sub)
             log_det += float(np.sum(np.log(a * a - delta * b * b)))
-            diag = b * theta * np.cosh(rho2)
-            off = b * theta * np.sinh(rho2)
-            m = np.empty((w.shape[0], 2, 2), dtype=np.complex128)
-            m[:, 0, 0] = a - 1j * diag  # a I + b X, X = -i theta M
-            m[:, 0, 1] = -1j * off
-            m[:, 1, 0] = 1j * off
-            m[:, 1, 1] = a + 1j * diag
-            phi = _ordered_product(m) @ phi
+            rho2 = np.log(w / dprofile.omega0)
+            n = w.shape[0]
+            ma, mb, mc, md = bufs[0][:, :n]  # a I + b X, X = -i theta M
+            ma.real, mb.real, mc.real, md.real = a, 0.0, 0.0, a
+            mc.imag, md.imag = b * theta * np.sinh(rho2), b * theta * np.cosh(rho2)
+            ma.imag, mb.imag = -md.imag, -mc.imag
+            src, dst = bufs
+            while (h := n // 2) > 0:
+                (la, lb, lc, ld), (ra, rb, rc, rd) = src[:, 1:2 * h:2], src[:, 0:2 * h:2]
+                (oa, ob, oc, od), t = dst[:, :h], tmp[:h]
+                np.add(np.multiply(la, ra, out=oa), np.multiply(lb, rc, out=t), out=oa)
+                np.add(np.multiply(la, rb, out=ob), np.multiply(lb, rd, out=t), out=ob)
+                np.add(np.multiply(lc, ra, out=oc), np.multiply(ld, rc, out=t), out=oc)
+                np.add(np.multiply(lc, rb, out=od), np.multiply(ld, rd, out=t), out=od)
+                dst[:, h:n - h] = src[:, 2 * h:n]  # an odd last matrix moves up unpaired
+                n, src, dst = n - h, dst, src
+            phi = src[:, 0].reshape(2, 2) @ phi
         norm_drift = float(abs(np.expm1(log_det)))
     if not norm_drift <= LEAKAGE_TOL:
         raise LeakageError(

@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +193,47 @@ class TestHeisenberg:
         scale = np.hypot(a, b * theta)  # the size of A I + B X, X = -i theta M
         assert np.max(np.abs(got_a - a) / scale) <= 1e-12
         assert np.max(np.abs(got_b - b) * theta / scale) <= 1e-12
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 8, 9, 19])
+    def test_block_product_matches_a_sequential_matmul(self, monkeypatch, n_steps):
+        # random frequencies give segment matrices that do not commute; blocks
+        # of 8 put block boundaries inside the ladder and at its ends
+        omega = np.random.default_rng(n_steps).uniform(0.5, 2.0, size=n_steps)
+        dprof = DiscretizedProfile(omega0=1.0, tau=0.1, samples=omega, t_final=0.1 * n_steps)
+        want = np.eye(2)
+        for w in omega:
+            c, s = math.cosh(math.log(w)), math.sinh(math.log(w))
+            x = -1j * w * (dprof.tau / 2) * np.array([[c, s], [-s, -c]])
+            step = np.eye(2) + x + x @ x / 2 + x @ x @ x / 6 + x @ x @ x @ x / 24
+            want = np.linalg.matrix_power(step, 2) @ want
+        whole_drift = heisenberg(dprof, 2)[2]
+        monkeypatch.setattr(oracle, "HEISENBERG_BLOCK", 8)
+        u, v, drift = heisenberg(dprof, 2)
+        np.testing.assert_allclose([u, v], want[0], rtol=1e-12, atol=0.0)
+        assert drift == pytest.approx(whole_drift, rel=1e-12)
+        assert drift == pytest.approx(abs(1.0 - np.linalg.det(want)), abs=1e-14)
+        if n_steps > 1:  # the order of the product shows
+            u_rev, v_rev, _ = heisenberg(dataclasses.replace(dprof, samples=omega[::-1].copy()), 2)
+            assert abs(u_rev - u) + abs(v_rev - v) > 1e-6 * abs(u)
+
+    def test_scratch_is_small_and_does_not_grow_with_the_ladder(self):
+        # fig2's 150k-segment ladder, and the same ladder four times over
+        dprof = preset_ladder("fig2")
+        long = dataclasses.replace(dprof, samples=np.tile(dprof.samples, 4), t_final=4.0 * dprof.t_final)
+        assert (dprof.n_steps, long.n_steps) == (150_000, 600_000)
+        heisenberg(dprof, 4)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for ladder in (dprof, long):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                heisenberg(ladder, 4)
+                peaks.append((tracemalloc.get_traced_memory()[1] - base) / 1e6)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] <= 1.0, peaks
+        assert abs(peaks[1] - peaks[0]) <= 0.05, peaks
 
     @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig4"])
     def test_pair_is_the_folds_p_q(self, preset):
