@@ -1,4 +1,4 @@
-"""Small diagnostics shared by the CLI and the verification suite."""
+"""Trailing mean of a recorded curve, as ``compare`` and the verification suite read it."""
 
 from __future__ import annotations
 
@@ -26,24 +26,3 @@ def trailing_mean(times, values, window: float) -> np.ndarray:
     span = times - lo
     return np.divide(area - area_lo, span, out=values.copy(), where=span > 0)
 
-
-def linear_fit(x, y):
-    """Least-squares line through (x, y); returns (slope, intercept, r_squared)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    design = np.vstack([np.ones_like(x), x]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    residual = y - design @ coef
-    ss_res = float(np.sum(residual**2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - (ss_res / ss_tot if ss_tot > 0 else 0.0)
-    return float(coef[1]), float(coef[0]), r2
-
-
-def first_local_max(values, floor: float = 0.0) -> int | None:
-    """Index of the first interior local maximum above ``floor``, or None."""
-    v = np.asarray(values, dtype=np.float64)
-    for i in range(1, v.shape[0] - 1):
-        if v[i] > floor and v[i] > v[i - 1] and v[i] >= v[i + 1]:
-            return i
-    return None

@@ -1,9 +1,10 @@
 """Trajectory driver and observable extraction.
 
-``evolve`` folds a discretized profile through the hot kernel and hands the
-recorded columns of the fold's SU(1,1) pair ``(p, q)`` to ``observables``,
-which evaluates the closed-form squeezing observables on whole arrays and
-returns one record array (a column per observable, a row per record).
+``evolve`` folds a discretized profile through the hot kernel and reads the
+closed-form squeezing observables off the recorded columns of the fold's
+SU(1,1) pair ``(p, q)``, as ``observables`` does: into one record array (a
+column per observable, a row per record), filled in place one block of rows
+at a time.
 ``auto_converge`` wraps ``evolve`` in a step-doubling loop.
 ``apply_to_state`` expands the composed propagator, the triple
 ``(alpha, beta, gamma)`` of the last ``(p, q)``, in the number basis.
@@ -76,6 +77,46 @@ class FockState:
         return FockState.basis_state(0, n_max)
 
 
+#: One record: the carried columns ``t``, ``omega`` and ``norm_defect`` and
+#: the observables of :func:`observables`, 88 bytes in all.
+_RECORD = np.dtype((np.record, [
+    ("t", np.float64), ("omega", np.float64), ("alpha", np.complex128), ("r", np.float64),
+    ("vartheta", np.float64), ("phi", np.float64), ("chi", np.float64),
+    ("variance", np.float64), ("mean_n", np.float64), ("norm_defect", np.float64),
+]))
+
+
+def _records(p, q, lam, scaling, carry) -> np.recarray:
+    """The record array of the pair ``(p, q)``, filled in place ``kernels.BLOCK`` rows at a time.
+
+    ``carry(block, rows)`` writes the carried fields ``t``, ``omega`` and
+    ``norm_defect`` of the rows ``rows`` (a slice) into ``block``, their view
+    in the array.  The observables are evaluated on the same slice of
+    ``(p, q)``, so no temporary outlives a block.
+    """
+    try:
+        s = SCALINGS[scaling]
+    except KeyError:
+        raise ValueError(f"scaling must be one of {sorted(SCALINGS)}, got {scaling!r}") from None
+    records = np.recarray(p.shape[0], dtype=_RECORD)
+    for start in range(0, p.shape[0], kernels.BLOCK):
+        rows = slice(start, start + kernels.BLOCK)
+        block, pb, qb = records[rows], p[rows], q[rows]
+        carry(block, rows)
+        mod_q = np.abs(qb)
+        r = np.arcsinh(mod_q)
+        vartheta = np.angle(qb * pb)
+        phi = np.where(vartheta <= 0.0, vartheta + np.pi, vartheta - np.pi)
+        angle = lam - 0.5 * phi
+        block.variance = s * (np.exp(2.0 * r) * np.sin(angle) ** 2
+                              + np.exp(-2.0 * r) * np.cos(angle) ** 2)
+        block.alpha = qb / np.conj(pb)
+        block.r, block.vartheta, block.phi = r, vartheta, phi
+        block.chi = np.angle(pb * pb)
+        block.mean_n = mod_q ** 2
+    return records
+
+
 def observables(p, q, t, omega, norm_defect, lam: float = 0.0,
                 scaling: str = "quarter") -> np.recarray:
     """Squeezing observables of the vacuum-evolved state, one record per input.
@@ -96,25 +137,19 @@ def observables(p, q, t, omega, norm_defect, lam: float = 0.0,
     with ``s = 1/2`` (``scaling="half"``) or the rescaled-quadrature
     convention ``s = 1/4`` (``"quarter"``, the default used by all shipped
     presets).  Returns a record array with the fields ``t, omega, alpha, r,
-    vartheta, phi, chi, variance, mean_n, norm_defect``.
+    vartheta, phi, chi, variance, mean_n, norm_defect``.  The array is
+    allocated once and filled in place, one block of ``kernels.BLOCK``
+    records at a time, so its only other memory is O(BLOCK) scratch.
     """
-    try:
-        s = SCALINGS[scaling]
-    except KeyError:
-        raise ValueError(f"scaling must be one of {sorted(SCALINGS)}, got {scaling!r}") from None
     p, q = np.asarray(p, dtype=np.complex128), np.asarray(q, dtype=np.complex128)
-    mod_q = np.abs(q)
-    r = np.arcsinh(mod_q)
-    vartheta = np.angle(q * p)
-    phi = np.where(vartheta <= 0.0, vartheta + np.pi, vartheta - np.pi)
-    angle = lam - 0.5 * phi
-    variance = s * (np.exp(2.0 * r) * np.sin(angle) ** 2
-                    + np.exp(-2.0 * r) * np.cos(angle) ** 2)
-    return np.rec.fromarrays(
-        [t, omega, q / np.conj(p), r, vartheta, phi, np.angle(p * p), variance, mod_q ** 2,
-         norm_defect],
-        names="t,omega,alpha,r,vartheta,phi,chi,variance,mean_n,norm_defect",
-    )
+    t, omega, norm_defect = (np.asarray(c, dtype=np.float64) for c in (t, omega, norm_defect))
+    if p.ndim != 1 or any(c.shape != p.shape for c in (q, t, omega, norm_defect)):
+        raise ValueError("observables takes five 1-D columns of one length")
+
+    def carry(block, rows):
+        block.t, block.omega, block.norm_defect = t[rows], omega[rows], norm_defect[rows]
+
+    return _records(p, q, lam, scaling, carry)
 
 
 def evolve(dprofile: DiscretizedProfile, record_every: int | None = None,
@@ -122,7 +157,11 @@ def evolve(dprofile: DiscretizedProfile, record_every: int | None = None,
     """Fold all segments of a discretized profile, emitting records along the way.
 
     ``record_every`` defaults to ``max(1, N // 5000)`` so that outputs stay
-    plottable regardless of N; the final segment is always recorded.
+    plottable regardless of N; the final segment is always recorded.  The
+    record array is filled in place, one block of ``kernels.BLOCK`` records
+    at a time, with ``t`` and ``omega`` written straight into it.  So the
+    peak memory is the record array (88 bytes per record) plus the fold's
+    outputs (48 bytes per record) plus O(BLOCK) scratch.
     """
     n = dprofile.n_steps
     if record_every is None:
@@ -132,8 +171,13 @@ def evolve(dprofile: DiscretizedProfile, record_every: int | None = None,
     )
     if not np.all(np.isfinite(defect)):  # |p|^2 = cosh(r)^2 overflows beyond r ~ 355
         raise InvalidAccumulatorError("the ladder fold overflowed double precision")
-    records = observables(p, q, rec * dprofile.tau, dprofile.samples[rec - 1], defect,
-                          lam=lam, scaling=scaling)
+
+    def carry(block, rows):
+        np.multiply(rec[rows], dprofile.tau, out=block.t)
+        block.omega = dprofile.samples[rec[rows] - 1]
+        block.norm_defect = defect[rows]
+
+    records = _records(p, q, lam, scaling, carry)
     pc = complex(p[-1]).conjugate()
     final = PropagatorAccumulator(complex(records.alpha[-1]), 1.0 / (pc * pc),
                                   -complex(q[-1]).conjugate() / pc, n)

@@ -204,8 +204,8 @@ def discretize(profile: Profile, t_final: float, n_steps: int, rule: str = "righ
     Raises
     ------
     ProfileDomainError
-        If any sample is non-positive (carries the first offending 1-based
-        segment index).
+        If any sample is not positive and finite, nan included (carries the
+        first offending 1-based segment index).
     """
     if not (t_final > 0.0):
         raise ValueError(f"t_final must be positive, got {t_final}")
@@ -218,12 +218,14 @@ def discretize(profile: Profile, t_final: float, n_steps: int, rule: str = "righ
     if rule == "midpoint":
         times -= 0.5
     times *= tau
-    samples = np.asarray(eval_profile(profile, times), dtype=np.float64)
-    nonpos = np.flatnonzero(samples <= 0.0)
-    if nonpos.size:
-        first = int(nonpos[0])
+    # a curve that overflows gives inf or nan samples, refused below with their step
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = np.asarray(eval_profile(profile, times), dtype=np.float64)
+    bad = np.flatnonzero(~((samples > 0.0) & (samples < np.inf)))
+    if bad.size:
+        first = int(bad[0])
         raise ProfileDomainError(
-            f"profile sample omega_{first + 1} = {samples[first]} is not positive",
+            f"profile sample omega_{first + 1} = {samples[first]} is not positive and finite",
             step=first + 1,
             omega=float(samples[first]),
         )

@@ -38,11 +38,33 @@ from su11squeeze import (
     sudden_jump,
 )
 from su11squeeze import kernels
-from su11squeeze.analysis import first_local_max, linear_fit, trailing_mean
+from su11squeeze.analysis import trailing_mean
 
 B_VALUES = {"0.5pi": 0.5 * math.pi, "3pi": 3.0 * math.pi, "5pi": 5.0 * math.pi}
 FIG_DENSITY = 1250  # steps per unit time used by the fig2 presets (150000 over t=120)
 PULSE_DENSITY = 1000  # steps per unit time used by the fig1 preset (150000 over t=150)
+
+
+def linear_fit(x, y):
+    """Least-squares line through (x, y); returns (slope, intercept, r_squared)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    design = np.vstack([np.ones_like(x), x]).T
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    residual = y - design @ coef
+    ss_res = float(np.sum(residual**2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - (ss_res / ss_tot if ss_tot > 0 else 0.0)
+    return float(coef[1]), float(coef[0]), r2
+
+
+def first_local_max(values, floor: float = 0.0):
+    """Index of the first interior local maximum above ``floor``, or None."""
+    v = np.asarray(values, dtype=np.float64)
+    for i in range(1, v.shape[0] - 1):
+        if v[i] > floor and v[i] > v[i - 1] and v[i] >= v[i + 1]:
+            return i
+    return None
 
 
 def gate(criterion, description, ok, detail=""):

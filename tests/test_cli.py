@@ -36,6 +36,14 @@ def read_csv(path):
     return header, body, comments
 
 
+def simulate_in_subprocess(argv, tmp_path):
+    """``simulate`` in a fresh interpreter, so numpy's warnings reach its stderr."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return subprocess.run([sys.executable, "-m", "su11squeeze.cli", "simulate", *argv,
+                           "--output", str(tmp_path / "x.csv")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+
+
 ORACLE_RUN = ["simulate", "--preset", "fig4", "--t-final", "1", "--n-steps", "1000", "--oracle-check"]
 
 
@@ -268,12 +276,23 @@ class TestSimulate:
           "--oracle-check", "--oracle-dim", "8"], 4),
     ], ids=["fold_overflow", "oracle_overflow"])
     def test_overflow_prints_no_numpy_warning(self, argv, code, tmp_path):
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        run = subprocess.run([sys.executable, "-m", "su11squeeze.cli", "simulate", *argv,
-                              "--output", str(tmp_path / "x.csv")],
-                             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        run = simulate_in_subprocess(argv, tmp_path)
         assert run.returncode == code
         assert "RuntimeWarning" not in run.stderr
+
+    def test_nan_profile_sample_is_refused_by_discretize(self, tmp_path):
+        # cos(epsilon*omega0*t) overflows its argument to inf from step 89 on
+        run = simulate_in_subprocess(["--preset", "fig2", "--n-steps", "100", "--t-final", "1e308"], tmp_path)
+        assert run.returncode == 3
+        assert "profile sample omega_89 = nan" in run.stderr
+        assert "RuntimeWarning" not in run.stderr
+
+    def test_underflowing_pulse_runs_silently(self, tmp_path):
+        # -t/B overflows to -inf inside exp, which gives the exact 0
+        run = simulate_in_subprocess(["--profile", "relaxing_pulse", "--B", "1e-320", "--t-final", "1",
+                                      "--n-steps", "10"], tmp_path)
+        assert run.returncode == 0
+        assert run.stderr == ""
 
     def test_vacuum_wider_than_the_largest_basis_exits_4(self, tmp_path, capsys):
         # r = 4.87 at t = 30: the vacuum's image does not fit in 4096 levels

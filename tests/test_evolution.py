@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from su11squeeze import (
     sudden_jump,
 )
 from su11squeeze import kernels
+from su11squeeze.config import build_config
 from su11squeeze.errors import LeakageError
 from su11squeeze.profiles import DiscretizedProfile
 
@@ -107,6 +109,66 @@ class TestObservables:
             at_hi = record_of(acc, 0.0, lam=obs.phi / 2.0 + math.pi / 2.0)
             assert at_lo.variance == pytest.approx(lo, rel=1e-12)
             assert at_hi.variance == pytest.approx(hi, rel=1e-12)
+
+
+def whole_array_observables(p, q, t, omega, norm_defect, lam, s):
+    """The observables evaluated on whole columns and assembled by ``np.rec.fromarrays``."""
+    mod_q = np.abs(q)
+    r = np.arcsinh(mod_q)
+    vartheta = np.angle(q * p)
+    phi = np.where(vartheta <= 0.0, vartheta + np.pi, vartheta - np.pi)
+    angle = lam - 0.5 * phi
+    variance = s * (np.exp(2.0 * r) * np.sin(angle) ** 2
+                    + np.exp(-2.0 * r) * np.cos(angle) ** 2)
+    return np.rec.fromarrays(
+        [t, omega, q / np.conj(p), r, vartheta, phi, np.angle(p * p), variance, mod_q ** 2,
+         norm_defect],
+        names="t,omega,alpha,r,vartheta,phi,chi,variance,mean_n,norm_defect",
+    )
+
+
+class TestBlockedRecords:
+    @pytest.mark.parametrize("scaling,s", [("half", 0.5), ("quarter", 0.25)])
+    @pytest.mark.parametrize("lam", [0.0, -1.3])
+    def test_bitwise_equal_to_the_whole_array_formula(self, rng, scaling, s, lam):
+        # two full blocks and a partial one; every third row beyond r = 19,
+        # where |alpha| = tanh(r) rounds to 1
+        n = 2 * kernels.BLOCK + 37
+        r = rng.uniform(0.0, 3.0, n)
+        r[::3] = rng.uniform(19.0, 40.0, r[::3].shape)
+        p = np.cosh(r) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        q = np.sinh(r) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        t, omega, defect = np.cumsum(rng.uniform(0.0, 1.0, n)), rng.uniform(0.5, 2.0, n), rng.uniform(0.0, 1e-12, n)
+        got = observables(p, q, t, omega, defect, lam=lam, scaling=scaling)
+        want = whole_array_observables(p, q, t, omega, defect, lam, s)
+        assert isinstance(got, np.recarray)
+        assert got.dtype == want.dtype
+        assert got.dtype.names == want.dtype.names
+        assert got.tobytes() == want.tobytes()
+        assert np.count_nonzero(np.abs(got.alpha) == 1.0) > 0
+
+    def test_columns_of_another_length_are_refused(self):
+        with pytest.raises(ValueError):
+            observables([1.0, 1.0], [0.0, 0.0], [0.0], [1.0, 1.0], [0.0, 0.0])
+
+    def test_evolve_peaks_at_its_records_and_the_folds_outputs(self):
+        # 88 B per record in the array, 48 B per record from the fold (steps,
+        # p, q, defect) and O(BLOCK) scratch: measured 0.59 MB on fig2
+        slack_mb = 1.0
+        peaks = []
+        for n in (150_000, 300_000):
+            cfg = build_config(preset="fig2", overrides={"n_steps": n})
+            dprof = discretize(cfg.to_profile(), cfg.t_final, n)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                traj = evolve(dprof, record_every=1)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert len(traj.records) == n
+            peaks.append((peak - traj.records.nbytes - 48 * n) / 1e6)
+        assert max(peaks) <= slack_mb, peaks
 
 
 class TestEvolve:

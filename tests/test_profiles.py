@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,21 @@ class TestTabulated:
 
 
 class TestDiscretize:
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    def test_sample_that_is_not_positive_and_finite_is_refused_with_its_step(self, value):
+        profile = Profile("constant", 1.0, lambda t: np.where(t > 2.5, value, 1.0))
+        with pytest.raises(ProfileDomainError, match="omega_3 ") as err:
+            discretize(profile, 5.0, 5)
+        assert err.value.step == 3
+
+    def test_overflowing_curve_is_refused_without_a_numpy_warning(self):
+        profile = Profile("constant", 1.0, lambda t: np.exp(1e3 * t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProfileDomainError) as err:
+                discretize(profile, 2.0, 4)
+        assert (err.value.step, err.value.omega) == (2, math.inf)
+
     def test_constant_profile(self):
         dprof = discretize(constant(omega0=1.3), 5.0, 10)
         assert np.all(dprof.samples == 1.3)
