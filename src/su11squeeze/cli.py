@@ -21,7 +21,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import analysis
-from .config import FORMATS, PRESETS, ExperimentConfig, build_config, oracle_substeps_or_error
+from .config import (
+    FORMATS,
+    PRESETS,
+    ExperimentConfig,
+    build_config,
+    load_config_file,
+    oracle_substeps_or_error,
+)
 from .errors import (
     ConfigError,
     InvalidAccumulatorError,
@@ -290,12 +297,33 @@ def _compare_config(args, suffix: str) -> ExperimentConfig:
     return build_config(preset=preset, config_file=config_file, overrides=_overrides(args))
 
 
+def _compare_output(args, cfg_a: ExperimentConfig, cfg_b: ExperimentConfig):
+    """The output path and format of ``compare``: the flag, else the config files' value, else the default.
+
+    Only what ``--config-a`` and ``--config-b`` set counts (no preset sets
+    either key); two files that set different values are a configuration error.
+    """
+    files = [(cfg, load_config_file(path)) for cfg, path in ((cfg_a, args.config_a), (cfg_b, args.config_b))
+             if path is not None]
+    chosen = {}
+    for key, default in (("output", "compare.csv"), ("format", "csv")):
+        values = [getattr(cfg, key) for cfg, keys in files if key in keys]
+        if getattr(args, key) is not None:
+            chosen[key] = getattr(args, key)
+        elif len(set(values)) > 1:
+            raise ConfigError(f"--config-a and --config-b set different {key} values: "
+                              f"{values[0]!r} vs {values[1]!r}")
+        else:
+            chosen[key] = values[0] if values else default
+    return _check_output(chosen["output"]), chosen["format"]
+
+
 def cmd_compare(args) -> int:
     cfg_a = _compare_config(args, "a")
     cfg_b = _compare_config(args, "b")
     if cfg_a.t_final != cfg_b.t_final:
         raise ConfigError(f"t_final differs: {cfg_a.t_final} vs {cfg_b.t_final}")
-    out = _check_output(args.output or "compare.csv")
+    out, fmt = _compare_output(args, cfg_a, cfg_b)
     traj_a = run_trajectory(cfg_a)
     traj_b = run_trajectory(cfg_b)
     t_a, t_b = traj_a.records.t, traj_b.records.t
@@ -304,7 +332,7 @@ def cmd_compare(args) -> int:
     r_a, r_b = traj_a.records.r, traj_b.records.r
     verdict = _compare_verdict(cfg_a, cfg_b, t_a, r_a, r_b)
 
-    write_table(out, args.format or "csv", ["t", "r_a", "r_b", "r_diff"], [t_a, r_a, r_b, r_a - r_b],
+    write_table(out, fmt, ["t", "r_a", "r_b", "r_diff"], [t_a, r_a, r_b, r_a - r_b],
                 comments=[f"verdict: {verdict}"], extra={"verdict": verdict})
     print(f"verdict: {verdict}")
     print(f"wrote {out} ({len(t_a)} records)")

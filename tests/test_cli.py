@@ -496,6 +496,41 @@ class TestCompare:
         assert payload["verdict"] == "identical"
         assert payload["records"][0]["r_diff"] == 0.0
 
+    def test_output_and_format_come_from_the_config_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a default compare.csv would land here
+        run = "profile = sudden_jump\nomega1 = 1.5\nt_final = 2\nn_steps = 400\n"
+        out = tmp_path / "x.json"
+        a = tmp_path / "a.cfg"
+        b = tmp_path / "b.cfg"
+        a.write_text(f"{run}format = json\noutput = {out}\n")
+        b.write_text(f"{run}format = json\noutput = {out}\n")
+        assert cli.main(["compare", "--config-a", str(a), "--config-b", str(b)]) == 0
+        assert json.loads(out.read_text())["verdict"] == "identical"
+        assert not (tmp_path / "compare.csv").exists()
+        # one file setting a key is enough; flags still win over both files
+        b.write_text(run)
+        assert cli.main(["compare", "--config-a", str(a), "--config-b", str(b),
+                         "--output", "flag.csv", "--format", "csv"]) == 0
+        assert read_csv(tmp_path / "flag.csv")[0] == ["t", "r_a", "r_b", "r_diff"]
+        assert cli.main(["compare", "--config-a", str(b), "--config-b", str(a)]) == 0
+        assert json.loads(out.read_text())["verdict"] == "identical"
+        assert not (tmp_path / "compare.csv").exists()
+
+    @pytest.mark.parametrize("key,value_b,flag", [("output", "y.json", "z.json"), ("format", "csv", "json")])
+    def test_config_files_that_disagree_on_the_output_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                             key, value_b, flag):
+        monkeypatch.chdir(tmp_path)
+        run = "profile = sudden_jump\nomega1 = 1.5\nt_final = 2\nn_steps = 400\n"
+        settings_a = {"output": "x.json", "format": "json"}
+        a = tmp_path / "a.cfg"
+        b = tmp_path / "b.cfg"
+        a.write_text(run + "".join(f"{k} = {v}\n" for k, v in settings_a.items()))
+        b.write_text(run + "".join(f"{k} = {v}\n" for k, v in {**settings_a, key: value_b}.items()))
+        assert cli.main(["compare", "--config-a", str(a), "--config-b", str(b)]) == 2
+        assert f"set different {key} values" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["a.cfg", "b.cfg"]  # refused before any work
+        assert cli.main(["compare", "--config-a", str(a), "--config-b", str(b), f"--{key}", flag]) == 0
+
     def test_oracle_check_passes_on_both_runs(self, tmp_path, capsys):
         code = cli.main(["compare", "--preset-a", "fig4", "--preset-b", "fig1", "--t-final", "1",
                          "--n-steps", "1000", "--oracle-check", "--output", str(tmp_path / "cmp.csv")])
