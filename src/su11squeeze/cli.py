@@ -271,9 +271,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    if isinstance(args.n_steps, int) and args.n_start is not None:
+        raise ConfigError("converge takes --n-steps N or --n-start N, not both: each sets where "
+                          "the doubling starts")
     cfg = _config(args)
-    if isinstance(cfg.n_steps, int):  # a fixed N is where the doubling starts
-        cfg = dataclasses.replace(cfg, n_steps="auto", n_start=cfg.n_steps).validate()
+    if isinstance(cfg.n_steps, int):  # a fixed N is where the doubling starts, unless --n-start says
+        start = cfg.n_steps if args.n_start is None else cfg.n_start
+        cfg = dataclasses.replace(cfg, n_steps="auto", n_start=start).validate()
     traj = run_trajectory(cfg)
     report_lines = [f"converge N={n} max_dr={diff!r}" for n, diff in traj.convergence_history]
     report_lines.append(f"converged={str(traj.converged).lower()} n_final={traj.n_steps_used} tol={cfg.tol!r}")
@@ -319,6 +323,8 @@ def _compare_output(args, cfg_a: ExperimentConfig, cfg_b: ExperimentConfig):
 
 
 def cmd_compare(args) -> int:
+    if args.config is not None:  # it would name one file for two runs
+        raise ConfigError("compare takes --config-a and --config-b, not --config")
     cfg_a = _compare_config(args, "a")
     cfg_b = _compare_config(args, "b")
     if cfg_a.t_final != cfg_b.t_final:

@@ -1,10 +1,10 @@
 """Trajectory driver and observable extraction.
 
-``evolve`` folds a discretized profile through the hot kernel and reads the
-closed-form squeezing observables off the recorded columns of the fold's
-SU(1,1) pair ``(p, q)``, as ``observables`` does: into one record array (a
-column per observable, a row per record), filled in place one block of rows
-at a time.
+``evolve`` folds a discretized profile through the hot kernel, one block of
+records per call, and reads the closed-form squeezing observables off the
+recorded columns of the fold's SU(1,1) pair ``(p, q)``, as ``observables``
+does: into one record array (a column per observable, a row per record),
+filled in place one block of rows at a time.
 ``auto_converge`` wraps ``evolve`` in a step-doubling loop.
 ``apply_to_state`` expands the composed propagator, the triple
 ``(alpha, beta, gamma)`` of the last ``(p, q)``, in the number basis.
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .core import PropagatorAccumulator
-from .errors import InvalidAccumulatorError, LeakageError
+from .errors import InvalidAccumulatorError, LeakageError, ProfileDomainError
 from .profiles import DiscretizedProfile, Profile, discretize
 
 SCALINGS = {"half": 0.5, "quarter": 0.25}
@@ -86,35 +86,30 @@ _RECORD = np.dtype((np.record, [
 ]))
 
 
-def _records(p, q, lam, scaling, carry) -> np.recarray:
-    """The record array of the pair ``(p, q)``, filled in place ``kernels.BLOCK`` rows at a time.
-
-    ``carry(block, rows)`` writes the carried fields ``t``, ``omega`` and
-    ``norm_defect`` of the rows ``rows`` (a slice) into ``block``, their view
-    in the array.  The observables are evaluated on the same slice of
-    ``(p, q)``, so no temporary outlives a block.
-    """
+def _scale(scaling: str) -> float:
+    """The variance prefactor ``s`` of a scaling name."""
     try:
-        s = SCALINGS[scaling]
+        return SCALINGS[scaling]
     except KeyError:
         raise ValueError(f"scaling must be one of {sorted(SCALINGS)}, got {scaling!r}") from None
-    records = np.recarray(p.shape[0], dtype=_RECORD)
-    for start in range(0, p.shape[0], kernels.BLOCK):
-        rows = slice(start, start + kernels.BLOCK)
-        block, pb, qb = records[rows], p[rows], q[rows]
-        carry(block, rows)
-        mod_q = np.abs(qb)
-        r = np.arcsinh(mod_q)
-        vartheta = np.angle(qb * pb)
-        phi = np.where(vartheta <= 0.0, vartheta + np.pi, vartheta - np.pi)
-        angle = lam - 0.5 * phi
-        block.variance = s * (np.exp(2.0 * r) * np.sin(angle) ** 2
-                              + np.exp(-2.0 * r) * np.cos(angle) ** 2)
-        block.alpha = qb / np.conj(pb)
-        block.r, block.vartheta, block.phi = r, vartheta, phi
-        block.chi = np.angle(pb * pb)
-        block.mean_n = mod_q ** 2
-    return records
+
+
+def _fill(block, p, q, lam, s):
+    """Write the observables of the pair ``(p, q)`` into ``block``, rows of a record array.
+
+    ``block`` holds at most ``kernels.BLOCK`` rows, so no temporary outlives a block.
+    """
+    mod_q = np.abs(q)
+    r = np.arcsinh(mod_q)
+    vartheta = np.angle(q * p)
+    phi = np.where(vartheta <= 0.0, vartheta + np.pi, vartheta - np.pi)
+    angle = lam - 0.5 * phi
+    block.variance = s * (np.exp(2.0 * r) * np.sin(angle) ** 2
+                          + np.exp(-2.0 * r) * np.cos(angle) ** 2)
+    block.alpha = q / np.conj(p)
+    block.r, block.vartheta, block.phi = r, vartheta, phi
+    block.chi = np.angle(p * p)
+    block.mean_n = mod_q ** 2
 
 
 def observables(p, q, t, omega, norm_defect, lam: float = 0.0,
@@ -145,11 +140,14 @@ def observables(p, q, t, omega, norm_defect, lam: float = 0.0,
     t, omega, norm_defect = (np.asarray(c, dtype=np.float64) for c in (t, omega, norm_defect))
     if p.ndim != 1 or any(c.shape != p.shape for c in (q, t, omega, norm_defect)):
         raise ValueError("observables takes five 1-D columns of one length")
-
-    def carry(block, rows):
+    s = _scale(scaling)
+    records = np.recarray(p.shape[0], dtype=_RECORD)
+    for start in range(0, p.shape[0], kernels.BLOCK):
+        rows = slice(start, start + kernels.BLOCK)
+        block = records[rows]
         block.t, block.omega, block.norm_defect = t[rows], omega[rows], norm_defect[rows]
-
-    return _records(p, q, lam, scaling, carry)
+        _fill(block, p[rows], q[rows], lam, s)
+    return records
 
 
 def evolve(dprofile: DiscretizedProfile, record_every: int | None = None,
@@ -158,26 +156,44 @@ def evolve(dprofile: DiscretizedProfile, record_every: int | None = None,
 
     ``record_every`` defaults to ``max(1, N // 5000)`` so that outputs stay
     plottable regardless of N; the final segment is always recorded.  The
-    record array is filled in place, one block of ``kernels.BLOCK`` records
-    at a time, with ``t`` and ``omega`` written straight into it.  So the
-    peak memory is the record array (88 bytes per record) plus the fold's
-    outputs (48 bytes per record) plus O(BLOCK) scratch.
+    ladder is folded ``record_every * kernels.BLOCK`` segments per
+    :func:`kernels.fold_ladder` call, each seeded with the carry of the one
+    before, so a call ends on a record step and returns at most one block
+    of records.  Its rows of the record array are filled in place, with
+    ``t`` and ``omega`` written straight into it.  So the peak memory is
+    the record array (88 bytes per record) plus O(BLOCK) scratch.
     """
     n = dprofile.n_steps
     if record_every is None:
         record_every = max(1, n // 5000)
-    rec, p, q, defect, max_defect = kernels.fold_ladder(
-        dprofile.samples, dprofile.omega0, dprofile.tau, record_every
-    )
-    if not np.all(np.isfinite(defect)):  # |p|^2 = cosh(r)^2 overflows beyond r ~ 355
-        raise InvalidAccumulatorError("the ladder fold overflowed double precision")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    s = _scale(scaling)
+    span = record_every * kernels.BLOCK
+    carry = np.array([1.0, 0.0], dtype=np.complex128)
+    records = None  # allocated once the first call has returned: one call holds no more
+    max_defect = 0.0
+    row = 0
+    for start in range(0, max(n, 1), span):  # an empty ladder still reaches the fold's refusal
+        try:
+            rec, p, q, defect, worst = kernels.fold_ladder(
+                dprofile.samples[start:start + span], dprofile.omega0, dprofile.tau,
+                record_every, carry)
+        except ProfileDomainError as exc:  # name the step of the whole ladder
+            raise kernels.not_positive(exc.step + start, exc.omega) from None
+        if not np.all(np.isfinite(defect)):  # |p|^2 = cosh(r)^2 overflows beyond r ~ 355
+            raise InvalidAccumulatorError("the ladder fold overflowed double precision")
+        max_defect = np.maximum(max_defect, worst)  # keeps a nan, unlike max()
+        if records is None:
+            records = np.recarray(-(-n // record_every), dtype=_RECORD)
+        rec += start
+        block = records[row:row + rec.shape[0]]
+        row += rec.shape[0]
+        np.multiply(rec, dprofile.tau, out=block.t)
+        block.omega = dprofile.samples[rec - 1]
+        block.norm_defect = defect
+        _fill(block, p, q, lam, s)
 
-    def carry(block, rows):
-        np.multiply(rec[rows], dprofile.tau, out=block.t)
-        block.omega = dprofile.samples[rec[rows] - 1]
-        block.norm_defect = defect[rows]
-
-    records = _records(p, q, lam, scaling, carry)
     pc = complex(p[-1]).conjugate()
     final = PropagatorAccumulator(complex(records.alpha[-1]), 1.0 / (pc * pc),
                                   -complex(q[-1]).conjugate() / pc, n)
@@ -186,7 +202,7 @@ def evolve(dprofile: DiscretizedProfile, record_every: int | None = None,
         n_steps_used=n,
         converged=None,
         final=final,
-        max_norm_defect=max_defect,
+        max_norm_defect=float(max_defect),
     )
 
 

@@ -23,7 +23,9 @@ of the chunks before it in one broadcast product.  That is about two
 products per segment, where a Hillis-Steele scan of the whole block takes
 ``log2(BLOCK)`` (Blelloch, "Prefix sums and their applications", 1990).  A
 short last chunk is padded with identity segments, whose defect reads 0.
-No step divides, and ``|p| >= 1``.
+No step divides, and ``|p| >= 1``.  A caller may hand the carry in and get
+it back, so a ladder folded in pieces whose lengths are multiples of
+``BLOCK`` gives the bits of one fold, with memory for one piece's records.
 
 The RK4 sweep integrates the Schrodinger equation in a truncated number
 basis with classical fixed-substep RK4; :func:`fock_bands` holds the basis
@@ -100,7 +102,13 @@ def record_steps(n_steps: int, record_every: int) -> np.ndarray:
     return steps
 
 
-def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1):
+def not_positive(step: int, omega: float) -> ProfileDomainError:
+    """The refusal of ladder sample ``step`` (1-based), whose value ``omega`` is not positive."""
+    return ProfileDomainError(f"ladder sample omega_{step} = {omega} is not positive",
+                              step=step, omega=omega)
+
+
+def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1, carry=None):
     """Fold a frequency ladder into the SU(1,1) pair ``(p, q)``, recording along the way.
 
     Parameters
@@ -114,6 +122,14 @@ def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1):
     record_every : int
         Emit the accumulator every this many segments (the final segment is
         always emitted).
+    carry : complex128 array of 2, optional
+        The pair ``(p, q)`` of the segments folded before ``omega``; the fold
+        starts from it, not from the identity, and overwrites it with the
+        running product the block loop carries after the last segment (the
+        last record's pair up to rounding, as the two associate differently).
+        Folding a ladder in pieces whose lengths are multiples of ``BLOCK``,
+        each seeded with the carry the one before left, gives the bits of a
+        single call.
 
     Returns
     -------
@@ -132,17 +148,13 @@ def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1):
         raise ValueError("empty frequency ladder")
     if not omega.min() > 0.0:  # a nan fails too
         bad = int(np.flatnonzero(~(omega > 0.0))[0])
-        raise ProfileDomainError(
-            f"ladder sample omega_{bad + 1} = {omega[bad]} is not positive",
-            step=bad + 1,
-            omega=float(omega[bad]),
-        )
+        raise not_positive(bad + 1, float(omega[bad]))
     rec = record_steps(n_seg, record_every)
     rec_p = np.empty(rec.shape[0], dtype=np.complex128)
     rec_q = np.empty(rec.shape[0], dtype=np.complex128)
     rec_defect = np.empty(rec.shape[0], dtype=np.float64)
     max_defect = 0.0
-    carry_p, carry_q = 1.0 + 0j, 0j
+    carry_p, carry_q = (1.0 + 0j, 0j) if carry is None else carry
 
     # scratch for every block, allocated once: segment k of a block sits at [k % CHUNK, k // CHUNK]
     shape = (CHUNK, -(-min(n_seg, BLOCK) // CHUNK))
@@ -210,6 +222,8 @@ def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1):
             rec_p[lo:hi] = p[row, col]
             rec_q[lo:hi] = q[row, col]
             rec_defect[lo:hi] = y[row, col]
+    if carry is not None:
+        carry[:] = carry_p, carry_q
     return rec, rec_p, rec_q, rec_defect, float(max_defect)
 
 

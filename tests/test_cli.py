@@ -425,6 +425,25 @@ class TestConverge:
         assert payload["report"]["history"]
         assert payload["records"]
 
+    def test_n_start_flag_sets_where_the_doubling_starts(self, tmp_path, capsys):
+        # fig4 fixes n_steps = 60000, which the explicit --n-start overrides
+        code = cli.main(["converge", "--preset", "fig4", "--t-final", "1", "--n-start", "1000",
+                         "--tol", "1e-3", "--output", str(tmp_path / "conv.csv")])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0].startswith("converge N=2000 ")
+
+    @pytest.mark.parametrize("flags", [["--n-start", "50"], ["--n-steps", "1000", "--n-start", "1000"]],
+                             ids=["start_below_100", "n_steps_and_n_start"])
+    def test_a_start_that_cannot_hold_exits_2_before_any_work(self, flags, tmp_path, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the ladder was folded before the start was checked")
+
+        monkeypatch.setattr(kernels, "fold_ladder", no_work)
+        code = cli.main(["converge", "--preset", "fig1", *flags, "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_oracle_check_passes(self, tmp_path, capsys):
         code = cli.main(["converge", "--preset", "fig4", "--t-final", "1", "--n-steps", "1000",
                          "--oracle-check", "--output", str(tmp_path / "conv.csv")])
@@ -515,6 +534,21 @@ class TestCompare:
         assert cli.main(["compare", "--config-a", str(b), "--config-b", str(a)]) == 0
         assert json.loads(out.read_text())["verdict"] == "identical"
         assert not (tmp_path / "compare.csv").exists()
+
+    def test_config_flag_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # one --config cannot say which run it configures
+        def no_work(*args):
+            raise AssertionError("the ladder was folded before --config was refused")
+
+        monkeypatch.setattr(kernels, "fold_ladder", no_work)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("n_steps = 0\n")
+        code = cli.main(["compare", "--config", str(bad), "--preset-a", "fig4", "--preset-b", "fig4",
+                         "--output", str(tmp_path / "cmp.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--config-a" in err and "--config-b" in err
+        assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
 
     @pytest.mark.parametrize("key,value_b,flag", [("output", "y.json", "z.json"), ("format", "csv", "json")])
     def test_config_files_that_disagree_on_the_output_exit_2(self, tmp_path, monkeypatch, capsys,

@@ -22,7 +22,7 @@ from su11squeeze import (
 )
 from su11squeeze import kernels
 from su11squeeze.config import build_config
-from su11squeeze.errors import LeakageError
+from su11squeeze.errors import LeakageError, ProfileDomainError
 from su11squeeze.profiles import DiscretizedProfile
 
 
@@ -151,10 +151,9 @@ class TestBlockedRecords:
         with pytest.raises(ValueError):
             observables([1.0, 1.0], [0.0, 0.0], [0.0], [1.0, 1.0], [0.0, 0.0])
 
-    def test_evolve_peaks_at_its_records_and_the_folds_outputs(self):
-        # 88 B per record in the array, 48 B per record from the fold (steps,
-        # p, q, defect) and O(BLOCK) scratch: measured 0.59 MB on fig2
-        slack_mb = 1.0
+    def test_evolve_peaks_at_its_records_plus_block_scratch(self):
+        # the fold runs BLOCK records per call, so beyond the 88 B per record of
+        # the array only O(BLOCK) scratch is alive: measured 1.8 MB on fig2
         peaks = []
         for n in (150_000, 300_000):
             cfg = build_config(preset="fig2", overrides={"n_steps": n})
@@ -167,8 +166,57 @@ class TestBlockedRecords:
             finally:
                 tracemalloc.stop()
             assert len(traj.records) == n
-            peaks.append((peak - traj.records.nbytes - 48 * n) / 1e6)
-        assert max(peaks) <= slack_mb, peaks
+            peaks.append((peak - traj.records.nbytes) / 1e6)
+        assert max(peaks) <= 2.5, peaks
+        assert abs(peaks[1] - peaks[0]) <= 0.1, peaks
+
+
+class TestEvolveInBatches:
+    """``evolve`` folds ``record_every * BLOCK`` segments per call, carrying the product between calls."""
+
+    # (block, widest): kernels.BLOCK sets the span of a call, and a small one
+    # puts even record_every = BLOCK + 3 on three calls.  The ladder spans at
+    # least three calls at every record_every up to widest, and ends mid-chunk.
+    @pytest.mark.parametrize("block,widest", [(kernels.BLOCK, 7), (4 * kernels.CHUNK, 4 * kernels.CHUNK + 3)],
+                             ids=["BLOCK", "small"])
+    @pytest.mark.parametrize("every", ["1", "7", "BLOCK+3", "n"])
+    def test_records_equal_one_fold_of_the_whole_ladder(self, block, widest, every, monkeypatch):
+        monkeypatch.setattr(kernels, "BLOCK", block)
+        n = 2 * widest * block + 5 * kernels.CHUNK + 7
+        record_every = {"1": 1, "7": 7, "BLOCK+3": block + 3, "n": n}[every]
+        dprof = discretize(parametric_resonance(omega_l=1.04, epsilon=2.04), 120.0, n)
+        traj = evolve(dprof, record_every=record_every, lam=-0.4)
+        steps, p, q, defect, max_defect = kernels.fold_ladder(
+            dprof.samples, dprof.omega0, dprof.tau, record_every)
+        want = observables(p, q, steps * dprof.tau, dprof.samples[steps - 1], defect, lam=-0.4)
+        assert traj.records.tobytes() == want.tobytes()
+        assert traj.max_norm_defect == max_defect
+        pc = complex(p[-1]).conjugate()
+        assert (traj.final.alpha, traj.final.beta, traj.final.gamma) == (
+            want.alpha[-1], 1.0 / (pc * pc), -complex(q[-1]).conjugate() / pc)
+
+    def test_a_nonpositive_sample_names_its_step_in_the_whole_ladder(self):
+        # the sample lies in the third call of record_every = 1
+        samples = np.ones(3 * kernels.BLOCK)
+        samples[2 * kernels.BLOCK + 5] = -0.5
+        with pytest.raises(ProfileDomainError, match=f"omega_{2 * kernels.BLOCK + 6} ") as err:
+            evolve(DiscretizedProfile(1.0, 0.01, samples, 0.01 * samples.size), record_every=1)
+        assert (err.value.step, err.value.omega) == (2 * kernels.BLOCK + 6, -0.5)
+
+    def test_max_norm_defect_keeps_a_nan_from_a_later_call(self, monkeypatch):
+        # a nan seen between records of the second call survives the first call's finite defect
+        fold = kernels.fold_ladder
+        calls = []
+
+        def nan_on_the_second_call(*args):
+            *columns, worst = fold(*args)
+            calls.append(worst)
+            return (*columns, math.nan if len(calls) == 2 else worst)
+
+        monkeypatch.setattr(kernels, "fold_ladder", nan_on_the_second_call)
+        traj = evolve(discretize(constant(), 1.0, 3 * kernels.BLOCK), record_every=1)
+        assert len(calls) == 3
+        assert math.isnan(traj.max_norm_defect)
 
 
 class TestEvolve:

@@ -175,6 +175,31 @@ class TestFoldLadderProperties:
         assert abs(p[-1] - want_p) <= 1e-12 * scale
         assert abs(q[-1] - want_q) <= 1e-12 * scale
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(split=st.one_of(st.sampled_from([BLOCK, 2 * BLOCK]), st.integers(1, 2 * BLOCK + 100)),
+           tail=st.integers(1, BLOCK + 100), seed=st.integers(0, 2 ** 32 - 1), tau=st.floats(1e-3, 0.05))
+    def test_group_law_through_the_carry(self, split, tail, seed, tau):
+        # a head, then a tail seeded with the carry the head left, is one fold of
+        # the whole ladder: the same bits when the split falls on a block boundary
+        omega = np.random.default_rng(seed).uniform(0.5, 2.0, split + tail)
+        _, p, q, defect, max_defect = fold_ladder(omega, 1.0, tau)
+        carry = np.array([1.0, 0.0], dtype=np.complex128)
+        _, head_p, head_q, head_defect, head_max = fold_ladder(omega[:split], 1.0, tau, 1, carry)
+        # the carry is the block loop's own product, associated unlike the last record
+        assert np.all(np.abs(carry - [head_p[-1], head_q[-1]]) <= 1e-12 * abs(head_p[-1]))
+        rec, tail_p, tail_q, tail_defect, tail_max = fold_ladder(omega[split:], 1.0, tau, 1, carry)
+        assert np.all(np.abs(carry - [p[-1], q[-1]]) <= 1e-12 * abs(p[-1]))
+        np.testing.assert_array_equal(rec, np.arange(1, tail + 1))
+        if split % BLOCK == 0:
+            for got, want in ((head_p, p[:split]), (head_q, q[:split]), (head_defect, defect[:split]),
+                              (tail_p, p[split:]), (tail_q, q[split:]), (tail_defect, defect[split:])):
+                assert got.tobytes() == want.tobytes()
+            assert max(head_max, tail_max) == max_defect
+        else:
+            scale = np.abs(p[split:])
+            assert np.all(np.abs(tail_p - p[split:]) <= 1e-12 * scale)
+            assert np.all(np.abs(tail_q - q[split:]) <= 1e-12 * scale)
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(omega=st.floats(0.5, 2.0), tau=st.floats(1e-3, 0.5), n=st.integers(1, 300))
     def test_constant_frequency_is_a_one_parameter_group(self, omega, tau, n):
