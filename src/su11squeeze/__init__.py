@@ -28,6 +28,7 @@ from .errors import (
 )
 from .evolution import (
     FockState,
+    RecordStream,
     Trajectory,
     apply_to_state,
     auto_converge,
@@ -68,6 +69,7 @@ __all__ = [
     "SingularCompositionError",
     "TableRangeError",
     "FockState",
+    "RecordStream",
     "Trajectory",
     "apply_to_state",
     "auto_converge",

@@ -4,15 +4,20 @@ Exit codes: 0 success, 2 configuration error (an unwritable output, a repeated
 sweep value or a parameter the profile does not take is one), 3 simulation
 error, 4 oracle mismatch.  Output is CSV or JSON, the bytes ``csv.writer`` and
 ``json.dump`` write (full double precision through shortest round-trip reprs).
-``write_table`` formats them in row blocks straight from the column arrays,
+``write_table`` formats them block by block straight from the column arrays,
 through :mod:`floatfmt`'s vectorized Ryū formatter; identical configurations
-produce byte-identical files.
+produce byte-identical files.  With a fixed ``n_steps``, ``simulate`` and each
+``sweep`` run stream: every block of records goes from the fold to the file as
+soon as the fold produces it.  A reader that closes stdout early costs the
+lines it does not read, not the run or its exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -36,7 +41,7 @@ from .errors import (
     ProfileDomainError,
     TableRangeError,
 )
-from .evolution import SCALINGS, FockState, Trajectory, apply_to_state, auto_converge, evolve
+from .evolution import SCALINGS, FockState, RecordStream, Trajectory, apply_to_state, auto_converge, evolve
 # integrate has no caller here, but perfbench/spans.py wraps it as cli.integrate
 from .oracle import evolve_vacuum, fidelity, integrate, pair_error
 from .profiles import KINDS, RULES, discretize
@@ -52,10 +57,11 @@ NORM_DEFECT_MAX = 1e-10
 BASE_COLUMNS = ("t", "omega", "re_alpha", "im_alpha", "abs_alpha",
                 "r", "vartheta", "phi", "variance", "mean_n", "norm_defect")
 
-#: Values per block that ``write_table`` formats in one call and writes in one ``write``; a block
-#: holds ``WRITE_BLOCK_VALUES // n_columns`` rows.  Each call has a fixed cost of some 250 numpy
-#: calls, which larger blocks spread thinner; the scratch, about 0.15 kB per value (1.2 MB for a
-#: CSV table, 1.3 MB for JSON, traced), bounds the block.
+#: Values that ``write_table`` formats in one call and writes in one ``write``: a block of R rows
+#: and C columns goes out in ``ceil(R * C / WRITE_BLOCK_VALUES)`` parts whose row counts differ by
+#: at most one, so a part holds fewer than ``WRITE_BLOCK_VALUES + C`` values and none is a short tail.
+#: Each call has a fixed cost of some 250 numpy calls, which larger parts spread thinner; the
+#: scratch, about 0.15 kB per value (1.2 MB for a CSV table, 1.3 MB for JSON, traced), bounds them.
 WRITE_BLOCK_VALUES = 8192
 
 #: Sweep parameters that every profile kind accepts because the run, not the profile, reads them.
@@ -65,79 +71,148 @@ _RUN_SWEEP_PARAMS = ("t_final", "lam")
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "preset")
 
 
+def _say(line: str, file=None):
+    """``print``, except that a reader who has gone away costs the line, not the run.
+
+    Once a write to the stream fails with ``BrokenPipeError``, the stream's
+    descriptor is pointed at the null device, so that later lines, and the
+    flush at exit, drop quietly while the command finishes its work.
+    """
+    stream = sys.stdout if file is None else file
+    try:
+        print(line, file=stream)
+    except BrokenPipeError:
+        _drop(stream)
+
+
+def _flush():
+    """Flush stdout and stderr as :func:`_say` prints: a closed reader drops what is left."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            _drop(stream)
+
+
+def _drop(stream):
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
+
+
 # ---------------------------------------------------------------------------
 # table assembly and writers
 # ---------------------------------------------------------------------------
 
-def trajectory_table(traj: Trajectory, fingerprint: bool = False):
-    """Column names and 1-D float arrays in the fixed order (plus re_z/im_z when fingerprinting)."""
-    rec = traj.records
-    columns = list(BASE_COLUMNS)
+def _column_names(fingerprint: bool):
+    return list(BASE_COLUMNS) + (["re_z", "im_z"] if fingerprint else [])
+
+
+def _record_columns(rec, fingerprint: bool):
+    """The table's 1-D float columns of a record array (or a block of one), in the fixed order."""
     a = rec.alpha
     cols = [rec.t, rec.omega, a.real, a.imag, np.hypot(a.real, a.imag),
             rec.r, rec.vartheta, rec.phi, rec.variance, rec.mean_n, rec.norm_defect]
     if fingerprint:
-        columns += ["re_z", "im_z"]
         cols += [rec.r * np.cos(rec.phi), rec.r * np.sin(rec.phi)]
-    return columns, cols
+    return cols
 
 
-def write_table(path: str, fmt: str, columns, cols, comments=(), extra: dict | None = None):
-    """Write equal-length columns, in row blocks, as ``csv.writer`` or ``json.dump`` would.
+def trajectory_table(traj: Trajectory, fingerprint: bool = False):
+    """Column names and the table as one block of 1-D float columns (plus re_z/im_z when fingerprinting)."""
+    return _column_names(fingerprint), [_record_columns(traj.records, fingerprint)]
 
-    Each block of rows is one byte matrix: per value, the text that comes
-    before it (a separator, a key) right-aligned in a fixed slot, then the
-    value's repr from :func:`floatfmt.format_repr`.  A mask of the bytes in
-    use drops the padding, and the block goes out in one ``write``.  The
-    first value of the table takes only the tail of its row's leading text.
+
+def write_table(path: str, fmt: str, columns, blocks, comments=(), extra: dict | None = None):
+    """Write a table as ``csv.writer`` or ``json.dump`` would, one block of rows as it comes.
+
+    ``blocks`` yields, in row order, lists of equal-length 1-D columns, one
+    per name in ``columns``; a table held in memory is a single block.  Each
+    block is formatted and written before the next is asked for, so a
+    stream of blocks is never held whole.  The file is opened once the
+    first block is there; if anything raises after that (a write error, or
+    an error in the code that yields the blocks), the partial file is
+    removed, and a write error is raised as a :class:`ConfigError`.
     """
-    n_rows = len(cols[0])
     if fmt == "csv":
         head = "".join(f"# {line}\r\n" for line in comments) + ",".join(columns)
         lead = ["\r\n"] + [","] * (len(columns) - 1)  # the row break ends the line before
-        first, tail = lead[0], "\r\n"
+        first, close, tail = lead[0], "", "\r\n"
     else:
         head = "[" if extra is None else json.dumps({**extra, "records": []})[:-2]
         lead = [f", {json.dumps(name)}: " for name in columns]
         lead[0] = "}, {" + lead[0][2:]
-        first = lead[0][3:]
-        tail = ("}" if n_rows else "") + ("]\n" if extra is None else "]}\n")
+        first, close = lead[0][3:], "}"  # close ends the last record
+        tail = "]\n" if extra is None else "]}\n"
+    blocks = iter(blocks)
+    block = next(blocks, None)  # the file is opened once the first block is there
+    blocks = itertools.chain(() if block is None else (block,), blocks)
+    del block  # the writer holds each block only while it writes it
     try:
-        with open(path, "wb") as fh:
-            fh.write(head.encode("utf-8"))
-            if n_rows:
-                _write_blocks(fh, fmt, lead, first, cols, n_rows)
-            fh.write(tail.encode("utf-8"))
+        fh = open(path, "wb")
     except OSError as exc:
         raise ConfigError(f"cannot write output {path}: {exc.strerror or exc}") from exc
+    try:
+        with fh:
+            fh.write(head.encode("utf-8"))
+            if _write_blocks(fh, fmt, lead, first, blocks):
+                tail = close + tail
+            fh.write(tail.encode("utf-8"))
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write output {path}: {exc.strerror or exc}") from exc
+        raise
 
 
-def _write_blocks(fh, fmt, lead, first, cols, n_rows):
-    """The rows of :func:`write_table`, ``WRITE_BLOCK_VALUES // len(cols)`` at a time in one byte matrix."""
+def _write_blocks(fh, fmt, lead, first, blocks) -> int:
+    """The rows of :func:`write_table`, each block in ``ceil(values / WRITE_BLOCK_VALUES)`` even parts.
+
+    A part is one byte matrix: per value, the text that comes before it (a
+    separator, a key) right-aligned in a fixed slot, then the value's repr
+    from :func:`floatfmt.format_repr`.  A mask of the bytes in use drops the
+    padding, and the part goes out in one ``write``.  The first value of the
+    table takes only the tail of its row's leading text.  Returns the number
+    of rows written.
+    """
     # imported here, not with the module: compiling it would add ~6 ms to every start-up
     # that runs without cached bytecode, and only writing needs it
     from . import floatfmt
 
     nonfinite = floatfmt.CSV_NONFINITE if fmt == "csv" else floatfmt.JSON_NONFINITE
-    rows = max(1, min(WRITE_BLOCK_VALUES // len(cols), n_rows))
     pad = -(-max(len(text) for text in lead) // 8) * 8  # keeps each value's slot 8-byte aligned
-    text = np.zeros((rows, len(lead), pad + floatfmt.WIDTH), dtype=np.uint8)
-    for c, piece in enumerate(lead):
-        raw = np.frombuffer(piece.encode("utf-8"), dtype=np.uint8)
-        text[:, c, pad - len(raw):pad] = raw
+    raw = [np.frombuffer(piece.encode("utf-8"), dtype=np.uint8) for piece in lead]
     # the leading texts hold no NUL (json.dumps escapes it) and format_repr zeroes the bytes
     # past each value's text, so the bytes in use are the nonzero ones
     skip = slice(pad - len(lead[0]), pad - len(first))  # what the table's first row leaves out
-    skipped = text[0, 0, skip].copy()
-    text[0, 0, skip] = 0
-    for lo in range(0, n_rows, rows):
-        values = np.column_stack([c[lo:lo + rows] for c in cols])
-        block = text[:len(values)]
-        slots = block[:, :, pad:].reshape(-1, floatfmt.WIDTH)  # a view: the text lands in place
-        floatfmt.format_repr(values, nonfinite, out=slots)
-        del values, slots
-        fh.write(block[block != 0])
-        text[0, 0, skip] = skipped
+    text = None
+    n_rows = 0
+    for cols in blocks:
+        size = len(cols[0])
+        if not size:
+            continue
+        parts = -(-size * len(cols) // WRITE_BLOCK_VALUES)
+        rows = -(-size // parts)  # the parts' rows differ by at most one: no short tail
+        if text is None or text.shape[0] < rows:
+            text = np.zeros((rows, len(lead), pad + floatfmt.WIDTH), dtype=np.uint8)
+            for c, piece in enumerate(raw):
+                text[:, c, pad - len(piece):pad] = piece
+        for k in range(parts):
+            lo, hi = size * k // parts, size * (k + 1) // parts
+            values = np.column_stack([c[lo:hi] for c in cols])
+            part = text[:len(values)]
+            slots = part[:, :, pad:].reshape(-1, floatfmt.WIDTH)  # a view: the text lands in place
+            floatfmt.format_repr(values, nonfinite, out=slots)
+            del values, slots
+            if not n_rows:
+                part[0, 0, skip] = 0
+            fh.write(part[part != 0])
+            if not n_rows:
+                part[0, 0, pad - len(raw[0]):pad] = raw[0]
+            n_rows += len(part)
+        del cols  # before the next block is made
+    return n_rows
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +239,15 @@ def run_trajectory(cfg: ExperimentConfig) -> Trajectory:
     return traj
 
 
-def _verify(cfg: ExperimentConfig, traj: Trajectory, announce=print) -> int:
+def _verify(cfg: ExperimentConfig, traj, announce=_say) -> int:
     """Gate the norm defect over every step, then cross-check the vacuum's image against RK4 if asked.
 
     The oracle is :func:`oracle.evolve_vacuum`, RK4 on the Heisenberg pair; the
     passed line also prints its pair error against ``traj.final``, which is
-    not gated.  ``traj`` comes from :func:`run_trajectory`, which has checked
-    the substep count.
+    not gated.  ``traj`` is a :class:`Trajectory` from :func:`run_trajectory`
+    or a :class:`RecordStream` whose blocks are written; both report
+    ``final``, ``max_norm_defect`` and ``n_steps_used``.  The substep count
+    has been checked by then.
 
     ``announce(line, file=None)`` prints like ``print``, under the run's label if it has one.
     """
@@ -198,12 +275,27 @@ def _verify(cfg: ExperimentConfig, traj: Trajectory, announce=print) -> int:
     return EXIT_OK
 
 
-def run_single(cfg: ExperimentConfig, announce=print) -> int:
-    traj = run_trajectory(cfg)
-    columns, cols = trajectory_table(traj, fingerprint=cfg.fingerprint)
-    write_table(cfg.output, cfg.format, columns, cols)
-    announce(f"wrote {cfg.output} ({len(traj.records)} records, n_steps={traj.n_steps_used})")
-    return _verify(cfg, traj, announce)
+def run_single(cfg: ExperimentConfig, announce=_say) -> int:
+    """Fold the configured ladder and write its table, then gate the run with :func:`_verify`.
+
+    With a fixed ``n_steps`` the table is streamed: each block of records
+    goes from the fold to the file before the next is folded, so the run
+    holds one block of records, not all of them.  ``validate`` has refused
+    an oracle substep out of range before this runs.  With ``auto`` the
+    doubling's last trajectory is written as one block.
+    """
+    if cfg.n_steps == "auto":
+        run = run_trajectory(cfg)
+        records, n_records = (run.records,), len(run.records)
+    else:  # the stream alone holds the ladder, so it can free the samples after the last fold
+        record_every = None if cfg.record_every == "auto" else cfg.record_every
+        run = RecordStream(discretize(cfg.to_profile(), cfg.t_final, cfg.n_steps, rule=cfg.rule),
+                           record_every, cfg.lam, cfg.scaling)
+        records, n_records = run.blocks(), run.n_records
+    write_table(cfg.output, cfg.format, _column_names(cfg.fingerprint),
+                (_record_columns(block, cfg.fingerprint) for block in records))
+    announce(f"wrote {cfg.output} ({n_records} records, n_steps={run.n_steps_used})")
+    return _verify(cfg, run, announce)
 
 
 def _check_output(path: str) -> str:
@@ -264,34 +356,50 @@ def cmd_sweep(args) -> int:
     code = EXIT_OK
     for token, _ in jobs:
         for line, file in messages[token]:
-            print(f"[{args.sweep_param}={token}] {line}", file=file)
+            _say(f"[{args.sweep_param}={token}] {line}", file=file)
         if results[token] != EXIT_OK and code == EXIT_OK:
             code = results[token]
     return code
 
 
+def _doubling_start(args, cfg: ExperimentConfig) -> int:
+    """Where ``converge`` doubles from when ``cfg`` fixes ``n_steps``.
+
+    The flags, then the ``--config`` file, then the preset: the first of
+    them that sets a fixed ``n_steps`` or an ``n_start`` names the start.
+    One of them setting both is a configuration error.
+    """
+    layers = (({"n_steps": args.n_steps, "n_start": args.n_start},
+               "converge takes --n-steps N or --n-start N, not both"),
+              (load_config_file(args.config) if args.config else {},
+               f"{args.config} sets both n_steps and n_start, and converge takes one"))
+    for keys, both in layers:
+        fixed = keys.get("n_steps") not in (None, "auto")
+        if fixed and keys.get("n_start") is not None:
+            raise ConfigError(f"{both}: each sets where the doubling starts")
+        if fixed or keys.get("n_start") is not None:
+            return cfg.n_steps if fixed else cfg.n_start
+    return cfg.n_steps
+
+
 def cmd_converge(args) -> int:
-    if isinstance(args.n_steps, int) and args.n_start is not None:
-        raise ConfigError("converge takes --n-steps N or --n-start N, not both: each sets where "
-                          "the doubling starts")
     cfg = _config(args)
-    if isinstance(cfg.n_steps, int):  # a fixed N is where the doubling starts, unless --n-start says
-        start = cfg.n_steps if args.n_start is None else cfg.n_start
-        cfg = dataclasses.replace(cfg, n_steps="auto", n_start=start).validate()
+    if isinstance(cfg.n_steps, int):  # converge always doubles: a fixed N names where it starts
+        cfg = dataclasses.replace(cfg, n_steps="auto", n_start=_doubling_start(args, cfg)).validate()
     traj = run_trajectory(cfg)
     report_lines = [f"converge N={n} max_dr={diff!r}" for n, diff in traj.convergence_history]
     report_lines.append(f"converged={str(traj.converged).lower()} n_final={traj.n_steps_used} tol={cfg.tol!r}")
     for line in report_lines:
-        print(line)
-    columns, cols = trajectory_table(traj, fingerprint=cfg.fingerprint)
+        _say(line)
+    columns, blocks = trajectory_table(traj, fingerprint=cfg.fingerprint)
     extra = {"report": {
         "history": [[n, diff] for n, diff in traj.convergence_history],
         "converged": traj.converged,
         "n_final": traj.n_steps_used,
         "tol": cfg.tol,
     }}
-    write_table(cfg.output, cfg.format, columns, cols, comments=report_lines, extra=extra)
-    print(f"wrote {cfg.output} ({len(traj.records)} records)")
+    write_table(cfg.output, cfg.format, columns, blocks, comments=report_lines, extra=extra)
+    _say(f"wrote {cfg.output} ({len(traj.records)} records)")
     return _verify(cfg, traj)
 
 
@@ -338,11 +446,11 @@ def cmd_compare(args) -> int:
     r_a, r_b = traj_a.records.r, traj_b.records.r
     verdict = _compare_verdict(cfg_a, cfg_b, t_a, r_a, r_b)
 
-    write_table(out, fmt, ["t", "r_a", "r_b", "r_diff"], [t_a, r_a, r_b, r_a - r_b],
+    write_table(out, fmt, ["t", "r_a", "r_b", "r_diff"], [[t_a, r_a, r_b, r_a - r_b]],
                 comments=[f"verdict: {verdict}"], extra={"verdict": verdict})
-    print(f"verdict: {verdict}")
-    print(f"wrote {out} ({len(t_a)} records)")
-    codes = [_verify(cfg, traj, lambda line, file=None: print(f"[{side}] {line}", file=file))
+    _say(f"verdict: {verdict}")
+    _say(f"wrote {out} ({len(t_a)} records)")
+    codes = [_verify(cfg, traj, lambda line, file=None: _say(f"[{side}] {line}", file=file))
              for side, cfg, traj in (("a", cfg_a, traj_a), ("b", cfg_b, traj_b))]
     return next((code for code in codes if code != EXIT_OK), EXIT_OK)  # the first failure decides
 
@@ -456,15 +564,17 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        _say(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ProfileDomainError, TableRangeError, InvalidAccumulatorError, LeakageError) as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
+        _say(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
     except MemoryError:  # every command has --n-steps
         asked = f"n_steps = {args.n_steps}" if args.n_steps is not None else "the configured n_steps"
-        print(f"simulation error: out of memory for {asked}; lower n_steps", file=sys.stderr)
+        _say(f"simulation error: out of memory for {asked}; lower n_steps", file=sys.stderr)
         return EXIT_SIMULATION
+    finally:  # a block-buffered stdout meets a closed reader here, not in _say
+        _flush()
 
 
 if __name__ == "__main__":

@@ -1,11 +1,13 @@
 """Trajectory driver and observable extraction.
 
-``evolve`` folds a discretized profile through the hot kernel, one block of
-records per call, and reads the closed-form squeezing observables off the
-recorded columns of the fold's SU(1,1) pair ``(p, q)``, as ``observables``
-does: into one record array (a column per observable, a row per record),
-filled in place one block of rows at a time.
-``auto_converge`` wraps ``evolve`` in a step-doubling loop.
+``RecordStream`` folds a discretized profile through the hot kernel, one
+block of records per call, and reads the closed-form squeezing observables
+off the recorded columns of the fold's SU(1,1) pair ``(p, q)``, as
+``observables`` does, into record arrays (a column per observable, a row
+per record), handing each block on as soon as it is filled.  ``evolve``
+collects the blocks in one record array, filled in place; the command line
+writes each block out instead.  ``auto_converge`` wraps ``evolve`` in a
+step-doubling loop.
 ``apply_to_state`` expands the composed propagator, the triple
 ``(alpha, beta, gamma)`` of the last ``(p, q)``, in the number basis.
 """
@@ -150,59 +152,104 @@ def observables(p, q, t, omega, norm_defect, lam: float = 0.0,
     return records
 
 
+class RecordStream:
+    """The records of a discretized profile, produced one fold call at a time.
+
+    :meth:`blocks` folds the ladder ``record_every * kernels.BLOCK`` segments
+    per :func:`kernels.fold_ladder` call, each seeded with the carry of the
+    one before.  So each call ends on a record step and returns at most one
+    block of records, which is filled in place and yielded at once.
+    ``record_every`` defaults to ``max(1, N // 5000)`` so that outputs stay
+    plottable regardless of N; the final segment is always recorded.  Once
+    the blocks are exhausted, ``final`` holds the composed triple of the
+    last step and ``max_norm_defect`` the largest defect of any step,
+    recorded or not (a nan wins).  A stream runs once.
+    """
+
+    def __init__(self, dprofile: DiscretizedProfile, record_every: int | None = None,
+                 lam: float = 0.0, scaling: str = "quarter"):
+        n = dprofile.n_steps
+        if record_every is None:
+            record_every = max(1, n // 5000)
+        if record_every < 1:
+            raise ValueError("record_every must be >= 1")
+        self._scale = _scale(scaling)
+        self._dprofile = dprofile
+        self.lam = lam
+        self.record_every = record_every
+        self.n_steps_used = n
+        self.n_records = -(-n // record_every)
+        self.records = None
+        self.final = None
+        self.max_norm_defect = 0.0
+
+    def blocks(self, keep: bool = False):
+        """Yield each fold call's block of records once its observables are filled.
+
+        With ``keep``, the blocks are the rows of one record array of
+        ``n_records`` rows, left in ``records``: 88 bytes per record.
+        Otherwise each block overwrites one buffer of at most
+        ``kernels.BLOCK`` rows, so a block holds until the next is asked for.
+        Either is allocated once the first call has returned: one call holds
+        no more.  The stream lets go of the ladder's samples right after the
+        last call, before that call's block is filled.
+        """
+        dprof, self._dprofile = self._dprofile, None
+        n, every, tau = self.n_steps_used, self.record_every, dprof.tau
+        span = every * kernels.BLOCK
+        carry = np.array([1.0, 0.0], dtype=np.complex128)
+        out, row, max_defect = None, 0, 0.0
+        for start in range(0, max(n, 1), span):  # an empty ladder still reaches the fold's refusal
+            try:
+                rec, p, q, defect, worst = kernels.fold_ladder(
+                    dprof.samples[start:start + span], dprof.omega0, tau, every, carry)
+            except ProfileDomainError as exc:  # name the step of the whole ladder
+                raise kernels.not_positive(exc.step + start, exc.omega) from None
+            if not np.all(np.isfinite(defect)):  # |p|^2 = cosh(r)^2 overflows beyond r ~ 355
+                raise InvalidAccumulatorError("the ladder fold overflowed double precision")
+            max_defect = np.maximum(max_defect, worst)  # keeps a nan, unlike max()
+            rec += start
+            omega = dprof.samples[rec - 1]
+            if start + span >= n:  # the last call: free the samples before the block is filled
+                del dprof
+            if out is None:
+                out = np.recarray(self.n_records if keep else rec.shape[0], dtype=_RECORD)
+            block = out[row:row + rec.shape[0]] if keep else out[:rec.shape[0]]
+            row += rec.shape[0]
+            np.multiply(rec, tau, out=block.t)
+            block.omega = omega
+            block.norm_defect = defect
+            _fill(block, p, q, self.lam, self._scale)
+            last_p, last_q = complex(p[-1]), complex(q[-1])
+            del rec, p, q, defect, omega  # while the caller writes the block, only it is held
+            yield block
+
+        pc = last_p.conjugate()
+        self.final = PropagatorAccumulator(complex(block.alpha[-1]), 1.0 / (pc * pc),
+                                           -last_q.conjugate() / pc, n)
+        self.max_norm_defect = float(max_defect)
+        if keep:
+            self.records = out
+
+
 def evolve(dprofile: DiscretizedProfile, record_every: int | None = None,
            lam: float = 0.0, scaling: str = "quarter") -> Trajectory:
-    """Fold all segments of a discretized profile, emitting records along the way.
+    """Fold all segments of a discretized profile into one record array.
 
-    ``record_every`` defaults to ``max(1, N // 5000)`` so that outputs stay
-    plottable regardless of N; the final segment is always recorded.  The
-    ladder is folded ``record_every * kernels.BLOCK`` segments per
-    :func:`kernels.fold_ladder` call, each seeded with the carry of the one
-    before, so a call ends on a record step and returns at most one block
-    of records.  Its rows of the record array are filled in place, with
-    ``t`` and ``omega`` written straight into it.  So the peak memory is
-    the record array (88 bytes per record) plus O(BLOCK) scratch.
+    Runs a :class:`RecordStream` with ``keep``: its blocks are the rows of
+    the returned record array, filled in place, with ``t`` and ``omega``
+    written straight into it.  So the peak memory is the record array (88
+    bytes per record) plus O(BLOCK) scratch.
     """
-    n = dprofile.n_steps
-    if record_every is None:
-        record_every = max(1, n // 5000)
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
-    s = _scale(scaling)
-    span = record_every * kernels.BLOCK
-    carry = np.array([1.0, 0.0], dtype=np.complex128)
-    records = None  # allocated once the first call has returned: one call holds no more
-    max_defect = 0.0
-    row = 0
-    for start in range(0, max(n, 1), span):  # an empty ladder still reaches the fold's refusal
-        try:
-            rec, p, q, defect, worst = kernels.fold_ladder(
-                dprofile.samples[start:start + span], dprofile.omega0, dprofile.tau,
-                record_every, carry)
-        except ProfileDomainError as exc:  # name the step of the whole ladder
-            raise kernels.not_positive(exc.step + start, exc.omega) from None
-        if not np.all(np.isfinite(defect)):  # |p|^2 = cosh(r)^2 overflows beyond r ~ 355
-            raise InvalidAccumulatorError("the ladder fold overflowed double precision")
-        max_defect = np.maximum(max_defect, worst)  # keeps a nan, unlike max()
-        if records is None:
-            records = np.recarray(-(-n // record_every), dtype=_RECORD)
-        rec += start
-        block = records[row:row + rec.shape[0]]
-        row += rec.shape[0]
-        np.multiply(rec, dprofile.tau, out=block.t)
-        block.omega = dprofile.samples[rec - 1]
-        block.norm_defect = defect
-        _fill(block, p, q, lam, s)
-
-    pc = complex(p[-1]).conjugate()
-    final = PropagatorAccumulator(complex(records.alpha[-1]), 1.0 / (pc * pc),
-                                  -complex(q[-1]).conjugate() / pc, n)
+    stream = RecordStream(dprofile, record_every, lam, scaling)
+    for _ in stream.blocks(keep=True):
+        pass
     return Trajectory(
-        records=records,
-        n_steps_used=n,
+        records=stream.records,
+        n_steps_used=stream.n_steps_used,
         converged=None,
-        final=final,
-        max_norm_defect=float(max_defect),
+        final=stream.final,
+        max_norm_defect=stream.max_norm_defect,
     )
 
 

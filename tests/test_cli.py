@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from su11squeeze import cli, kernels, oracle
+from su11squeeze import cli, discretize, evolve, kernels, oracle
 from su11squeeze.config import FORMATS, ExperimentConfig, build_config
 from su11squeeze.profiles import PROFILES
 
@@ -432,6 +432,32 @@ class TestConverge:
         assert code == 0
         assert capsys.readouterr().out.splitlines()[0].startswith("converge N=2000 ")
 
+    @pytest.mark.parametrize("lines, flags, first", [
+        ("n_start = 1000\n", [], 2000),                 # the file's start wins over the preset's N
+        ("", [], 120000),                                # the preset's N is the start
+        ("n_steps = 3000\n", [], 6000),                 # so is the file's
+        ("n_start = 5000\n", ["--n-steps", "1000"], 2000),  # a flag wins over the file
+    ], ids=["file_n_start", "preset_n_steps", "file_n_steps", "flag_over_file"])
+    def test_config_file_sets_where_the_doubling_starts(self, lines, flags, first, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("preset = fig4\nt_final = 1\n" + lines)
+        code = cli.main(["converge", "--config", str(cfg), *flags, "--tol", "1e-3",
+                         "--output", str(tmp_path / "conv.csv")])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0].startswith(f"converge N={first} ")
+
+    def test_a_config_file_with_both_starts_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the ladder was folded before the start was checked")
+
+        monkeypatch.setattr(kernels, "fold_ladder", no_work)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("preset = fig4\nn_steps = 3000\nn_start = 1000\n")
+        code = cli.main(["converge", "--config", str(cfg), "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "sets both n_steps and n_start" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("flags", [["--n-start", "50"], ["--n-steps", "1000", "--n-start", "1000"]],
                              ids=["start_below_100", "n_steps_and_n_start"])
     def test_a_start_that_cannot_hold_exits_2_before_any_work(self, flags, tmp_path, capsys, monkeypatch):
@@ -671,7 +697,7 @@ class TestWriteTable:
     def assert_matches_reference(self, tmp_path, fmt, cols, extra, comments=("c 1", "tol=1e-05")):
         columns = [f"col{i}" for i in range(len(cols))]
         got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
-        cli.write_table(str(got), fmt, columns, cols, comments=comments, extra=extra)
+        cli.write_table(str(got), fmt, columns, [cols], comments=comments, extra=extra)
         reference_table(str(want), fmt, columns, cols, comments=comments, extra=extra)
         assert got.read_bytes() == want.read_bytes()
 
@@ -708,23 +734,175 @@ class TestWriteTable:
     def test_scratch_is_small_and_does_not_grow_with_the_table(self, fmt, tmp_path):
         # the --oracle-check workload's table: fig4, t = 10, N = 20000, 5000 rows of 11 columns
         cfg = build_config(preset="fig4", overrides={"t_final": 10.0, "n_steps": 20000})
-        columns, cols = cli.trajectory_table(cli.run_trajectory(cfg))
+        columns, (cols,) = cli.trajectory_table(cli.run_trajectory(cfg))
         assert (len(cols[0]), len(cols)) == (5000, 11)
         long_cols = [np.tile(c, 30) for c in cols]
         path = str(tmp_path / f"t.{fmt}")
-        cli.write_table(path, fmt, columns, cols)  # first use builds the formatter's tables
+        cli.write_table(path, fmt, columns, [cols])  # first use builds the formatter's tables
         peaks = []
         tracemalloc.start()
         try:
             for table in (cols, long_cols):
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
-                cli.write_table(path, fmt, columns, table)
+                cli.write_table(path, fmt, columns, [table])
                 peaks.append((tracemalloc.get_traced_memory()[1] - base) / 1e6)
         finally:
             tracemalloc.stop()
         assert peaks[0] <= 2.0, peaks
         assert abs(peaks[1] - peaks[0]) <= 0.25, peaks
+
+
+class TestStream:
+    """``simulate`` with a fixed N writes each fold call's block of records before folding the next."""
+
+    # (block, widest) as in tests/test_evolution.py: a small kernels.BLOCK puts even
+    # record_every = BLOCK + 3 on three fold calls; the ladder ends mid-chunk
+    @pytest.mark.parametrize("block,widest", [(kernels.BLOCK, 7), (4 * kernels.CHUNK, 4 * kernels.CHUNK + 3)],
+                             ids=["BLOCK", "small"])
+    @pytest.mark.parametrize("every", ["1", "7", "BLOCK+3", "n"])
+    @pytest.mark.parametrize("fmt, fingerprint", [("csv", False), ("json", False), ("csv", True)],
+                             ids=["csv", "json", "fingerprint"])
+    def test_streamed_file_equals_the_table_of_evolve(self, block, widest, every, fmt, fingerprint,
+                                                      tmp_path, monkeypatch):
+        monkeypatch.setattr(kernels, "BLOCK", block)
+        n = 2 * widest * block + 5 * kernels.CHUNK + 7
+        record_every = {"1": 1, "7": 7, "BLOCK+3": block + 3, "n": n}[every]
+        fold, calls = kernels.fold_ladder, []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return fold(*args)
+
+        monkeypatch.setattr(kernels, "fold_ladder", counted)
+        flags = ["--n-steps", str(n), "--record-every", str(record_every), "--lambda", "-0.4",
+                 "--format", fmt] + (["--fingerprint"] if fingerprint else [])
+        got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
+        assert cli.main(["simulate", "--preset", "fig2", *flags, "--output", str(got)]) == 0
+        assert len(calls) == -(-n // (record_every * block)) and (len(calls) >= 3 or every in ("BLOCK+3", "n"))
+        cfg = build_config(preset="fig2", overrides={"n_steps": n, "record_every": record_every, "lam": -0.4})
+        traj = evolve(discretize(cfg.to_profile(), cfg.t_final, n), record_every, lam=-0.4)
+        cli.write_table(str(want), fmt, *cli.trajectory_table(traj, fingerprint))
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("fault, code", [("nan", 3), ("memory", 3), ("disk_full", 2)])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_a_run_that_fails_mid_stream_leaves_no_file(self, fault, code, existing, tmp_path, capsys,
+                                                        monkeypatch):
+        # the ladder spans three fold calls, so the first block is on disk when the second fails
+        from su11squeeze import floatfmt
+
+        out = tmp_path / "x.csv"
+        fold, format_repr, on_disk = kernels.fold_ladder, floatfmt.format_repr, []
+
+        def second_call_fails(*args):
+            rec, p, q, defect, worst = fold(*args)
+            on_disk.append(out.exists() and out.stat().st_size)
+            if len(on_disk) == 2 and fault == "nan":
+                defect[3] = math.nan
+            if len(on_disk) == 2 and fault == "memory":
+                raise MemoryError
+            return rec, p, q, defect, worst
+
+        def disk_full(*args, **kwargs):
+            if len(on_disk) == 2:
+                raise OSError(28, "No space left on device")
+            return format_repr(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "fold_ladder", second_call_fails)
+        if fault == "disk_full":
+            monkeypatch.setattr(floatfmt, "format_repr", disk_full)
+        if existing:
+            out.write_text("an earlier table\n")
+        assert cli.main(["simulate", "--profile", "constant", "--t-final", "1", "--n-steps",
+                         str(3 * kernels.BLOCK), "--record-every", "1", "--output", str(out)]) == code
+        assert len(on_disk) == 2 and on_disk[1] > 0  # the first block was written
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot write output" if code == 2 else "simulation error")
+
+    def test_a_failure_in_the_first_fold_call_leaves_an_existing_file(self, tmp_path, monkeypatch):
+        # the file is opened only once the first block of records is there
+        fold = kernels.fold_ladder
+
+        def overflowed(*args):
+            rec, p, q, defect, worst = fold(*args)
+            defect[0] = math.inf
+            return rec, p, q, defect, worst
+
+        monkeypatch.setattr(kernels, "fold_ladder", overflowed)
+        out = tmp_path / "x.csv"
+        out.write_text("an earlier table\n")
+        assert cli.main(["simulate", "--profile", "constant", "--t-final", "1", "--n-steps", "100",
+                         "--output", str(out)]) == 3
+        assert out.read_text() == "an earlier table\n"
+
+    @pytest.mark.parametrize("fingerprint", [False, True], ids=["11_columns", "13_columns"])
+    def test_each_fold_block_is_written_in_even_parts(self, fingerprint, tmp_path, monkeypatch):
+        # ceil(rows * columns / WRITE_BLOCK_VALUES) format calls per block of records, none a short tail
+        from su11squeeze import floatfmt
+
+        fmt_repr, rows = floatfmt.format_repr, []
+
+        def counted(values, *args, **kwargs):
+            rows.append(values.shape[0])
+            return fmt_repr(values, *args, **kwargs)
+
+        monkeypatch.setattr(floatfmt, "format_repr", counted)
+        n, n_cols = 150_000, 13 if fingerprint else 11
+        assert cli.main(["simulate", "--preset", "fig2", "--record-every", "1", "--output", str(tmp_path / "d.csv")]
+                        + (["--fingerprint"] if fingerprint else [])) == 0
+        blocks = [kernels.BLOCK] * (n // kernels.BLOCK) + [n % kernels.BLOCK]
+        want = []
+        for size in blocks:
+            parts = -(-size * n_cols // cli.WRITE_BLOCK_VALUES)
+            want += [len(part) for part in np.array_split(np.arange(size), parts)]
+        assert sum(want) == n
+        assert sorted(rows) == sorted(want)
+        if not fingerprint:
+            assert len(rows) == 202
+
+    def test_peak_memory_does_not_grow_with_the_record_count(self, tmp_path):
+        # beyond the ladder's samples (8 B per step) the run holds one block of records
+        def peak(n):
+            tracemalloc.start()
+            try:
+                code = cli.main(["simulate", "--preset", "fig2", "--n-steps", str(n), "--record-every", "1",
+                                 "--output", str(tmp_path / f"{n}.csv")])
+                return code, tracemalloc.get_traced_memory()[1] / 1e6
+            finally:
+                tracemalloc.stop()
+
+        peak(20_000)  # first use builds the formatter's tables
+        (code_a, small), (code_b, large) = peak(150_000), peak(600_000)
+        assert code_a == code_b == 0
+        assert large - small <= 8 * 450_000 / 1e6 + 1.0, (small, large)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["converge", "--preset", "fig4", "--t-final", "1", "--n-start", "1000", "--tol", "1e-3",
+          "--oracle-check"], 0),
+        (["converge", "--preset", "fig4", "--t-final", "1", "--n-start", "1000", "--tol", "1e-3",
+          "--oracle-check", "--oracle-dim", "5"], 4),
+    ], ids=["passes", "oracle_fails"])
+    def test_a_reader_that_goes_away_costs_no_traceback(self, argv, code, tmp_path):
+        # the reader closes the pipe after converge's first report line (unbuffered stdout: the
+        # next print fails), or before any (block-buffered: the flush at the end fails); the run
+        # still writes its table, gates it and runs the oracle, and exits with its own code
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = tmp_path / "x.csv"
+        for unbuffered, lines_read in (("1", 1), ("", 0)):
+            env["PYTHONUNBUFFERED"] = unbuffered
+            proc = subprocess.Popen([sys.executable, "-m", "su11squeeze.cli", *argv, "--output", str(out)],
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            for _ in range(lines_read):
+                proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait() == code, err
+            assert "Traceback" not in err and "BrokenPipeError" not in err, err
+            assert len(read_csv(out)[1]) == 500
+            out.unlink()
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

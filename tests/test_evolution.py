@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from su11squeeze import (
     FockState,
     IDENTITY,
     PropagatorAccumulator,
+    RecordStream,
     apply_to_state,
     auto_converge,
     constant,
@@ -22,7 +24,7 @@ from su11squeeze import (
 )
 from su11squeeze import kernels
 from su11squeeze.config import build_config
-from su11squeeze.errors import LeakageError, ProfileDomainError
+from su11squeeze.errors import InvalidAccumulatorError, LeakageError, ProfileDomainError
 from su11squeeze.profiles import DiscretizedProfile
 
 
@@ -217,6 +219,56 @@ class TestEvolveInBatches:
         traj = evolve(discretize(constant(), 1.0, 3 * kernels.BLOCK), record_every=1)
         assert len(calls) == 3
         assert math.isnan(traj.max_norm_defect)
+
+
+class TestRecordStream:
+    """The blocks ``evolve`` collects, one per fold call, in one reused buffer."""
+
+    def ladder(self, n=3 * kernels.BLOCK + 37):
+        return discretize(parametric_resonance(omega_l=1.04, epsilon=2.04), 120.0, n)
+
+    def test_blocks_are_the_rows_of_evolve(self):
+        dprof = self.ladder()
+        traj = evolve(dprof, record_every=1, lam=0.3)
+        stream = RecordStream(dprof, 1, lam=0.3)
+        assert stream.final is None and stream.n_records == dprof.n_steps
+        got = [(len(block), block.tobytes()) for block in stream.blocks()]
+        assert [rows for rows, _ in got] == [kernels.BLOCK] * 3 + [37]
+        assert b"".join(raw for _, raw in got) == traj.records.tobytes()
+        assert stream.records is None
+        assert stream.max_norm_defect == traj.max_norm_defect
+        assert stream.final == traj.final
+
+    def test_one_buffer_serves_every_block(self):
+        blocks = list(RecordStream(self.ladder(), 1).blocks())
+        assert all(np.shares_memory(block, blocks[0]) for block in blocks)
+        assert max(len(block) for block in blocks) == kernels.BLOCK
+
+    def test_lets_go_of_the_samples_after_the_last_fold(self):
+        # the caller keeps no reference, so the samples are gone while the last block is written
+        dprof = self.ladder()
+        samples = weakref.ref(dprof.samples)
+        stream = RecordStream(dprof, 1)
+        del dprof
+        alive = [samples() is not None for _ in stream.blocks()]
+        assert alive == [True, True, True, False]
+
+    def test_an_overflow_in_a_later_call_raises_after_the_blocks_before(self, monkeypatch):
+        fold = kernels.fold_ladder
+        calls = []
+
+        def overflow_on_the_second_call(*args):
+            rec, p, q, defect, worst = fold(*args)
+            calls.append(len(args[0]))
+            if len(calls) == 2:
+                defect[-1] = math.inf
+            return rec, p, q, defect, worst
+
+        monkeypatch.setattr(kernels, "fold_ladder", overflow_on_the_second_call)
+        blocks = RecordStream(self.ladder(), 1).blocks()
+        assert len(next(blocks)) == kernels.BLOCK
+        with pytest.raises(InvalidAccumulatorError):
+            next(blocks)
 
 
 class TestEvolve:
