@@ -28,7 +28,6 @@ from .errors import (
 )
 from .evolution import (
     FockState,
-    RecordStream,
     Trajectory,
     apply_to_state,
     auto_converge,
@@ -69,7 +68,6 @@ __all__ = [
     "SingularCompositionError",
     "TableRangeError",
     "FockState",
-    "RecordStream",
     "Trajectory",
     "apply_to_state",
     "auto_converge",

@@ -20,6 +20,7 @@ import dataclasses
 import itertools
 import json
 import os
+import stat
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -132,7 +133,9 @@ def write_table(path: str, fmt: str, columns, blocks, comments=(), extra: dict |
     stream of blocks is never held whole.  The file is opened once the
     first block is there; if anything raises after that (a write error, or
     an error in the code that yields the blocks), the partial file is
-    removed, and a write error is raised as a :class:`ConfigError`.
+    removed, and a write error is raised as a :class:`ConfigError`.  Only a
+    regular file named by ``path`` itself is removed: a device, a FIFO or a
+    symlink (and the file it points to) stays, with whatever was written.
     """
     if fmt == "csv":
         head = "".join(f"# {line}\r\n" for line in comments) + ",".join(columns)
@@ -152,6 +155,7 @@ def write_table(path: str, fmt: str, columns, blocks, comments=(), extra: dict |
         fh = open(path, "wb")
     except OSError as exc:
         raise ConfigError(f"cannot write output {path}: {exc.strerror or exc}") from exc
+    removable = stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and not os.path.islink(path)
     try:
         with fh:
             fh.write(head.encode("utf-8"))
@@ -159,8 +163,9 @@ def write_table(path: str, fmt: str, columns, blocks, comments=(), extra: dict |
                 tail = close + tail
             fh.write(tail.encode("utf-8"))
     except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.remove(path)
+        if removable:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         if isinstance(exc, OSError):
             raise ConfigError(f"cannot write output {path}: {exc.strerror or exc}") from exc
         raise
@@ -219,6 +224,17 @@ def _write_blocks(fh, fmt, lead, first, blocks) -> int:
 # shared pipeline pieces
 # ---------------------------------------------------------------------------
 
+def _ladder_run(cfg: ExperimentConfig):
+    """The arguments of :func:`evolve` and :class:`RecordStream` for a fixed ``n_steps``.
+
+    That is the discretized ladder, the record cadence, ``lam`` and the
+    scaling, in their positional order.
+    """
+    record_every = None if cfg.record_every == "auto" else cfg.record_every
+    return (discretize(cfg.to_profile(), cfg.t_final, cfg.n_steps, rule=cfg.rule),
+            record_every, cfg.lam, cfg.scaling)
+
+
 def run_trajectory(cfg: ExperimentConfig) -> Trajectory:
     """Fold the configured ladder; then refuse an oracle substep beyond ``oracle.MAX_SUBSTEPS``.
 
@@ -226,14 +242,11 @@ def run_trajectory(cfg: ExperimentConfig) -> Trajectory:
     doubling has ended, so the refusal (a :class:`ConfigError`) comes here,
     before any command writes its table.
     """
-    profile = cfg.to_profile()
     if cfg.n_steps == "auto":
-        traj = auto_converge(profile, cfg.t_final, cfg.tol, n_start=cfg.n_start,
+        traj = auto_converge(cfg.to_profile(), cfg.t_final, cfg.tol, n_start=cfg.n_start,
                              rule=cfg.rule, lam=cfg.lam, scaling=cfg.scaling)
     else:
-        record_every = None if cfg.record_every == "auto" else cfg.record_every
-        dprof = discretize(profile, cfg.t_final, cfg.n_steps, rule=cfg.rule)
-        traj = evolve(dprof, record_every=record_every, lam=cfg.lam, scaling=cfg.scaling)
+        traj = evolve(*_ladder_run(cfg))
     if cfg.oracle_check and cfg.oracle_dt_sub is not None:
         oracle_substeps_or_error(cfg.t_final / traj.n_steps_used, cfg.oracle_dt_sub)
     return traj
@@ -288,9 +301,7 @@ def run_single(cfg: ExperimentConfig, announce=_say) -> int:
         run = run_trajectory(cfg)
         records, n_records = (run.records,), len(run.records)
     else:  # the stream alone holds the ladder, so it can free the samples after the last fold
-        record_every = None if cfg.record_every == "auto" else cfg.record_every
-        run = RecordStream(discretize(cfg.to_profile(), cfg.t_final, cfg.n_steps, rule=cfg.rule),
-                           record_every, cfg.lam, cfg.scaling)
+        run = RecordStream(*_ladder_run(cfg))
         records, n_records = run.blocks(), run.n_records
     write_table(cfg.output, cfg.format, _column_names(cfg.fingerprint),
                 (_record_columns(block, cfg.fingerprint) for block in records))

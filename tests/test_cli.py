@@ -6,8 +6,10 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -820,6 +822,41 @@ class TestStream:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("configuration error: cannot write output" if code == 2 else "simulation error")
+
+    @pytest.mark.parametrize("kind", ["fifo", "symlink"])
+    def test_a_run_that_fails_mid_stream_removes_only_a_regular_file(self, kind, tmp_path, monkeypatch):
+        # a FIFO, or a symlink and the file it points to, outlive the failed run
+        fold, calls = kernels.fold_ladder, []
+
+        def second_call_fails(*args):
+            rec, p, q, defect, worst = fold(*args)
+            calls.append(1)
+            if len(calls) == 2:
+                defect[3] = math.nan
+            return rec, p, q, defect, worst
+
+        monkeypatch.setattr(kernels, "fold_ladder", second_call_fails)
+        out, target, read = tmp_path / "x.csv", tmp_path / "target.csv", []
+        if kind == "fifo":
+            os.mkfifo(out)
+            reader = threading.Thread(target=lambda: read.append(out.read_bytes()))
+            reader.start()
+        else:
+            out.symlink_to(target)
+        argv = ["simulate", "--profile", "constant", "--t-final", "1", "--n-steps", str(3 * kernels.BLOCK),
+                "--record-every", "1", "--output", str(out)]
+        try:
+            assert cli.main(argv) == 3
+        finally:
+            if kind == "fifo":
+                reader.join(timeout=60)
+        assert len(calls) == 2
+        if kind == "fifo":
+            assert stat.S_ISFIFO(os.lstat(out).st_mode)
+            assert read[0].startswith(b"t,omega,")
+        else:
+            assert out.is_symlink() and os.readlink(out) == str(target)
+            assert target.read_bytes().startswith(b"t,omega,")
 
     def test_a_failure_in_the_first_fold_call_leaves_an_existing_file(self, tmp_path, monkeypatch):
         # the file is opened only once the first block of records is there

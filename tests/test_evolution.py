@@ -10,7 +10,6 @@ from su11squeeze import (
     FockState,
     IDENTITY,
     PropagatorAccumulator,
-    RecordStream,
     apply_to_state,
     auto_converge,
     constant,
@@ -25,6 +24,7 @@ from su11squeeze import (
 from su11squeeze import kernels
 from su11squeeze.config import build_config
 from su11squeeze.errors import InvalidAccumulatorError, LeakageError, ProfileDomainError
+from su11squeeze.evolution import RecordStream
 from su11squeeze.profiles import DiscretizedProfile
 
 
