@@ -19,6 +19,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import math
 import os
 import stat
 import sys
@@ -26,14 +27,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import analysis
+from . import analysis, oracle
 from .config import (
     FORMATS,
     PRESETS,
     ExperimentConfig,
     build_config,
     load_config_file,
-    oracle_substeps_or_error,
 )
 from .errors import (
     ConfigError,
@@ -42,9 +42,9 @@ from .errors import (
     ProfileDomainError,
     TableRangeError,
 )
-from .evolution import SCALINGS, FockState, RecordStream, Trajectory, apply_to_state, auto_converge, evolve
-# integrate has no caller here, but perfbench/spans.py wraps it as cli.integrate
-from .oracle import evolve_vacuum, fidelity, integrate, pair_error
+# apply_to_state, fidelity and integrate have no caller here, but perfbench/spans.py wraps them as cli attributes
+from .evolution import SCALINGS, RecordStream, Trajectory, apply_to_state, auto_converge, evolve
+from .oracle import fidelity, integrate
 from .profiles import KINDS, RULES, discretize
 
 EXIT_OK = 0
@@ -236,32 +236,22 @@ def _ladder_run(cfg: ExperimentConfig):
 
 
 def run_trajectory(cfg: ExperimentConfig) -> Trajectory:
-    """Fold the configured ladder; then refuse an oracle substep beyond ``oracle.MAX_SUBSTEPS``.
-
-    With ``--n-steps auto`` the segment length is known only once the step
-    doubling has ended, so the refusal (a :class:`ConfigError`) comes here,
-    before any command writes its table.
-    """
+    """Fold the configured ladder into a :class:`Trajectory`, by step doubling with ``--n-steps auto``."""
     if cfg.n_steps == "auto":
-        traj = auto_converge(cfg.to_profile(), cfg.t_final, cfg.tol, n_start=cfg.n_start,
+        return auto_converge(cfg.to_profile(), cfg.t_final, cfg.tol, n_start=cfg.n_start,
                              rule=cfg.rule, lam=cfg.lam, scaling=cfg.scaling)
-    else:
-        traj = evolve(*_ladder_run(cfg))
-    if cfg.oracle_check and cfg.oracle_dt_sub is not None:
-        oracle_substeps_or_error(cfg.t_final / traj.n_steps_used, cfg.oracle_dt_sub)
-    return traj
+    return evolve(*_ladder_run(cfg))
 
 
 def _verify(cfg: ExperimentConfig, traj, announce=_say) -> int:
     """Gate the norm defect over every step, then cross-check the vacuum's image against RK4 if asked.
 
-    The oracle is :func:`oracle.evolve_vacuum`, RK4 on the Heisenberg pair; the
-    passed line also prints its pair error against ``traj.final``, which is
-    not gated.  ``traj`` is a :class:`Trajectory` from :func:`run_trajectory`
-    or a :class:`RecordStream` whose blocks are written; both report
-    ``final``, ``max_norm_defect`` and ``n_steps_used``.  The substep count
-    has been checked by then.
-
+    The oracle is :func:`oracle.heisenberg` at :func:`oracle.pair_substeps`.
+    The check passes at :func:`oracle.vacuum_fidelity` less its rounding
+    bound ``>= ORACLE_FIDELITY_MIN``; where the bound alone reaches ``1 -
+    ORACLE_FIDELITY_MIN`` it fails unresolved, without RK4.  The passed line
+    also prints the pair error, which is not gated.  ``traj`` is a
+    :class:`Trajectory` or a :class:`RecordStream` whose blocks are written.
     ``announce(line, file=None)`` prints like ``print``, under the run's label if it has one.
     """
     worst = traj.max_norm_defect  # over every step, recorded or not
@@ -270,21 +260,26 @@ def _verify(cfg: ExperimentConfig, traj, announce=_say) -> int:
         return EXIT_SIMULATION
     if not cfg.oracle_check:
         return EXIT_OK
+    final = traj.final
+    bound = oracle.FIDELITY_ROUNDING / abs(final.beta)  # the fold has refused an overflowing |p|^2 = 1/|beta|
+    if not bound < 1.0 - ORACLE_FIDELITY_MIN:
+        r = math.acosh(abs(final.beta) ** -0.5)  # |p| = cosh(r)
+        announce(f"oracle check failed: cannot resolve the fidelity at r = {r:.4g}: its rounding bound "
+                 f"{bound:.1e} reaches {1.0 - ORACLE_FIDELITY_MIN:.0e}")
+        return EXIT_ORACLE
     dprof = discretize(cfg.to_profile(), cfg.t_final, traj.n_steps_used, rule=cfg.rule)
-    dt_sub = cfg.oracle_dt_sub if cfg.oracle_dt_sub is not None else dprof.tau / 4.0
     try:
-        oracle_state, diag, (u, v) = evolve_vacuum(dprof, dt_sub, dim=cfg.oracle_dim)
-        method_state = apply_to_state(traj.final, FockState.vacuum(), n_max=diag.dim - 1)
-    except LeakageError as exc:
+        n_sub = oracle.pair_substeps(dprof)
+        u, v, _ = oracle.heisenberg(dprof, n_sub)
+    except (ValueError, LeakageError) as exc:
         announce(f"oracle check failed: {exc}")
         return EXIT_ORACLE
-    fid = fidelity(method_state.normalized(), oracle_state)
-    if not fid >= ORACLE_FIDELITY_MIN:  # a diverged integration gives nan
-        announce(f"oracle mismatch: fidelity {fid:.8f} < {ORACLE_FIDELITY_MIN} "
-                 f"(dim={diag.dim}, leakage={diag.leakage:.2e})")
+    fid = oracle.vacuum_fidelity(u, v, final)
+    if not fid - bound >= ORACLE_FIDELITY_MIN:  # a nan fails too
+        announce(f"oracle mismatch: fidelity {fid:.8f} - {bound:.1e} < {ORACLE_FIDELITY_MIN} (n_sub={n_sub})")
         return EXIT_ORACLE
     announce(f"oracle check passed: fidelity {fid:.8f} "
-             f"(dim={diag.dim}, pair error {pair_error(u, v, traj.final):.1e})")
+             f"(n_sub={n_sub}, pair error {oracle.pair_error(u, v, final):.1e})")
     return EXIT_OK
 
 
@@ -293,8 +288,7 @@ def run_single(cfg: ExperimentConfig, announce=_say) -> int:
 
     With a fixed ``n_steps`` the table is streamed: each block of records
     goes from the fold to the file before the next is folded, so the run
-    holds one block of records, not all of them.  ``validate`` has refused
-    an oracle substep out of range before this runs.  With ``auto`` the
+    holds one block of records, not all of them.  With ``auto`` the
     doubling's last trajectory is written as one block.
     """
     if cfg.n_steps == "auto":
@@ -522,11 +516,7 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     grp.add_argument("--output")
     grp.add_argument("--format", choices=FORMATS)
     grp.add_argument("--oracle-check", dest="oracle_check", action="store_const", const=True,
-                     help="validate the vacuum's image against RK4 on the Heisenberg pair (a, a+)")
-    grp.add_argument("--oracle-dim", type=int, dest="oracle_dim",
-                     help="pin the number basis the oracle's vacuum image is compared in")
-    grp.add_argument("--oracle-dt-sub", type=float, dest="oracle_dt_sub",
-                     help="oracle RK4 substep on the Heisenberg pair (default tau/4)")
+                     help="check the vacuum's image against RK4 on (a, a+) by closed-form fidelity, to r ~ 14.6")
     grp.add_argument("--fingerprint", action="store_const", const=True,
                      help="append re_z/im_z fingerprint columns")
 

@@ -8,8 +8,6 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .evolution import N_START_MIN, SCALINGS
-from .oracle import MAX_DIM as ORACLE_MAX_DIM
-from .oracle import substeps as oracle_substeps
 from .profiles import KINDS, PROFILES, RULES, Profile
 
 #: Parameter sets reproducing the shipped reference workflows.
@@ -46,8 +44,6 @@ class ExperimentConfig:
     output: str = "trajectory.csv"
     format: str = "csv"
     oracle_check: bool = False
-    oracle_dim: int | None = None
-    oracle_dt_sub: float | None = None
     preset: str | None = None
     fingerprint: bool = False
 
@@ -81,13 +77,6 @@ class ExperimentConfig:
             raise ConfigError(f"record_every {self.record_every} needs a fixed n_steps, not auto")
         if not (self.tol > 0):
             raise ConfigError(f"tol must be positive, got {self.tol}")
-        if self.oracle_dim is not None and not (5 <= self.oracle_dim <= ORACLE_MAX_DIM):
-            raise ConfigError(f"oracle_dim must be in [5, {ORACLE_MAX_DIM}], got {self.oracle_dim}")
-        if self.oracle_dt_sub is not None and not (self.oracle_dt_sub > 0):
-            raise ConfigError(f"oracle_dt_sub must be positive, got {self.oracle_dt_sub}")
-        if self.oracle_check and self.oracle_dt_sub is not None and self.n_steps != "auto":
-            # with n_steps auto the ladder step is known, and checked, only after convergence
-            oracle_substeps_or_error(self.t_final / self.n_steps, self.oracle_dt_sub)
         takes = profile_parameters(self.profile)
         for name, param in takes.items():
             if param.default is param.empty and getattr(self, name) is None:
@@ -105,14 +94,6 @@ class ExperimentConfig:
             return PROFILES[self.profile](**params)
         except (ValueError, OSError) as exc:
             raise ConfigError(str(exc)) from exc
-
-
-def oracle_substeps_or_error(tau: float, dt_sub: float) -> int:
-    """:func:`oracle.substeps`, with its refusal raised as a :class:`ConfigError`."""
-    try:
-        return oracle_substeps(tau, dt_sub)
-    except ValueError as exc:
-        raise ConfigError(f"oracle_dt_sub: {exc}") from exc
 
 
 def profile_parameters(kind: str):

@@ -10,11 +10,11 @@ H is quadratic, so ``(a, a+)`` evolve linearly::
     d/dt (a, a+) = -i omega [[cosh 2rho, sinh 2rho], [-sinh 2rho, -cosh 2rho]] (a, a+)
 
 :func:`heisenberg` runs RK4 on this 2x2 system and returns the Bogoliubov
-pair ``(u, v)`` with ``a(T) = u a + v a+``; :func:`evolve_vacuum` builds
-the vacuum's image from it, which ``--oracle-check`` compares with the
-method.  :func:`integrate` runs RK4 on the Schrodinger equation in a
-truncated number basis (:func:`su11squeeze.kernels.rk4_propagate`) and
-takes any initial state.
+pair ``(u, v)`` with ``a(T) = u a + v a+``; ``--oracle-check`` gates the
+closed-form fidelity of the vacuum's images (:func:`vacuum_fidelity`), and
+:func:`evolve_vacuum` builds the oracle's image in a number basis.
+:func:`integrate` runs RK4 on the Schrodinger equation in a truncated number
+basis (:func:`su11squeeze.kernels.rk4_propagate`) and takes any initial state.
 """
 
 from __future__ import annotations
@@ -38,11 +38,16 @@ MAX_DIM = 4096
 #: population in the top four levels.
 INITIAL_EDGE_TOL = 1e-10
 
-#: Most RK4 substeps per segment that :func:`substeps` grants.  In the Fock
-#: basis every substep costs a pass over the whole ladder, and at
-#: ``tau/MAX_SUBSTEPS`` RK4's error on a segment with ``omega*tau <= 1``
+#: Most RK4 substeps per segment that :func:`substeps` and :func:`pair_substeps`
+#: grant.  In the Fock basis every substep costs a pass over the whole ladder,
+#: and at ``tau/MAX_SUBSTEPS`` RK4's error on a segment with ``omega*tau <= 1``
 #: already lies below double rounding.
 MAX_SUBSTEPS = 10_000
+
+#: Largest substep angle ``omega*dt`` of :func:`pair_substeps`: the pair error falls as ``theta^4`` to a
+#: rounding floor of 1e-12 to 1e-11 near here, and more substeps add rounding (1e-10 at 256).
+THETA_MAX = 1e-3
+FIDELITY_ROUNDING = 4.0 * float(np.finfo(np.float64).eps)  # vacuum_fidelity is good to this over |beta|
 
 #: Segments per block of :func:`heisenberg`'s product; its traced scratch is ~0.75 MB.
 HEISENBERG_BLOCK = 4096
@@ -95,6 +100,15 @@ def substeps(tau: float, dt_sub: float) -> int:
     ratio = tau / dt_sub
     if ratio > MAX_SUBSTEPS:
         raise ValueError(f"dt_sub = {dt_sub} takes {ratio:.3g} RK4 substeps per segment of tau = {tau}, "
+                         f"more than MAX_SUBSTEPS = {MAX_SUBSTEPS}")
+    return max(1, math.ceil(ratio))
+
+
+def pair_substeps(dprofile: DiscretizedProfile) -> int:
+    """:func:`heisenberg`'s substeps per segment, ``max(1, ceil(max(omega) tau / THETA_MAX))``, or ValueError."""
+    ratio = float(np.max(dprofile.samples)) * dprofile.tau / THETA_MAX
+    if not ratio <= MAX_SUBSTEPS:
+        raise ValueError(f"max(omega)*tau = {ratio * THETA_MAX:.3g} takes {ratio:.3g} RK4 substeps per segment, "
                          f"more than MAX_SUBSTEPS = {MAX_SUBSTEPS}")
     return max(1, math.ceil(ratio))
 
@@ -177,7 +191,7 @@ def heisenberg(dprofile: DiscretizedProfile, n_sub: int):
     if not norm_drift <= LEAKAGE_TOL:
         raise LeakageError(
             f"RK4 norm loss {norm_drift:.3e} exceeds {LEAKAGE_TOL:g}; "
-            f"the substep dt={dt:.3g} is too coarse (lower dt_sub, --oracle-dt-sub)",
+            f"the substep dt={dt:.3g} is too coarse (raise n_sub)",
             leakage=norm_drift,
         )
     return complex(phi[0, 0]), complex(phi[0, 1]), norm_drift
@@ -227,6 +241,19 @@ def pair_error(u: complex, v: complex, acc) -> float:
     """``max(|v/conj(u) - alpha|, |conj(u)^-2 - beta|)`` against a composed propagator."""
     uc = u.conjugate()
     return max(abs(v / uc - acc.alpha), abs(uc ** -2 - acc.beta))
+
+
+def vacuum_fidelity(u: complex, v: complex, acc) -> float:
+    """Fidelity of the vacuum's images ``exp(alpha K_+)|0>`` (the method's) and ``exp(a_o K_+)|0>``, normalized.
+
+    With ``a_o = v/conj(u)`` it is ``sqrt((1 - |alpha|^2) (1 - |a_o|^2)) / |1 - conj(a_o) alpha|``, at most
+    1.  Each factor is of size ``|beta| = 1/|p|^2`` and rounded to about one ``eps``, so ``F`` is good to
+    ``FIDELITY_ROUNDING/|beta|``, 1e-3 near r = 14.6; past r ~ 19 they round to 0 and ``F`` to 0 or nan.
+    """
+    a_o = v / u.conjugate()
+    den = abs(1.0 - a_o.conjugate() * acc.alpha)
+    inside = (1.0 - abs(acc.alpha) ** 2) * (1.0 - abs(a_o) ** 2)
+    return math.sqrt(max(0.0, inside)) / den if den else math.nan
 
 
 def integrate(dprofile: DiscretizedProfile, initial: FockState, dt_sub: float,
@@ -297,7 +324,7 @@ def integrate(dprofile: DiscretizedProfile, initial: FockState, dt_sub: float,
         if not rk4_loss <= LEAKAGE_TOL:
             raise LeakageError(
                 f"RK4 norm loss {rk4_loss:.3e} exceeds {LEAKAGE_TOL:g} at dim={d}; "
-                f"the substep dt={tau / n_sub:.3g} is too coarse (lower dt_sub, --oracle-dt-sub)",
+                f"the substep dt={tau / n_sub:.3g} is too coarse (lower dt_sub)",
                 leakage=rk4_loss,
             )
         last_leakage = max_edge

@@ -72,6 +72,8 @@ def parametric_resonance(epsilon: float, omega_l: float, omega0: float = 1.0) ->
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not (omega_l > 0.0):
         raise ValueError(f"omega_l must be positive, got {omega_l}")
+    if not (epsilon * omega0 > 0.0):  # it underflows for tiny epsilon and omega0
+        raise ValueError(f"the drive rate epsilon*omega0 must be positive, got {epsilon * omega0}")
     return Profile("parametric_resonance", omega0,
                    lambda t: 0.5 * ((omega0 + omega_l) + (omega0 - omega_l) * np.cos(epsilon * omega0 * t)),
                    period=2.0 * np.pi / (epsilon * omega0))

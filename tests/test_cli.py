@@ -10,7 +10,6 @@ import stat
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -133,18 +132,10 @@ class TestSimulate:
         out = tmp_path / "jump.csv"
         code = cli.main(["simulate", "--profile", "sudden_jump", "--omega1", "1.3",
                          "--t-final", "2", "--n-steps", "2000",
-                         "--oracle-check", "--oracle-dim", "64",
+                         "--oracle-check",
                          "--output", str(out)])
         assert code == 0
         assert "oracle check passed" in capsys.readouterr().out
-
-    def test_oracle_check_fails_when_basis_is_too_small(self, tmp_path, capsys):
-        out = tmp_path / "tight.csv"
-        code = cli.main(["simulate", "--profile", "janszky_adam", "--omega1", "1.5",
-                         "--t-final", "8", "--n-steps", "8000",
-                         "--oracle-check", "--oracle-dim", "16",
-                         "--output", str(out)])
-        assert code == 4
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--profile", "relaxing_pulse"],              # missing B
@@ -154,8 +145,11 @@ class TestSimulate:
         ["simulate", "--preset", "fig1", "--t-final", "inf"],
         ["simulate", "--preset", "fig1", "--omega0", "inf"],
         ["simulate", "--preset", "fig2", "--epsilon", "nan"],
-        *[ORACLE_RUN + ["--oracle-dim", dim] for dim in ("0", "3")],
-        *[ORACLE_RUN + ["--oracle-dt-sub", dt] for dt in ("0", "-1", "1")],  # tau = 0.001
+        ["simulate", "--profile", "constant", "--tol", "0"],
+        ["simulate", "--profile", "constant", "--t-final", "1", "--n-steps", "10", "--record-every", "0"],
+        ["simulate", "--profile", "constant", "--omega0", "0"],
+        ["simulate", "--preset", "fig4", "--t-final", "1", "--n-steps", "10", "--hold-low", "0"],
+        ["simulate", "--profile", "sudden_jump", "--omega1", "-1.5", "--t-final", "1", "--n-steps", "10"],
         ["simulate", "--profile", "constant", "--t-final", "1", "--n-start", "50"],
         ["converge", "--profile", "constant", "--t-final", "1", "--n-steps", "50"],
         ["simulate", "--profile", "constant", "--t-final", "1", "--n-steps", "auto", "--record-every", "7"],
@@ -166,7 +160,7 @@ class TestSimulate:
         assert "configuration error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", [
-        "omega0 = abc", "oracle_dim = abc", "t_final = abc", "n_start = abc",
+        "omega0 = abc", "t_final = abc", "n_start = abc",
         "lambda = abc", "omega0 = auto",
     ])
     def test_config_file_values_of_the_wrong_type_exit_2(self, line, tmp_path, capsys):
@@ -176,7 +170,7 @@ class TestSimulate:
         assert "must be a number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", [
-        "record_every = 2.5", "n_steps = 1000.5", "n_start = 500.5", "oracle_dim = 64.5",
+        "record_every = 2.5", "n_steps = 1000.5", "n_start = 500.5",
     ])
     def test_config_file_non_integral_values_in_integer_fields_exit_2(self, line, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -258,24 +252,38 @@ class TestSimulate:
     ])
     def test_fold_beyond_double_range_exits_3(self, argv, tmp_path, capsys):
         code = cli.main(["simulate", "--preset", "fig2", "--t-final", "1.5", "--omega0", "1e-300",
-                         "--oracle-check", "--oracle-dim", "5",
-                         "--output", str(tmp_path / "x.csv")] + argv)
+                         "--oracle-check", "--output", str(tmp_path / "x.csv")] + argv)
         assert code == 3
         assert "simulation error" in capsys.readouterr().err
 
-    def test_diverged_oracle_fails_the_check(self, tmp_path, capsys):
-        # RK4 at dt*omega0 ~ 1e197 overflows to nan, which the oracle must reject
+    def test_diverged_oracle_fails_the_check(self, tmp_path, capsys, monkeypatch):
+        # with no bound on the substep angle, RK4 at dt*omega0 ~ 1e197 overflows
+        # to nan, which the oracle must reject
+        monkeypatch.setattr(oracle, "THETA_MAX", math.inf)
         code = cli.main(["simulate", "--profile", "constant", "--omega0", "1e200",
                          "--t-final", "1", "--n-steps", "1000",
-                         "--oracle-check", "--oracle-dim", "64", "--output", str(tmp_path / "x.csv")])
+                         "--oracle-check", "--output", str(tmp_path / "x.csv")])
         assert code == 4
         assert "oracle check failed: RK4 norm loss nan" in capsys.readouterr().out
+
+    def test_a_ladder_beyond_the_substep_cap_exits_4(self, tmp_path, capsys, monkeypatch):
+        # omega*tau = 1e197 would take 1e200 substeps per segment: refused without running RK4
+        def no_work(*args):
+            raise AssertionError("RK4 ran beyond the substep cap")
+
+        monkeypatch.setattr(oracle, "heisenberg", no_work)
+        out = tmp_path / "x.csv"
+        code = cli.main(["simulate", "--profile", "constant", "--omega0", "1e200",
+                         "--t-final", "1", "--n-steps", "1000", "--oracle-check", "--output", str(out)])
+        assert code == 4
+        assert f"more than MAX_SUBSTEPS = {oracle.MAX_SUBSTEPS}" in capsys.readouterr().out
+        assert len(read_csv(out)[1]) == 1000
 
     @pytest.mark.parametrize("argv, code", [
         (["--preset", "fig2", "--t-final", "1.5", "--omega0", "1e-300", "--n-steps", "1",
           "--epsilon", "7.024474751815672e+291"], 3),
         (["--preset", "fig2", "--omega0", "1e150", "--t-final", "1", "--n-steps", "100",
-          "--oracle-check", "--oracle-dim", "8"], 4),
+          "--oracle-check"], 4),
     ], ids=["fold_overflow", "oracle_overflow"])
     def test_overflow_prints_no_numpy_warning(self, argv, code, tmp_path):
         run = simulate_in_subprocess(argv, tmp_path)
@@ -296,16 +304,40 @@ class TestSimulate:
         assert run.returncode == 0
         assert run.stderr == ""
 
-    def test_vacuum_wider_than_the_largest_basis_exits_4(self, tmp_path, capsys):
-        # r = 4.87 at t = 30: the vacuum's image does not fit in 4096 levels
+    def test_fig4_preset_passes_the_oracle_check(self, tmp_path, capsys):
+        # r = 4.87 at t = 30, wider than a number basis of 4096 levels holds
         code = cli.main(["simulate", "--preset", "fig4", "--oracle-check", "--output", str(tmp_path / "x.csv")])
+        assert code == 0
+        assert re.search(r"\noracle check passed: fidelity 1\.00000000 \(n_sub=1, pair error \S+\)\n",
+                         capsys.readouterr().out)
+
+    def test_squeezing_beyond_the_resolvable_fidelity_exits_4(self, tmp_path, capsys, monkeypatch):
+        # r = 31.2 at t = 200: the closed form's rounding bound alone exceeds 1e-3
+        def no_work(*args):
+            raise AssertionError("RK4 ran where its verdict cannot be read")
+
+        monkeypatch.setattr(oracle, "heisenberg", no_work)
+        out = tmp_path / "x.csv"
+        code = cli.main(["simulate", "--preset", "fig4", "--t-final", "200", "--n-steps", "400000",
+                         "--oracle-check", "--output", str(out)])
         assert code == 4
-        assert "at dim=4096; state too wide for the truncated basis" in capsys.readouterr().out
+        assert "oracle check failed: cannot resolve the fidelity at r = 31.22" in capsys.readouterr().out
+        header, body, _ = read_csv(out)
+        assert len(body) == 5000 and float(body[-1][header.index("r")]) > 31.0
+
+    @pytest.mark.parametrize("line", ["oracle_dim = 64", "oracle_dt_sub = 0.001"])
+    def test_a_config_file_naming_a_removed_oracle_key_exits_2(self, line, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"profile = constant\nt_final = 1\nn_steps = 10\noracle_check = true\n{line}\n")
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 2
+        key = line.split()[0]
+        assert f"unknown configuration key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_pair_error_sees_what_fidelity_does_not(self, tmp_path, capsys, monkeypatch):
         def pair_error(argv):
             assert cli.main(argv + ["--output", str(tmp_path / "x.csv")]) == 0
-            found = re.search(r"oracle check passed: fidelity (\S+) \(dim=\d+, pair error (\S+)\)",
+            found = re.search(r"oracle check passed: fidelity (\S+) \(n_sub=\d+, pair error (\S+)\)",
                               capsys.readouterr().out)
             return found[1], float(found[2])
 
@@ -353,39 +385,6 @@ class TestSimulate:
                          "--output", str(tmp_path / "dip.csv")])
         assert code == 3
         assert "simulation error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("n_steps", ["10", "auto"])
-    def test_oracle_substeps_beyond_the_bound_exit_2_at_once(self, n_steps, tmp_path, capsys, monkeypatch):
-        # ceil(tau/dt_sub) ~ 1e299 substeps per segment would never finish; a fixed
-        # n_steps is refused before the fold, auto before the oracle runs
-        def no_work(*args):
-            raise AssertionError("ran before the substep count was checked")
-
-        monkeypatch.setattr(oracle, "heisenberg", no_work)
-        if n_steps != "auto":
-            monkeypatch.setattr(kernels, "fold_ladder", no_work)
-        start = time.perf_counter()
-        code = cli.main(["simulate", "--profile", "sudden_jump", "--omega1", "2", "--t-final", "1",
-                         "--n-steps", n_steps, "--oracle-check", "--oracle-dt-sub", "1e-300",
-                         "--output", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert time.perf_counter() - start < 10.0
-        assert f"more than MAX_SUBSTEPS = {oracle.MAX_SUBSTEPS}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", [
-        ["simulate"],
-        ["converge"],
-        ["compare"],
-        ["sweep", "--sweep-param", "omega1", "--sweep-values", "2,2.5"],
-    ], ids=lambda command: command[0])
-    def test_auto_steps_refuse_the_substep_bound_before_writing(self, command, tmp_path, capsys):
-        # with --n-steps auto the segment length is known only after the doubling
-        code = cli.main([*command, "--profile", "sudden_jump", "--omega1", "2", "--t-final", "1",
-                         "--n-steps", "auto", "--oracle-check", "--oracle-dt-sub", "1e-300",
-                         "--output", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert f"more than MAX_SUBSTEPS = {oracle.MAX_SUBSTEPS}" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, named", [
         (["--profile", "sudden_jump", "--omega1", "2", "--t-final", "1", "--n-steps", "100000000000"],
@@ -918,8 +917,8 @@ class TestStream:
     @pytest.mark.parametrize("argv, code", [
         (["converge", "--preset", "fig4", "--t-final", "1", "--n-start", "1000", "--tol", "1e-3",
           "--oracle-check"], 0),
-        (["converge", "--preset", "fig4", "--t-final", "1", "--n-start", "1000", "--tol", "1e-3",
-          "--oracle-check", "--oracle-dim", "5"], 4),
+        (["converge", "--profile", "constant", "--omega0", "1e7", "--t-final", "1", "--n-start", "1000",
+          "--tol", "1e-3", "--oracle-check"], 4),  # omega*tau beyond the oracle's substep cap
     ], ids=["passes", "oracle_fails"])
     def test_a_reader_that_goes_away_costs_no_traceback(self, argv, code, tmp_path):
         # the reader closes the pipe after converge's first report line (unbuffered stdout: the
@@ -970,8 +969,7 @@ def test_every_factory_parameter_is_a_config_field_and_a_flag():
 
 # Values that no numeric flag accepts, drawn for about one flag in four; the
 # rest are values the flag may take.  Flags that set the amount of work
-# (t_final, n_steps, oracle_dim, oracle_dt_sub) draw from a capped range; the
-# others may be huge.
+# (t_final, n_steps) draw from a capped range; the others may be huge.
 _REJECTED = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-1e300"])
 
 
@@ -989,14 +987,12 @@ _FUZZ_FLAGS = {
     "--omega0": _or_rejected(_floats(1e-300, 1e300)),
     "--epsilon": _or_rejected(_floats(1e-300, 1e300)),
     "--record-every": _or_rejected(st.integers(1, 10**30).map(str)),
-    "--oracle-dim": _or_rejected(st.sampled_from(["3", "4", "100000"]), st.integers(5, 64).map(str)),
-    "--oracle-dt-sub": _or_rejected(st.just("1e300"), _floats(1e-3, 10.0)),
 }
 
 
-# fig2's own t_final, n_steps and unpinned oracle basis would set a large
-# amount of work, so these three flags are always given
-_ALWAYS = ("--t-final", "--n-steps", "--oracle-dim")
+# fig2's own t_final and n_steps would set a large amount of work, so these
+# two flags are always given
+_ALWAYS = ("--t-final", "--n-steps")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True,

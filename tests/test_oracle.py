@@ -2,6 +2,8 @@ import cmath
 import dataclasses
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from su11squeeze import (
     DiscretizedProfile,
     FockState,
+    PropagatorAccumulator,
     TruncatedHamiltonian,
     apply_to_state,
     constant,
@@ -21,7 +24,7 @@ from su11squeeze import (
     relaxing_pulse,
     sudden_jump,
 )
-from su11squeeze import cli, kernels, oracle
+from su11squeeze import kernels, oracle
 from su11squeeze.config import build_config
 from su11squeeze.errors import LeakageError
 
@@ -135,7 +138,7 @@ class TestIntegrate:
 
         monkeypatch.setattr(kernels, "rk4_propagate", counted)
         dprof = discretize(constant(1e3), 1.0, 1000)
-        with pytest.raises(LeakageError, match="--oracle-dt-sub") as err:
+        with pytest.raises(LeakageError, match="too coarse") as err:
             integrate(dprof, FockState.vacuum(), dt_sub=dprof.tau / 4)
         assert dims == [256]
         assert err.value.leakage > 1e-6
@@ -143,7 +146,7 @@ class TestIntegrate:
     def test_diverged_integration_raises(self):
         # dt * omega0 ~ 1e197 overflows the step matrix to nan
         dprof = discretize(constant(1e200), 1.0, 1000)
-        with np.errstate(all="ignore"), pytest.raises(LeakageError, match="--oracle-dt-sub"):
+        with np.errstate(all="ignore"), pytest.raises(LeakageError, match="too coarse"):
             integrate(dprof, FockState.vacuum(), dt_sub=dprof.tau / 4)
 
     def test_initial_state_must_fit_the_basis(self):
@@ -261,7 +264,7 @@ class TestHeisenberg:
 
     def test_coarse_substep_raises(self):
         dprof = discretize(constant(1e3), 1.0, 1000)
-        with pytest.raises(LeakageError, match="--oracle-dt-sub") as err:
+        with pytest.raises(LeakageError, match="too coarse") as err:
             heisenberg(dprof, 4)
         assert err.value.leakage > 1e-6
 
@@ -287,12 +290,96 @@ class TestHeisenberg:
         with pytest.raises(LeakageError, match="state too wide for the truncated basis"):
             oracle.evolve_vacuum(dprof, dprof.tau / 4, dim=16)
 
-    def test_pinned_dim_too_small_exits_4(self, tmp_path, capsys):
-        code = cli.main(["simulate", "--profile", "sudden_jump", "--omega1", "2.2", "--t-final", "0.7",
-                         "--n-steps", "2000", "--oracle-check", "--oracle-dim", "16",
-                         "--output", str(tmp_path / "x.csv")])
-        assert code == 4
-        assert "at dim=16; state too wide for the truncated basis" in capsys.readouterr().out
+
+def exact_vacuum_fidelity(u, v, acc):
+    """:func:`oracle.vacuum_fidelity`'s formula evaluated exactly on the same doubles.
+
+    ``F^2 = (1 - |alpha|^2) (1 - |a_o|^2) / |1 - conj(a_o) alpha|^2`` is
+    rational in the inputs, so it is formed in fractions and rooted to 40 digits.
+    """
+    u, v, alpha = ((Fraction(z.real), Fraction(z.imag)) for z in (u, v, acc.alpha))
+    uu = u[0] ** 2 + u[1] ** 2
+    a_o = ((v[0] * u[0] - v[1] * u[1]) / uu, (v[0] * u[1] + v[1] * u[0]) / uu)  # v/conj(u)
+    inside = (1 - alpha[0] ** 2 - alpha[1] ** 2) * (1 - a_o[0] ** 2 - a_o[1] ** 2)
+    if inside <= 0:  # as the formula's max(0, ...)
+        return 0.0
+    den = (1 - a_o[0] * alpha[0] - a_o[1] * alpha[1]) ** 2 + (a_o[0] * alpha[1] - a_o[1] * alpha[0]) ** 2
+    f2 = inside / den
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float((Decimal(f2.numerator) / Decimal(f2.denominator)).sqrt())
+
+
+def fig4_ladder(t_final):
+    return preset_ladder("fig4", t_final=float(t_final), n_steps=int(2000 * t_final))  # the preset's density
+
+
+class TestVacuumFidelity:
+    def test_rounding_bound_on_random_pairs(self, rng):
+        # the method's pair (p, q) and an oracle pair (u, v) a little off it, both of unit determinant
+        for _ in range(2000):
+            r = rng.uniform(0.0, 20.0)
+            phases = rng.uniform(-math.pi, math.pi, size=2)
+            dr, du, dv = 10.0 ** rng.uniform(-17.0, -6.0, size=3) * rng.choice([-1.0, 1.0], size=3)
+            p = math.cosh(r) * cmath.exp(1j * phases[0])
+            q = math.sinh(r) * cmath.exp(1j * phases[1])
+            acc = PropagatorAccumulator(q / p.conjugate(), p.conjugate() ** -2, -q.conjugate() / p.conjugate())
+            u = math.cosh(r + dr) * cmath.exp(1j * (phases[0] + du))
+            v = math.sinh(r + dr) * cmath.exp(1j * (phases[1] + dv))
+            bound = oracle.FIDELITY_ROUNDING / abs(acc.beta)
+            fid = oracle.vacuum_fidelity(u, v, acc)
+            if math.isnan(fid):  # the denominator rounded to 0, where no check reads F
+                assert bound >= 1.0, r
+            else:
+                assert abs(fid - exact_vacuum_fidelity(u, v, acc)) <= bound, (r, dr, du, dv)
+
+    @pytest.mark.parametrize("t_final", [10, 30, 45, 60, 75, 90, 120])
+    def test_rounding_bound_on_fig4_ladders(self, t_final):
+        # r = 1.6, 4.9, 7.1, 9.3, 11.8, 14.2 and 18.7
+        dprof = fig4_ladder(t_final)
+        acc = evolve(dprof).final
+        u, v, _ = heisenberg(dprof, oracle.pair_substeps(dprof))
+        fid = oracle.vacuum_fidelity(u, v, acc)
+        assert abs(fid - exact_vacuum_fidelity(u, v, acc)) <= oracle.FIDELITY_ROUNDING / abs(acc.beta)
+
+    @pytest.mark.parametrize("dprof", [
+        preset_ladder("fig1"), preset_ladder("fig2"), preset_ladder("fig5"), fig4_ladder(10),
+    ], ids=["fig1", "fig2", "fig5", "fig4_t10"])
+    def test_agrees_with_the_fidelity_in_a_number_basis(self, dprof):
+        n_sub = oracle.pair_substeps(dprof)
+        oracle_state, diag, (u, v) = oracle.evolve_vacuum(dprof, dprof.tau / n_sub)
+        final = evolve(dprof).final
+        method_state = apply_to_state(final, FockState.vacuum(), n_max=diag.dim - 1)
+        assert diag.n_sub == n_sub
+        assert abs(oracle.vacuum_fidelity(u, v, final) - fidelity(method_state.normalized(), oracle_state)) <= 1e-12
+
+    def test_far_apart_pairs_give_the_overlap_of_two_squeezed_vacua(self):
+        # same r, opposite squeezing phase: 1/cosh(2r), as the number-basis
+        # overlap in TestFidelity
+        r = 0.3
+        p, q = math.cosh(r), math.sinh(r)
+        acc = PropagatorAccumulator(q / p, p ** -2, -q / p)
+        assert oracle.vacuum_fidelity(p, -q, acc) == pytest.approx(1.0 / math.cosh(2.0 * r), abs=1e-15)
+
+
+class TestPairSubsteps:
+    @pytest.mark.parametrize("omega, tau, n_sub", [
+        (1.5, 5e-4, 1),        # fig4's ladder: omega*tau = 7.5e-4
+        (1.0, 1e-3, 1),        # exactly THETA_MAX
+        (1.0, 1.5e-3, 2),
+        (1e3, 1e-3, 1000),
+        (1.0, 10.0, 10_000),   # exactly MAX_SUBSTEPS
+    ])
+    def test_substep_angle_stays_within_theta_max(self, omega, tau, n_sub):
+        dprof = DiscretizedProfile(omega0=1.0, tau=tau, samples=np.array([1.0, omega, 1.0]), t_final=3 * tau)
+        assert oracle.pair_substeps(dprof) == n_sub
+        assert omega * tau / n_sub <= oracle.THETA_MAX
+
+    @pytest.mark.parametrize("omega", [1.001e4, 1e200, 1e308])
+    def test_beyond_the_cap_raises(self, omega):
+        dprof = DiscretizedProfile(omega0=1.0, tau=1.0, samples=np.array([1.0, omega]), t_final=2.0)
+        with pytest.raises(ValueError, match=f"more than MAX_SUBSTEPS = {oracle.MAX_SUBSTEPS}"):
+            oracle.pair_substeps(dprof)
 
 
 class TestFidelity:

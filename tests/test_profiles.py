@@ -275,6 +275,8 @@ def test_factory_validation():
         relaxing_pulse(B=-1.0)
     with pytest.raises(ValueError):
         parametric_resonance(epsilon=0.0, omega_l=1.04)
+    with pytest.raises(ValueError, match="drive rate"):  # 1e-300 * 1e-300 underflows to 0
+        parametric_resonance(epsilon=1e-300, omega_l=1.04, omega0=1e-300)
     with pytest.raises(ValueError):
         janszky_adam(omega1=-2.0)
     with pytest.raises(ValueError):
