@@ -10,6 +10,13 @@ produce byte-identical files.  With a fixed ``n_steps``, ``simulate`` and each
 ``sweep`` run stream: every block of records goes from the fold to the file as
 soon as the fold produces it.  A reader that closes stdout early costs the
 lines it does not read, not the run or its exit code.
+
+Importing this module loads numpy with one OpenBLAS thread, unless numpy is
+loaded already or one of ``BLAS_THREAD_VARIABLES`` is set: the CLI's only
+BLAS call is a 2x2 product, which OpenBLAS never splits, and starting its
+worker pool took about a third of the import.  OpenBLAS reads the variable
+once, while numpy loads, so it is set for that import alone and
+``os.environ`` is left as it was found; a user's own setting always wins.
 """
 
 from __future__ import annotations
@@ -18,12 +25,21 @@ import argparse
 import contextlib
 import dataclasses
 import itertools
-import json
 import math
 import os
 import stat
 import sys
 from concurrent.futures import ThreadPoolExecutor
+
+#: The variables that set OpenBLAS's thread count; with any of them set, the user's choice stands.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+if "numpy" not in sys.modules and not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 import numpy as np
 
@@ -142,6 +158,8 @@ def write_table(path: str, fmt: str, columns, blocks, comments=(), extra: dict |
         lead = ["\r\n"] + [","] * (len(columns) - 1)  # the row break ends the line before
         first, close, tail = lead[0], "", "\r\n"
     else:
+        import json  # here, not with the module: only the JSON writer needs it
+
         head = "[" if extra is None else json.dumps({**extra, "records": []})[:-2]
         lead = [f", {json.dumps(name)}: " for name in columns]
         lead[0] = "}, {" + lead[0][2:]

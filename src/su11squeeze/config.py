@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .evolution import N_START_MIN, SCALINGS
-from .profiles import KINDS, PROFILES, RULES, Profile
+from .profiles import KINDS, PROFILES, RULES, Profile, read_entries
 
 #: Parameter sets reproducing the shipped reference workflows.
 PRESETS = {
@@ -133,26 +133,27 @@ def _coerce(key: str, raw: str):
 
 
 def load_config_file(path) -> dict:
-    """Parse a flat ``key = value`` file; '#' starts a comment."""
-    out = {}
+    """Parse a flat ``key = value`` file; '#' starts a comment.  A key set twice is refused."""
     try:
-        fh = open(path, "r", encoding="utf-8")
+        entries = read_entries(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    with fh:
-        for lineno, rawline in enumerate(fh, 1):
-            line = rawline.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key == "lambda":  # file alias for the quadrature angle
-                key = "lam"
-            if key not in _FIELD_NAMES:
-                raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
-            out[key] = _coerce(key, raw)
+    except ValueError as exc:  # a line that is not UTF-8
+        raise ConfigError(str(exc)) from exc
+    out, first = {}, {}
+    for lineno, line in entries:
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key == "lambda":  # file alias for the quadrature angle
+            key = "lam"
+        if key not in _FIELD_NAMES:
+            raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
+        if key in first:
+            raise ConfigError(f"{path}: {key!r} is set twice, on lines {first[key]} and {lineno}")
+        first[key] = lineno
+        out[key] = _coerce(key, raw)
     return out
 
 

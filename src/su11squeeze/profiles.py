@@ -136,20 +136,37 @@ def tabulated(times, omegas, omega0: float | None = None) -> Profile:
     return Profile("tabulated", omega0, curve)
 
 
+def read_entries(path) -> list:
+    """``(line number, text)`` of each line of a UTF-8 text file that holds more than a comment.
+
+    '#' starts a comment; the text is stripped.  A line that is not UTF-8
+    raises ValueError naming ``path:line``.
+    """
+    entries = []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                raw.encode("utf-8")  # an undecodable byte came in as a lone surrogate
+            except UnicodeEncodeError:
+                raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
+            if line := raw.split("#", 1)[0].strip():
+                entries.append((lineno, line))
+    return entries
+
+
 def load_tabulated(table, omega0: float | None = None) -> Profile:
     """Read a two-column (t, omega) text file; '#' starts a comment."""
     times = []
     omegas = []
-    with open(table, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            cols = line.split()
-            if len(cols) != 2:
-                raise ValueError(f"{table}:{lineno}: expected two columns, got {len(cols)}")
+    for lineno, line in read_entries(table):
+        cols = line.split()
+        if len(cols) != 2:
+            raise ValueError(f"{table}:{lineno}: expected two columns, got {len(cols)}")
+        try:
             times.append(float(cols[0]))
             omegas.append(float(cols[1]))
+        except ValueError as exc:
+            raise ValueError(f"{table}:{lineno}: {exc}") from None
     return tabulated(times, omegas, omega0=omega0)
 
 

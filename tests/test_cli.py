@@ -45,6 +45,13 @@ def simulate_in_subprocess(argv, tmp_path):
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
 
 
+def constant_config_with(line):
+    """A short constant-profile config file whose last line is ``line``; no key is set twice."""
+    key = line.partition("=")[0].strip()
+    base = [f"{k} = {v}" for k, v in (("profile", "constant"), ("t_final", 1), ("n_steps", 10)) if k != key]
+    return "\n".join([*base, line, ""])
+
+
 ORACLE_RUN = ["simulate", "--preset", "fig4", "--t-final", "1", "--n-steps", "1000", "--oracle-check"]
 
 
@@ -165,7 +172,7 @@ class TestSimulate:
     ])
     def test_config_file_values_of_the_wrong_type_exit_2(self, line, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"profile = constant\nt_final = 1\nn_steps = 10\n{line}\n")
+        cfg.write_text(constant_config_with(line))
         assert cli.main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 2
         assert "must be a number" in capsys.readouterr().err
 
@@ -174,7 +181,7 @@ class TestSimulate:
     ])
     def test_config_file_non_integral_values_in_integer_fields_exit_2(self, line, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"profile = constant\nt_final = 1\nn_steps = 10\n{line}\n")
+        cfg.write_text(constant_config_with(line))
         assert cli.main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 2
         assert "must be an integer" in capsys.readouterr().err
 
@@ -183,6 +190,33 @@ class TestSimulate:
         cfg.write_text("profile = constant\nt_final = 1\nn_steps = 1e3\n")
         assert cli.main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 0
         assert "(1000 records, n_steps=1000)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, content, message", [
+        ("--config", b"\xff\xfe\n", ":1: not UTF-8 text"),
+        ("--config", b"profile = constant  # fine\n\xff = 1\n", ":2: not UTF-8 text"),
+        ("--table", b"0 1\n\xff 1\n", ":2: not UTF-8 text"),
+        ("--table", b"0 1\n1 x\n", ":2: could not convert string to float: 'x'"),
+    ], ids=["config_first_line", "config_later_line", "table_bytes", "table_cell"])
+    def test_an_unreadable_file_exits_2_naming_its_line(self, flag, content, message, tmp_path, capsys):
+        path = tmp_path / "in.txt"
+        path.write_bytes(content)
+        argv = ["simulate", flag, str(path), "--t-final", "1", "--n-steps", "10",
+                *(["--profile", "tabulated"] if flag == "--table" else ["--preset", "fig1"]),
+                "--output", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 2
+        assert f"configuration error: {path}{message}\n" == capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("lines, key", [
+        ("n_steps = 10\nn_steps = 20", "n_steps"),
+        ("lambda = 0.1\nlam = 0.2", "lam"),
+    ], ids=["same_name", "alias"])
+    def test_a_config_file_that_sets_a_key_twice_exits_2(self, lines, key, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(f"profile = constant\nt_final = 1\n{lines}\n")
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 2
+        assert f"{cfg}: {key!r} is set twice, on lines 3 and 4" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_strong_squeezing_beyond_alpha_rounding_to_one(self, tmp_path):
         # r reaches ~31 on the square wave at t = 200, where |alpha| = tanh(r)

@@ -188,11 +188,13 @@ class TestHeisenberg:
     def test_substep_power_matches_the_sequential_product(self, n_sub):
         theta = np.linspace(1e-4, 0.3, 64)  # omega * dt of one substep
         delta = -theta * theta
-        c0, c1 = 1.0 + delta / 2.0 + delta * delta / 24.0, 1.0 + delta / 6.0
+        e, c1 = delta / 2.0 + delta * delta / 24.0, 1.0 + delta / 6.0
+        c0 = 1.0 + e
         a, b = c0, c1
         for _ in range(n_sub - 1):  # (a I + b X)(c0 I + c1 X), with X^2 = delta I
             a, b = a * c0 + b * c1 * delta, a * c1 + b * c0
-        got_a, got_b = oracle._substep_power(c0, c1, delta, n_sub)
+        got_a, got_b = oracle._substep_power(e, c1, delta, n_sub)
+        got_a = 1.0 + got_a  # the power carries A - 1
         scale = np.hypot(a, b * theta)  # the size of A I + B X, X = -i theta M
         assert np.max(np.abs(got_a - a) / scale) <= 1e-12
         assert np.max(np.abs(got_b - b) * theta / scale) <= 1e-12
@@ -246,6 +248,16 @@ class TestHeisenberg:
         assert abs(u - p[-1]) <= 1e-9 * abs(p[-1])
         assert abs(v - q[-1]) <= 1e-9 * abs(p[-1])
         assert drift <= 1e-9
+
+    @pytest.mark.parametrize("preset", ["fig4", "fig5"])
+    def test_pair_keeps_its_digits_as_the_substeps_grow(self, preset):
+        # RK4's own error is far below rounding here, so the distance is rounding; squaring
+        # numbers next to 1 let it grow with n_sub, to 4e-10 (fig4) and 7e-10 (fig5) at 256
+        dprof = preset_ladder(preset)
+        _, p, q, _, _ = kernels.fold_ladder(dprof.samples, dprof.omega0, dprof.tau, dprof.n_steps)
+        for n_sub in (1, 16, 256, 1024):
+            u, v, _ = heisenberg(dprof, n_sub)
+            assert max(abs(u - p[-1]), abs(v - q[-1])) / abs(p[-1]) <= 1e-11, n_sub
 
     def test_constant_profile_does_not_squeeze(self):
         u, v, _ = heisenberg(discretize(constant(1.3), 5.0, 500), 4)
