@@ -12,10 +12,10 @@ soon as the fold produces it.  A reader that closes stdout early costs the
 lines it does not read, not the run or its exit code.
 
 Importing this module loads numpy with one OpenBLAS thread, unless numpy is
-loaded already or one of ``BLAS_THREAD_VARIABLES`` is set: the CLI's only
-BLAS call is a 2x2 product, which OpenBLAS never splits, and starting its
-worker pool took about a third of the import.  OpenBLAS reads the variable
-once, while numpy loads, so it is set for that import alone and
+loaded already or one of ``BLAS_THREAD_VARIABLES`` is set: the CLI makes no
+BLAS call (``oracle.heisenberg`` multiplies its 2x2 pairs elementwise), and
+starting the worker pool took about a third of the import.  OpenBLAS reads
+the variable once, while numpy loads, so it is set for that import alone and
 ``os.environ`` is left as it was found; a user's own setting always wins.
 """
 
@@ -278,12 +278,11 @@ def _verify(cfg: ExperimentConfig, traj, announce=_say) -> int:
         return EXIT_SIMULATION
     if not cfg.oracle_check:
         return EXIT_OK
-    final = traj.final
-    bound = oracle.FIDELITY_ROUNDING / abs(final.beta)  # the fold has refused an overflowing |p|^2 = 1/|beta|
+    p, q = traj.final
+    bound = oracle.FIDELITY_ROUNDING * abs(p) ** 2  # the fold has refused an overflowing |p|^2
     if not bound < 1.0 - ORACLE_FIDELITY_MIN:
-        r = math.acosh(abs(final.beta) ** -0.5)  # |p| = cosh(r)
-        announce(f"oracle check failed: cannot resolve the fidelity at r = {r:.4g}: its rounding bound "
-                 f"{bound:.1e} reaches {1.0 - ORACLE_FIDELITY_MIN:.0e}")
+        announce(f"oracle check failed: cannot resolve the fidelity at r = {math.asinh(abs(q)):.4g}: its "
+                 f"rounding bound {bound:.1e} reaches {1.0 - ORACLE_FIDELITY_MIN:.0e}")
         return EXIT_ORACLE
     dprof = discretize(cfg.to_profile(), cfg.t_final, traj.n_steps_used, rule=cfg.rule)
     try:
@@ -292,12 +291,12 @@ def _verify(cfg: ExperimentConfig, traj, announce=_say) -> int:
     except (ValueError, LeakageError) as exc:
         announce(f"oracle check failed: {exc}")
         return EXIT_ORACLE
-    fid = oracle.vacuum_fidelity(u, v, final)
+    fid = oracle.vacuum_fidelity(u, v, p, q)
     if not fid - bound >= ORACLE_FIDELITY_MIN:  # a nan fails too
         announce(f"oracle mismatch: fidelity {fid:.8f} - {bound:.1e} < {ORACLE_FIDELITY_MIN} (n_sub={n_sub})")
         return EXIT_ORACLE
     announce(f"oracle check passed: fidelity {fid:.8f} "
-             f"(n_sub={n_sub}, pair error {oracle.pair_error(u, v, final):.1e})")
+             f"(n_sub={n_sub}, pair error {oracle.pair_error(u, v, p, q):.1e})")
     return EXIT_OK
 
 
@@ -332,8 +331,8 @@ def _overrides(args: argparse.Namespace) -> dict:
     return {key: value for key in _CONFIG_KEYS if (value := getattr(args, key, None)) is not None}
 
 
-def _config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = build_config(preset=args.preset, config_file=args.config, overrides=_overrides(args))
+def _config(args: argparse.Namespace, keys: dict | None = None) -> ExperimentConfig:
+    cfg = build_config(preset=args.preset, config_file=args.config, overrides=_overrides(args), file_keys=keys)
     _check_output(cfg.output)
     return cfg
 
@@ -358,11 +357,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad sweep value: {exc}") from exc
 
     base = _overrides(args)
+    file_keys = load_config_file(args.config) if args.config is not None else {}  # parsed once, for every run
     jobs = []
     for token, value in zip(tokens, values):
         overrides = dict(base)
         overrides[args.sweep_param] = value
-        cfg = build_config(preset=args.preset, config_file=args.config, overrides=overrides)
+        cfg = build_config(preset=args.preset, config_file=args.config, overrides=overrides, file_keys=file_keys)
         stem, ext = os.path.splitext(cfg.output)
         cfg.output = _check_output(f"{stem}_{args.sweep_param}{token}{ext}")
         jobs.append((token, cfg))
@@ -385,17 +385,16 @@ def cmd_sweep(args) -> int:
     return code
 
 
-def _doubling_start(args, cfg: ExperimentConfig) -> int:
+def _doubling_start(args, cfg: ExperimentConfig, file_keys: dict) -> int:
     """Where ``converge`` doubles from when ``cfg`` fixes ``n_steps``.
 
-    The flags, then the ``--config`` file, then the preset: the first of
-    them that sets a fixed ``n_steps`` or an ``n_start`` names the start.
-    One of them setting both is a configuration error.
+    The flags, then the ``--config`` file's ``file_keys``, then the preset:
+    the first of them that sets a fixed ``n_steps`` or an ``n_start`` names
+    the start.  One of them setting both is a configuration error.
     """
     layers = (({"n_steps": args.n_steps, "n_start": args.n_start},
                "converge takes --n-steps N or --n-start N, not both"),
-              (load_config_file(args.config) if args.config else {},
-               f"{args.config} sets both n_steps and n_start, and converge takes one"))
+              (file_keys, f"{args.config} sets both n_steps and n_start, and converge takes one"))
     for keys, both in layers:
         fixed = keys.get("n_steps") not in (None, "auto")
         if fixed and keys.get("n_start") is not None:
@@ -406,9 +405,10 @@ def _doubling_start(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_converge(args) -> int:
-    cfg = _config(args)
+    file_keys = load_config_file(args.config) if args.config is not None else {}  # parsed once, for both readers
+    cfg = _config(args, file_keys)
     if isinstance(cfg.n_steps, int):  # converge always doubles: a fixed N names where it starts
-        cfg = dataclasses.replace(cfg, n_steps="auto", n_start=_doubling_start(args, cfg)).validate()
+        cfg = dataclasses.replace(cfg, n_steps="auto", n_start=_doubling_start(args, cfg, file_keys)).validate()
     traj = run_trajectory(cfg)
     report_lines = [f"converge N={n} max_dr={diff!r}" for n, diff in traj.convergence_history]
     report_lines.append(f"converged={str(traj.converged).lower()} n_final={traj.n_steps_used} tol={cfg.tol!r}")
@@ -426,45 +426,44 @@ def cmd_converge(args) -> int:
     return _verify(cfg, traj)
 
 
-def _compare_config(args, suffix: str) -> ExperimentConfig:
-    preset = getattr(args, f"preset_{suffix}")
+def _compare_config(args, suffix: str):
+    """One side's configuration and the keys its ``--config-<suffix>`` file sets."""
     config_file = getattr(args, f"config_{suffix}")
-    return build_config(preset=preset, config_file=config_file, overrides=_overrides(args))
+    file_keys = load_config_file(config_file) if config_file is not None else {}  # parsed once, for both readers
+    return build_config(preset=getattr(args, f"preset_{suffix}"), config_file=config_file,
+                        overrides=_overrides(args), file_keys=file_keys), file_keys
 
 
-def _compare_output(args, cfg_a: ExperimentConfig, cfg_b: ExperimentConfig):
+def _compare_output(args, sides):
     """The output path and format of ``compare``: the flag, else the config files' value, else the default.
 
-    Only what ``--config-a`` and ``--config-b`` set counts (no preset sets
-    either key); two files that set different values are a configuration error.
+    ``sides`` holds each run's configuration and its file's keys: only what the files set counts (no
+    preset sets either key), and two files that set different values are a configuration error.
     """
-    files = [(cfg, load_config_file(path)) for cfg, path in ((cfg_a, args.config_a), (cfg_b, args.config_b))
-             if path is not None]
     chosen = {}
     for key, default in (("output", "compare.csv"), ("format", "csv")):
-        values = [getattr(cfg, key) for cfg, keys in files if key in keys]
-        if getattr(args, key) is not None:
-            chosen[key] = getattr(args, key)
-        elif len(set(values)) > 1:
+        values = [getattr(cfg, key) for cfg, file_keys in sides if key in file_keys]
+        flag = getattr(args, key)
+        if flag is None and len(set(values)) > 1:
             raise ConfigError(f"--config-a and --config-b set different {key} values: "
                               f"{values[0]!r} vs {values[1]!r}")
-        else:
-            chosen[key] = values[0] if values else default
+        chosen[key] = flag if flag is not None else values[0] if values else default
     return _check_output(chosen["output"]), chosen["format"]
 
 
 def cmd_compare(args) -> int:
     if args.config is not None:  # it would name one file for two runs
         raise ConfigError("compare takes --config-a and --config-b, not --config")
-    cfg_a = _compare_config(args, "a")
-    cfg_b = _compare_config(args, "b")
+    sides = (_compare_config(args, "a"), _compare_config(args, "b"))
+    (cfg_a, _), (cfg_b, _) = sides
     if cfg_a.t_final != cfg_b.t_final:
         raise ConfigError(f"t_final differs: {cfg_a.t_final} vs {cfg_b.t_final}")
-    out, fmt = _compare_output(args, cfg_a, cfg_b)
+    out, fmt = _compare_output(args, sides)
     traj_a = run_trajectory(cfg_a)
     traj_b = run_trajectory(cfg_b)
     t_a, t_b = traj_a.records.t, traj_b.records.t
-    if t_a.shape != t_b.shape or not np.array_equal(t_a, t_b):
+    # one instant k*t_final/n_records, reached as rec*tau at two N, may round a few ulps apart
+    if t_a.shape != t_b.shape or not np.allclose(t_a, t_b, rtol=4.0 * np.finfo(np.float64).eps, atol=0.0):
         raise ConfigError("record grids differ; match n_steps and record_every")
     r_a, r_b = traj_a.records.r, traj_b.records.r
     verdict = _compare_verdict(cfg_a, cfg_b, t_a, r_a, r_b)

@@ -158,8 +158,8 @@ def load_config_file(path) -> dict:
 
 
 def build_config(preset: str | None = None, config_file: str | None = None,
-                 overrides: dict | None = None) -> ExperimentConfig:
-    """Layer preset < config file < explicit overrides into a validated config."""
+                 overrides: dict | None = None, file_keys: dict | None = None) -> ExperimentConfig:
+    """Layer preset < config file (``file_keys`` if parsed already) < explicit overrides into a valid config."""
     layered: dict = {}
     if preset is not None:
         if preset not in PRESETS:
@@ -167,7 +167,7 @@ def build_config(preset: str | None = None, config_file: str | None = None,
         layered.update(PRESETS[preset])
         layered["preset"] = preset
     if config_file is not None:
-        file_values = load_config_file(config_file)
+        file_values = dict(load_config_file(config_file) if file_keys is None else file_keys)
         if "preset" in file_values:
             inner = file_values.pop("preset")
             if inner not in PRESETS:

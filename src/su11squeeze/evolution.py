@@ -7,9 +7,8 @@ off the recorded columns of the fold's SU(1,1) pair ``(p, q)``, as
 per record), handing each block on as soon as it is filled.  ``evolve``
 collects the blocks in one record array, filled in place; the command line
 writes each block out instead.  ``auto_converge`` wraps ``evolve`` in a
-step-doubling loop.
-``apply_to_state`` expands the composed propagator, the triple
-``(alpha, beta, gamma)`` of the last ``(p, q)``, in the number basis.
+step-doubling loop.  A run ends on the last step's pair ``(p, q)``, which
+``apply_to_state`` expands in the number basis through its :func:`triple`.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .core import PropagatorAccumulator
 from .errors import InvalidAccumulatorError, LeakageError, ProfileDomainError
 from .profiles import DiscretizedProfile, Profile, discretize
 
@@ -41,12 +39,13 @@ class Trajectory:
 
     ``records`` is the record array of :func:`observables`: ``records.r`` is
     the column of squeezing parameters, ``records[-1].r`` the final one.
+    ``final`` is the last step's pair ``(p, q)``, two Python complex numbers.
     """
 
     records: np.recarray
     n_steps_used: int
     converged: bool | None
-    final: PropagatorAccumulator
+    final: tuple[complex, complex]
     max_norm_defect: float
     convergence_history: tuple = field(default=())
 
@@ -161,7 +160,7 @@ class RecordStream:
     block of records, which is filled in place and yielded at once.
     ``record_every`` defaults to ``max(1, N // 5000)`` so that outputs stay
     plottable regardless of N; the final segment is always recorded.  Once
-    the blocks are exhausted, ``final`` holds the composed triple of the
+    the blocks are exhausted, ``final`` holds the pair ``(p, q)`` of the
     last step and ``max_norm_defect`` the largest defect of any step,
     recorded or not (a nan wins).  A stream runs once.
     """
@@ -220,13 +219,11 @@ class RecordStream:
             block.omega = omega
             block.norm_defect = defect
             _fill(block, p, q, self.lam, self._scale)
-            last_p, last_q = complex(p[-1]), complex(q[-1])
+            final = complex(p[-1]), complex(q[-1])
             del rec, p, q, defect, omega  # while the caller writes the block, only it is held
             yield block
 
-        pc = last_p.conjugate()
-        self.final = PropagatorAccumulator(complex(block.alpha[-1]), 1.0 / (pc * pc),
-                                           -last_q.conjugate() / pc, n)
+        self.final = final
         self.max_norm_defect = float(max_defect)
         if keep:
             self.records = out
@@ -274,8 +271,14 @@ def _exp_shift(coeff: complex, amp: np.ndarray, shift: int, n_max: int) -> np.nd
     return total
 
 
-def apply_to_state(acc: PropagatorAccumulator, initial: FockState, n_max: int | None = None) -> FockState:
-    """Apply the composed propagator to an arbitrary initial Fock state.
+def triple(p: complex, q: complex) -> tuple[complex, complex, complex]:
+    """``(alpha, beta, gamma) = (q/conj(p), conj(p)**-2, -conj(q)/conj(p))``; alpha is the record's bits."""
+    pc = complex(p).conjugate()
+    return complex(np.divide(q, pc)), 1.0 / (pc * pc), -complex(q).conjugate() / pc
+
+
+def apply_to_state(final: tuple[complex, complex], initial: FockState, n_max: int | None = None) -> FockState:
+    """Apply the composed propagator, the pair ``final = (p, q)``, to an arbitrary initial Fock state.
 
     Applies ``exp(gamma K_-)`` (finite lowering series), the diagonal
     ``beta^(n/2 + 1/4)`` (principal-branch logarithm), then ``exp(alpha K_+)``
@@ -303,17 +306,16 @@ def apply_to_state(acc: PropagatorAccumulator, initial: FockState, n_max: int | 
     amp = np.zeros(n_max + 1, dtype=np.complex128)
     amp[: initial.n_max + 1] = initial.amplitudes
 
-    # exp(gamma K_-): nilpotent on any finite state, the series terminates
-    if acc.gamma != 0:
-        amp = _exp_shift(acc.gamma, amp, -2, n_max)
+    alpha, beta, gamma = triple(*final)
+    # exp(gamma K_-): nilpotent on any finite state, the series terminates (at once for gamma = 0)
+    amp = _exp_shift(gamma, amp, -2, n_max)
 
-    logb = cmath.log(acc.beta)
+    logb = cmath.log(beta)
     levels = np.arange(n_max + 1, dtype=np.float64)
     amp = amp * np.exp(logb * (0.5 * levels + 0.25))
 
     # exp(alpha K_+): truncated at n_max, terms decay like |alpha|^k for |alpha| < 1
-    if acc.alpha != 0:
-        amp = _exp_shift(acc.alpha, amp, 2, n_max)
+    amp = _exp_shift(alpha, amp, 2, n_max)
 
     out = FockState(amp)
     leakage = max(0.0, 1.0 - out.norm2())

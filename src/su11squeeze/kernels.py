@@ -8,8 +8,9 @@ The fold writes each constant-frequency segment as a det-1 SU(1,1) matrix::
 and the ladder as their ordered product ``S_N ... S_1 = [[p, q], [conj(q),
 conj(p)]]``, kept and handed on as the two complex numbers ``(p, q)``:
 ``|q| = sinh(r)`` holds the squeezing to full precision at any r.  The
-triple that :func:`su11squeeze.core.compose` builds one segment at a time
-is ``alpha = q/conj(p)``, ``beta = conj(p)**-2``, ``gamma = -conj(q)/conj(p)``.
+reference :func:`su11squeeze.core.compose` builds, one segment at a time, the triple
+``alpha = q/conj(p)``, ``beta = conj(p)**-2``, ``gamma = -conj(q)/conj(p)`` that
+:func:`su11squeeze.evolution.triple` forms.  :func:`su11squeeze.oracle.heisenberg` shares the pair product.
 With ``x = w/omega0``, ``cosh(2*rho)`` and ``sinh(2*rho)`` are ``(x +- 1/x)/2``.
 
 The product is associative, so its prefixes come from a work-efficient

@@ -10,9 +10,10 @@ H is quadratic, so ``(a, a+)`` evolve linearly::
     d/dt (a, a+) = -i omega [[cosh 2rho, sinh 2rho], [-sinh 2rho, -cosh 2rho]] (a, a+)
 
 :func:`heisenberg` runs RK4 on this 2x2 system and returns the Bogoliubov
-pair ``(u, v)`` with ``a(T) = u a + v a+``; ``--oracle-check`` gates the
-closed-form fidelity of the vacuum's images (:func:`vacuum_fidelity`), and
-:func:`evolve_vacuum` builds the oracle's image in a number basis.
+pair ``(u, v)`` with ``a(T) = u a + v a+``, the counterpart of the fold's
+``(p, q)``; ``--oracle-check`` gates the closed-form fidelity of the
+vacuum's images (:func:`vacuum_fidelity`), and :func:`evolve_vacuum` builds
+the oracle's image in a number basis.
 :func:`integrate` runs RK4 on the Schrodinger equation in a truncated number
 basis (:func:`su11squeeze.kernels.rk4_propagate`) and takes any initial state.
 """
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from .errors import LeakageError
-from .evolution import LEAKAGE_TOL, FockState
+from .evolution import LEAKAGE_TOL, FockState, triple
 from .profiles import DiscretizedProfile
 
 #: Starting basis size when none is pinned; doubled while the state reaches
@@ -48,9 +49,9 @@ MAX_SUBSTEPS = 10_000
 #: is below 1e-12 here (7.7e-13 on fig2 at N = 15 000); it reaches a rounding floor near 1e-14 by
 #: ``theta ~ 1e-4``, and more substeps do not raise it (5e-13 on fig4, 3e-12 on fig5, up to n_sub = 1024).
 THETA_MAX = 1e-3
-FIDELITY_ROUNDING = 4.0 * float(np.finfo(np.float64).eps)  # vacuum_fidelity is good to this over |beta|
+FIDELITY_ROUNDING = 4.0 * float(np.finfo(np.float64).eps)  # vacuum_fidelity is good to this times |p|^2
 
-#: Segments per block of :func:`heisenberg`'s product; its traced scratch is ~0.75 MB.
+#: Segments per block of :func:`heisenberg`'s product; its traced scratch is ~0.5 MB.
 HEISENBERG_BLOCK = 4096
 
 
@@ -143,11 +144,13 @@ def heisenberg(dprofile: DiscretizedProfile, n_sub: int):
     ``1 + X + X^2/2 + X^3/6 + X^4/24``, is then ``(1 + e) I + c1 X`` with
     ``e = delta/2 + delta^2/24`` and ``c1 = 1 + delta/6``, and its
     ``n_sub``-th power is ``A I + B X`` with real ``A, B``, taken by repeated
-    squaring on ``A - 1`` (:func:`_substep_power`).  Each block of segment
-    matrices is held as four complex entry arrays and reduced pairwise in
-    time order by a general 2x2 product into ping-pong buffers; the running
-    product is carried from block to block.  The product is ``[[u, v], [conj(v), conj(u)]]`` with ``a(T) =
-    u a + v a+``; it equals the fold's ``(p, q)`` up to RK4 error.
+    squaring on ``A - 1`` (:func:`_substep_power`).  It is ``[[P, Q], [conj(Q),
+    conj(P)]]``, ``P = A - i B theta cosh 2rho`` and ``Q = -i B theta sinh 2rho``, a
+    shape that products keep, so each block of segments is held as two complex rows
+    ``(P, Q)`` and reduced pairwise in time order by the fold's pair product
+    (:func:`kernels._mul_into`) into ping-pong buffers; the running product is
+    carried from block to block as a scalar pair.  It is ``(u, v)`` with ``a(T) =
+    u a + v a+``, the fold's ``(p, q)`` up to RK4 error.
 
     ``norm_drift`` is ``|1 - (|u|^2 - |v|^2)|``, the RK4 loss of the pair's
     norm.  ``|u|^2 - |v|^2`` is the determinant of the product, so it is
@@ -165,9 +168,9 @@ def heisenberg(dprofile: DiscretizedProfile, n_sub: int):
         raise ValueError("n_sub must be >= 1")
     omega = np.ascontiguousarray(dprofile.samples, dtype=np.float64)
     dt = dprofile.tau / n_sub
-    bufs = [np.empty((4, size), np.complex128) for size in (HEISENBERG_BLOCK, HEISENBERG_BLOCK // 2 + 1)]
-    tmp = np.empty(HEISENBERG_BLOCK // 2, np.complex128)
-    phi, log_det = np.eye(2, dtype=np.complex128), 0.0
+    bufs = [np.empty((2, size), np.complex128) for size in (HEISENBERG_BLOCK, HEISENBERG_BLOCK // 2 + 1)]
+    scratch = np.empty((2, HEISENBERG_BLOCK // 2), np.complex128)
+    u, v, log_det = 1.0 + 0j, 0j, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, omega.shape[0], HEISENBERG_BLOCK):
             w = omega[start:start + HEISENBERG_BLOCK]
@@ -178,21 +181,16 @@ def heisenberg(dprofile: DiscretizedProfile, n_sub: int):
             a += 1.0
             rho2 = np.log(w / dprofile.omega0)
             n = w.shape[0]
-            ma, mb, mc, md = bufs[0][:, :n]  # a I + b X, X = -i theta M
-            ma.real, mb.real, mc.real, md.real = a, 0.0, 0.0, a
-            mc.imag, md.imag = b * theta * np.sinh(rho2), b * theta * np.cosh(rho2)
-            ma.imag, mb.imag = -md.imag, -mc.imag
             src, dst = bufs
-            while (h := n // 2) > 0:
-                (la, lb, lc, ld), (ra, rb, rc, rd) = src[:, 1:2 * h:2], src[:, 0:2 * h:2]
-                (oa, ob, oc, od), t = dst[:, :h], tmp[:h]
-                np.add(np.multiply(la, ra, out=oa), np.multiply(lb, rc, out=t), out=oa)
-                np.add(np.multiply(la, rb, out=ob), np.multiply(lb, rd, out=t), out=ob)
-                np.add(np.multiply(lc, ra, out=oc), np.multiply(ld, rc, out=t), out=oc)
-                np.add(np.multiply(lc, rb, out=od), np.multiply(ld, rd, out=t), out=od)
-                dst[:, h:n - h] = src[:, 2 * h:n]  # an odd last matrix moves up unpaired
+            p, q = src[:, :n]  # (P, Q) of a I + b X, X = -i theta M
+            p.real, q.real = a, 0.0
+            p.imag, q.imag = -b * theta * np.cosh(rho2), -b * theta * np.sinh(rho2)
+            while (h := n // 2) > 0:  # each later pair times the one before it
+                dst[:, :h] = src[:, 1:2 * h:2]
+                kernels._mul_into(*dst[:, :h], *src[:, 0:2 * h:2], *scratch[:, :h])
+                dst[:, h:n - h] = src[:, 2 * h:n]  # an odd last pair moves up unpaired
                 n, src, dst = n - h, dst, src
-            phi = src[:, 0].reshape(2, 2) @ phi
+            u, v = kernels._mul(src[0, 0], src[1, 0], u, v)
         norm_drift = float(abs(np.expm1(log_det)))
     if not norm_drift <= LEAKAGE_TOL:
         raise LeakageError(
@@ -200,7 +198,7 @@ def heisenberg(dprofile: DiscretizedProfile, n_sub: int):
             f"the substep dt={dt:.3g} is too coarse (raise n_sub)",
             leakage=norm_drift,
         )
-    return complex(phi[0, 0]), complex(phi[0, 1]), norm_drift
+    return complex(u), complex(v), norm_drift
 
 
 def evolve_vacuum(dprofile: DiscretizedProfile, dt_sub: float, dim: int | None = None):
@@ -243,22 +241,24 @@ def evolve_vacuum(dprofile: DiscretizedProfile, dt_sub: float, dim: int | None =
     )
 
 
-def pair_error(u: complex, v: complex, acc) -> float:
-    """``max(|v/conj(u) - alpha|, |conj(u)^-2 - beta|)`` against a composed propagator."""
+def pair_error(u: complex, v: complex, p: complex, q: complex) -> float:
+    """``max(|v/conj(u) - alpha|, |conj(u)^-2 - beta|)``, with the triple of the method's pair ``(p, q)``."""
+    alpha, beta, _ = triple(p, q)
     uc = u.conjugate()
-    return max(abs(v / uc - acc.alpha), abs(uc ** -2 - acc.beta))
+    return max(abs(v / uc - alpha), abs(uc ** -2 - beta))
 
 
-def vacuum_fidelity(u: complex, v: complex, acc) -> float:
+def vacuum_fidelity(u: complex, v: complex, p: complex, q: complex) -> float:
     """Fidelity of the vacuum's images ``exp(alpha K_+)|0>`` (the method's) and ``exp(a_o K_+)|0>``, normalized.
 
-    With ``a_o = v/conj(u)`` it is ``sqrt((1 - |alpha|^2) (1 - |a_o|^2)) / |1 - conj(a_o) alpha|``, at most
-    1.  Each factor is of size ``|beta| = 1/|p|^2`` and rounded to about one ``eps``, so ``F`` is good to
-    ``FIDELITY_ROUNDING/|beta|``, 1e-3 near r = 14.6; past r ~ 19 they round to 0 and ``F`` to 0 or nan.
+    With ``alpha = q/conj(p)`` and ``a_o = v/conj(u)``, ``F = sqrt((1 - |alpha|^2) (1 - |a_o|^2)) /
+    |1 - conj(a_o) alpha|`` is at most 1.  Each factor is of size ``1/|p|^2`` and rounded to about one ``eps``,
+    so ``F`` is good to ``FIDELITY_ROUNDING |p|^2`` (1e-3 near r = 14.6); past r ~ 19 it rounds to 0 or nan.
     """
+    alpha = triple(p, q)[0]
     a_o = v / u.conjugate()
-    den = abs(1.0 - a_o.conjugate() * acc.alpha)
-    inside = (1.0 - abs(acc.alpha) ** 2) * (1.0 - abs(a_o) ** 2)
+    den = abs(1.0 - a_o.conjugate() * alpha)
+    inside = (1.0 - abs(alpha) ** 2) * (1.0 - abs(a_o) ** 2)
     return math.sqrt(max(0.0, inside)) / den if den else math.nan
 
 

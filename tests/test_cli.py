@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from su11squeeze import cli, discretize, evolve, kernels, oracle
+from su11squeeze import cli, config, discretize, evolve, kernels, oracle
 from su11squeeze.config import FORMATS, ExperimentConfig, build_config
 from su11squeeze.profiles import PROFILES
 
@@ -535,6 +535,43 @@ class TestCompare:
         code = cli.main(["compare", "--config-a", str(a), "--config-b", str(b),
                          "--output", str(tmp_path / "c.csv")])
         assert code == 2
+        # as many records, at other instants: steps 3, 6, 9, 10 of 10 and 2, 4, 6, 8 of 8
+        a.write_text("profile = constant\nt_final = 2\nn_steps = 10\nrecord_every = 3\n")
+        b.write_text("profile = constant\nt_final = 2\nn_steps = 8\nrecord_every = 2\n")
+        code = cli.main(["compare", "--config-a", str(a), "--config-b", str(b),
+                         "--output", str(tmp_path / "c.csv")])
+        assert code == 2
+
+    def test_equal_instants_that_round_apart_share_the_grid(self, tmp_path, capsys):
+        # both record at k*t_final/500, but as rec*tau at N = 2000 and at N = 3000,
+        # which round apart by an ulp at some k; the table takes side a's t
+        a = tmp_path / "a.cfg"
+        b = tmp_path / "b.cfg"
+        run = "t_final = 10\nn_steps = auto\ntol = 1e-1\n"
+        a.write_text(f"preset = fig5\n{run}n_start = 1000\n")
+        b.write_text(f"preset = fig2\n{run}n_start = 1500\n")
+        out = tmp_path / "cmp.csv"
+        assert cli.main(["compare", "--config-a", str(a), "--config-b", str(b), "--output", str(out)]) == 0
+        t_a, t_b = (cli.run_trajectory(build_config(config_file=str(path))).records.t for path in (a, b))
+        assert not np.array_equal(t_a, t_b)
+        _, body, _ = read_csv(out)
+        assert [float(row[0]) for row in body] == t_a.tolist()
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["compare", "--config-a", "{c}", "--config-b", "{c}"], 2),
+        (["converge", "--config", "{c}", "--n-start", "1000", "--tol", "1e-3"], 1),
+        (["sweep", "--config", "{c}", "--sweep-param", "t_final", "--sweep-values", "1,2"], 1),
+    ], ids=["compare", "converge", "sweep"])
+    def test_each_config_file_is_parsed_once_per_flag(self, tmp_path, monkeypatch, argv, calls):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("profile = sudden_jump\nomega1 = 1.5\nt_final = 1\nn_steps = 1000\n")
+        parsed = []
+        load = config.load_config_file
+        monkeypatch.setattr(config, "load_config_file", lambda path: parsed.append(path) or load(path))
+        monkeypatch.setattr(cli, "load_config_file", config.load_config_file)
+        argv = [arg.format(c=cfg) for arg in argv] + ["--output", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 0
+        assert parsed == [str(cfg)] * calls
 
     def test_square_wave_beats_flat_profile(self, tmp_path, capsys):
         a = tmp_path / "ja.cfg"

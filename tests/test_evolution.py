@@ -8,8 +8,6 @@ import pytest
 
 from su11squeeze import (
     FockState,
-    IDENTITY,
-    PropagatorAccumulator,
     apply_to_state,
     auto_converge,
     constant,
@@ -24,15 +22,17 @@ from su11squeeze import (
 from su11squeeze import kernels
 from su11squeeze.config import build_config
 from su11squeeze.errors import InvalidAccumulatorError, LeakageError, ProfileDomainError
-from su11squeeze.evolution import RecordStream
+from su11squeeze.evolution import RecordStream, triple
 from su11squeeze.profiles import DiscretizedProfile
 
 
-def squeezed_acc(r, vartheta, chi=0.0):
-    """Accumulator with |alpha| = tanh(r) and exact normalization."""
-    alpha = math.tanh(r) * cmath.exp(1j * vartheta)
-    beta = (1.0 - math.tanh(r) ** 2) * cmath.exp(1j * chi)
-    return PropagatorAccumulator(alpha, beta, 0j, 1)
+#: The pair (p, q) of no evolution at all.
+IDENTITY = (1.0 + 0j, 0j)
+
+
+def squeezed_pair(r, vartheta):
+    """The pair with ``|q| = sinh(r)`` and ``arg(alpha) = arg(q p) = vartheta``, ``p`` real."""
+    return complex(math.cosh(r)), math.sinh(r) * cmath.exp(1j * vartheta)
 
 
 def reference_squeezed_amplitudes(r, phi, n_max):
@@ -46,15 +46,10 @@ def reference_squeezed_amplitudes(r, phi, n_max):
     return amp
 
 
-def record_of(acc, t, lam=0.0, scaling="quarter"):
-    """The record of one accumulator, through the array-valued formula.
-
-    The fold's pair has ``conj(p) = beta**-1/2`` and ``q = alpha*conj(p)``;
-    the sign of the root cancels in every observable.
-    """
-    pc = 1.0 / cmath.sqrt(acc.beta)
-    return observables([pc.conjugate()], [acc.alpha * pc], [t], [math.nan], [acc.norm_defect],
-                       lam=lam, scaling=scaling)[0]
+def record_of(pair, t, lam=0.0, scaling="quarter"):
+    """The record of one pair ``(p, q)``, through the array-valued formula."""
+    p, q = pair
+    return observables([p], [q], [t], [math.nan], [0.0], lam=lam, scaling=scaling)[0]
 
 
 class TestObservables:
@@ -72,24 +67,24 @@ class TestObservables:
 
     @pytest.mark.parametrize("scaling,s", [("half", 0.5), ("quarter", 0.25)])
     def test_principal_axes_select_the_envelope(self, scaling, s):
-        acc = squeezed_acc(1.0, 0.7)
-        phi = record_of(acc, 0.0, scaling=scaling).phi
-        lo = record_of(acc, 0.0, lam=phi / 2.0, scaling=scaling)
-        hi = record_of(acc, 0.0, lam=phi / 2.0 + math.pi / 2.0, scaling=scaling)
+        pair = squeezed_pair(1.0, 0.7)
+        phi = record_of(pair, 0.0, scaling=scaling).phi
+        lo = record_of(pair, 0.0, lam=phi / 2.0, scaling=scaling)
+        hi = record_of(pair, 0.0, lam=phi / 2.0 + math.pi / 2.0, scaling=scaling)
         assert lo.variance == pytest.approx(s * math.exp(-2.0), rel=1e-12)
         assert hi.variance == pytest.approx(s * math.exp(+2.0), rel=1e-12)
         assert lo.variance * hi.variance == pytest.approx(s * s, rel=1e-10)
 
     def test_phase_bookkeeping(self):
         for vartheta in (-3.0, -1.0, 0.0, 1.0, 3.0, math.pi):
-            obs = record_of(squeezed_acc(0.4, vartheta), 0.0)
+            obs = record_of(squeezed_pair(0.4, vartheta), 0.0)
             assert obs.vartheta == pytest.approx(cmath.phase(cmath.exp(1j * vartheta)), abs=1e-12)
             assert -math.pi < obs.phi <= math.pi
             # phi = vartheta +- pi makes the two expansions identical
             assert cmath.isclose(cmath.exp(1j * obs.phi), -cmath.exp(1j * obs.vartheta), rel_tol=1e-12)
 
     def test_mean_photon_number(self):
-        obs = record_of(squeezed_acc(0.8, 0.2), 0.0)
+        obs = record_of(squeezed_pair(0.8, 0.2), 0.0)
         assert obs.mean_n == pytest.approx(math.sinh(0.8) ** 2, rel=1e-12)
 
     def test_unknown_scaling_rejected(self):
@@ -99,16 +94,16 @@ class TestObservables:
     def test_variance_envelope_and_uncertainty_product(self, rng):
         for _ in range(25):
             r = rng.uniform(0.0, 1.5)
-            acc = squeezed_acc(r, rng.uniform(-math.pi, math.pi))
-            obs = record_of(acc, 0.0)
+            pair = squeezed_pair(r, rng.uniform(-math.pi, math.pi))
+            obs = record_of(pair, 0.0)
             lo, hi = 0.25 * math.exp(-2 * r), 0.25 * math.exp(2 * r)
             for lam in rng.uniform(-math.pi, math.pi, 8):
-                o = record_of(acc, 0.0, lam=float(lam))
+                o = record_of(pair, 0.0, lam=float(lam))
                 assert lo - 1e-12 <= o.variance <= hi + 1e-12
-                partner = record_of(acc, 0.0, lam=float(lam) + math.pi / 2.0)
+                partner = record_of(pair, 0.0, lam=float(lam) + math.pi / 2.0)
                 assert o.variance * partner.variance >= 0.25**2 * (1.0 - 1e-10)
-            at_lo = record_of(acc, 0.0, lam=obs.phi / 2.0)
-            at_hi = record_of(acc, 0.0, lam=obs.phi / 2.0 + math.pi / 2.0)
+            at_lo = record_of(pair, 0.0, lam=obs.phi / 2.0)
+            at_hi = record_of(pair, 0.0, lam=obs.phi / 2.0 + math.pi / 2.0)
             assert at_lo.variance == pytest.approx(lo, rel=1e-12)
             assert at_hi.variance == pytest.approx(hi, rel=1e-12)
 
@@ -193,9 +188,8 @@ class TestEvolveInBatches:
         want = observables(p, q, steps * dprof.tau, dprof.samples[steps - 1], defect, lam=-0.4)
         assert traj.records.tobytes() == want.tobytes()
         assert traj.max_norm_defect == max_defect
-        pc = complex(p[-1]).conjugate()
-        assert (traj.final.alpha, traj.final.beta, traj.final.gamma) == (
-            want.alpha[-1], 1.0 / (pc * pc), -complex(q[-1]).conjugate() / pc)
+        assert traj.final == (p[-1], q[-1])
+        assert all(type(z) is complex for z in traj.final)
 
     def test_a_nonpositive_sample_names_its_step_in_the_whole_ladder(self):
         # the sample lies in the third call of record_every = 1
@@ -340,23 +334,26 @@ class TestEvolve:
         assert traj.records.r[-1] > 30.0
 
     def test_final_accumulator_matches_last_record(self):
-        traj = evolve(discretize(relaxing_pulse(B=math.pi), 5.0, 5000), record_every=500)
-        assert traj.final.alpha == traj.records[-1].alpha
-        assert traj.final.steps_applied == traj.n_steps_used
+        dprof = discretize(relaxing_pulse(B=math.pi), 5.0, 5000)
+        traj = evolve(dprof, record_every=500)
+        _, p, q, _, _ = kernels.fold_ladder(dprof.samples, dprof.omega0, dprof.tau, 500)
+        assert traj.final == (p[-1], q[-1])
+        assert triple(*traj.final)[0] == traj.records[-1].alpha
 
 
-def vacuum_image(acc, n_max):
+def vacuum_image(pair, n_max):
     """``apply_to_state`` on the vacuum, with the global phase that makes c_0 real positive removed."""
-    amp = apply_to_state(acc, FockState.vacuum(), n_max=n_max).amplitudes
+    amp = apply_to_state(pair, FockState.vacuum(), n_max=n_max).amplitudes
     return amp * (abs(amp[0]) / amp[0])
 
 
-def closed_form_amplitudes(acc, n_max):
-    """c_2n = |beta|^(1/4) sqrt((2n)!)/n! (alpha/2)^n, by ratio iteration; odd levels are empty."""
+def closed_form_amplitudes(pair, n_max):
+    """c_2n = |p|^(-1/2) sqrt((2n)!)/n! (alpha/2)^n with alpha = q/conj(p), by ratio iteration; odd levels are empty."""
+    p, q = pair
     amp = np.zeros(n_max + 1, dtype=np.complex128)
-    amp[0] = abs(acc.beta) ** 0.25
+    amp[0] = abs(p) ** -0.5
     for n in range(1, n_max // 2 + 1):
-        amp[2 * n] = amp[2 * n - 2] * (math.sqrt((2.0 * n) * (2.0 * n - 1.0)) / n) * 0.5 * acc.alpha
+        amp[2 * n] = amp[2 * n - 2] * (math.sqrt((2.0 * n) * (2.0 * n - 1.0)) / n) * 0.5 * (q / p.conjugate())
     return amp
 
 
@@ -369,26 +366,26 @@ class TestFockAmplitudes:
         assert np.all(amp[1:] == 0.0)
 
     def test_matches_reference_expansion(self):
-        acc = squeezed_acc(0.5, 1.1)
-        obs = record_of(acc, 0.0)
-        ours = vacuum_image(acc, n_max=60)
+        pair = squeezed_pair(0.5, 1.1)
+        obs = record_of(pair, 0.0)
+        ours = vacuum_image(pair, n_max=60)
         reference = reference_squeezed_amplitudes(0.5, obs.phi, 60)
         np.testing.assert_allclose(ours, reference, rtol=1e-12, atol=1e-15)
 
     def test_amplitude_ratio_consistency(self):
-        acc = squeezed_acc(0.75, -2.1)
-        obs = record_of(acc, 0.0)
-        amp = apply_to_state(acc, FockState.vacuum(), n_max=64).amplitudes  # n_max=4 would leak
+        pair = squeezed_pair(0.75, -2.1)
+        obs = record_of(pair, 0.0)
+        amp = apply_to_state(pair, FockState.vacuum(), n_max=64).amplitudes  # n_max=4 would leak
         ratio = amp[2] / amp[0]
-        assert cmath.isclose(ratio, (1.0 / math.sqrt(2.0)) * abs(acc.alpha) * cmath.exp(1j * obs.vartheta), rel_tol=1e-12)
+        assert cmath.isclose(ratio, (1.0 / math.sqrt(2.0)) * abs(obs.alpha) * cmath.exp(1j * obs.vartheta), rel_tol=1e-12)
         assert cmath.isclose(ratio, -(1.0 / math.sqrt(2.0)) * math.tanh(0.75) * cmath.exp(1j * obs.phi), rel_tol=1e-12)
 
     def test_normalization_and_tail_bound(self):
         r = 0.5
-        acc = squeezed_acc(r, 0.3)
+        pair = squeezed_pair(r, 0.3)
         n_max = math.ceil(10.0 * math.log(10.0) / (-math.log(math.tanh(r))))  # tanh^n_max < 1e-10
         n_max += n_max % 2
-        weights = np.abs(vacuum_image(acc, n_max=n_max)) ** 2
+        weights = np.abs(vacuum_image(pair, n_max=n_max)) ** 2
         assert np.sum(weights) == pytest.approx(1.0, abs=1e-8)
         for n in range(0, n_max + 1, 2):
             assert weights[n] <= math.tanh(r) ** n + 1e-15

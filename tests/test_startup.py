@@ -71,3 +71,7 @@ def test_json_and_the_formatter_load_when_a_table_is_written(tmp_path):
             f"cli.write_table({str(tmp_path / 'x.csv')!r}, 'csv', ['t'], [[np.ones(3)]]); print(loaded())\n"
             f"cli.write_table({str(tmp_path / 'x.json')!r}, 'json', ['t'], [[np.ones(3)]]); print(loaded())\n")
     assert run(code).splitlines() == ["[False, False]", "[False, True]", "[True, True]"]
+
+
+def test_the_cli_does_not_load_the_reference_recurrence():
+    assert run("import sys, su11squeeze.cli; print('su11squeeze.core' in sys.modules)") == "False\n"
