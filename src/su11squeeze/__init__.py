@@ -25,7 +25,7 @@ _EXPORTS = {
                "ProfileDomainError", "SingularCompositionError", "TableRangeError"),
     "evolution": ("FockState", "Trajectory", "apply_to_state", "auto_converge", "evolve", "observables"),
     "kernels": ("active_backend", "fold_ladder", "rk4_propagate"),
-    "oracle": ("OracleDiagnostics", "TruncatedHamiltonian", "evolve_vacuum", "fidelity", "heisenberg",
+    "oracle": ("OracleDiagnostics", "TruncatedHamiltonian", "evolve_number_state", "fidelity", "heisenberg",
                "integrate"),
     "profiles": ("DiscretizedProfile", "Profile", "constant", "discretize", "eval_profile", "janszky_adam",
                  "load_tabulated", "parametric_resonance", "relaxing_pulse", "sudden_jump", "tabulated"),

@@ -29,6 +29,7 @@ import math
 import os
 import stat
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 #: The variables that set OpenBLAS's thread count; with any of them set, the user's choice stands.
@@ -59,7 +60,7 @@ from .errors import (
     TableRangeError,
 )
 # apply_to_state, fidelity and integrate have no caller here, but perfbench/spans.py wraps them as cli attributes
-from .evolution import SCALINGS, RecordStream, Trajectory, apply_to_state, auto_converge, evolve
+from .evolution import CONVERGE_RECORDS, SCALINGS, RecordStream, Trajectory, apply_to_state, auto_converge, evolve
 from .oracle import fidelity, integrate
 from .profiles import KINDS, RULES, discretize
 
@@ -262,7 +263,10 @@ def run_trajectory(cfg: ExperimentConfig) -> Trajectory:
 
 
 def _verify(cfg: ExperimentConfig, traj, announce=_say) -> int:
-    """Gate the norm defect over every step, then cross-check the vacuum's image against RK4 if asked.
+    """Report a capped doubling, gate the norm defect over every step, then cross-check the vacuum's image.
+
+    A doubling that hit its cap (``converged is False``) is one line on
+    stderr, not a Python warning, and it leaves the exit code alone.
 
     The oracle is :func:`oracle.heisenberg` at :func:`oracle.pair_substeps`.
     The check passes at :func:`oracle.vacuum_fidelity` less its rounding
@@ -272,6 +276,10 @@ def _verify(cfg: ExperimentConfig, traj, announce=_say) -> int:
     :class:`Trajectory` or a :class:`RecordStream` whose blocks are written.
     ``announce(line, file=None)`` prints like ``print``, under the run's label if it has one.
     """
+    if traj.converged is False:
+        last = traj.convergence_history[-1][1] if traj.convergence_history else math.nan
+        announce(f"warning: step doubling hit its cap at n_steps={traj.n_steps_used} before reaching "
+                 f"tol={cfg.tol:g}; last max |dr| = {last:.3e}", file=sys.stderr)
     worst = traj.max_norm_defect  # over every step, recorded or not
     if not worst <= NORM_DEFECT_MAX:  # a nan fails too
         announce(f"error: norm defect {worst:.3e} exceeds {NORM_DEFECT_MAX:g}", file=sys.stderr)
@@ -407,6 +415,8 @@ def _doubling_start(args, cfg: ExperimentConfig, file_keys: dict) -> int:
 def cmd_converge(args) -> int:
     file_keys = load_config_file(args.config) if args.config is not None else {}  # parsed once, for both readers
     cfg = _config(args, file_keys)
+    if cfg.record_every != "auto":
+        raise ConfigError(f"converge records {CONVERGE_RECORDS} instants and takes no --record-every")
     if isinstance(cfg.n_steps, int):  # converge always doubles: a fixed N names where it starts
         cfg = dataclasses.replace(cfg, n_steps="auto", n_start=_doubling_start(args, cfg, file_keys)).validate()
     traj = run_trajectory(cfg)
@@ -580,7 +590,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # _verify reports a capped doubling under the run's label
+            warnings.filterwarnings("ignore", "step-doubling hit the cap", RuntimeWarning)
+            return args.func(args)
     except ConfigError as exc:
         _say(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

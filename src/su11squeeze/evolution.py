@@ -29,8 +29,9 @@ SCALINGS = {"half": 0.5, "quarter": 0.25}
 #: Truncation-loss threshold for apply_to_state / the oracle.
 LEAKAGE_TOL = 1e-6
 
-#: Smallest starting N of the step-doubling loop.
+#: Smallest starting N of the step-doubling loop, and the instants it records.
 N_START_MIN = 100
+CONVERGE_RECORDS = 500
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,6 +180,7 @@ class RecordStream:
         self.n_steps_used = n
         self.n_records = -(-n // record_every)
         self.records = None
+        self.converged = None  # as a Trajectory of a fixed N: no doubling ran
         self.final = None
         self.max_norm_defect = 0.0
 
@@ -329,7 +331,7 @@ def apply_to_state(final: tuple[complex, complex], initial: FockState, n_max: in
 
 def auto_converge(profile: Profile, t_final: float, tol: float,
                   n_start: int = 10000, cap: int = 2 ** 24,
-                  n_records: int = 500, rule: str = "right",
+                  n_records: int = CONVERGE_RECORDS, rule: str = "right",
                   lam: float = 0.0, scaling: str = "quarter") -> Trajectory:
     """Double the step count until the squeezing curve stops moving.
 

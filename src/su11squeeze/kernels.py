@@ -1,4 +1,4 @@
-"""Hot numeric kernels: the N-step ladder fold and the Fock-basis RK4 sweep.
+"""Numeric kernels: the N-step ladder fold and the Fock-basis RK4 sweep.
 
 The fold writes each constant-frequency segment as a det-1 SU(1,1) matrix::
 
@@ -30,17 +30,15 @@ it back, so a ladder folded in pieces whose lengths are multiples of
 
 The RK4 sweep integrates the Schrodinger equation in a truncated number
 basis with classical fixed-substep RK4; :func:`fock_bands` holds the basis
-matrix elements it shares with :class:`su11squeeze.oracle.TruncatedHamiltonian`.
-H is constant on a segment, so an RK4 substep there is the fixed matrix
-``P(X) = 1 + X + X^2/2 + X^3/6 + X^4/24`` with ``X = -i dt H``.  Its
-increment ``P(X) - I`` has nine bands.  It is assembled for a block of
-segments from words of the bands that :func:`step_words` caches per basis
-size, and each substep applies it with three numpy calls.
+matrix elements it shares with :class:`su11squeeze.oracle.TruncatedHamiltonian`
+and :func:`su11squeeze.evolution.apply_to_state`.  It is the plain reference
+the oracle's tests need, not a fast path: no command runs it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -250,121 +248,44 @@ def fock_bands(dim: int):
     return diag, off
 
 
-#: Bands of the RK4 step matrix ``P(X) - I``: H couples n <-> n+-2, so four
-#: factors of it reach the even offsets -8..8.
-STEP_BANDS = 9
-_PAD = STEP_BANDS - 1  # the largest offset
-
-#: Segments whose step matrices are built together.  Bounds the kernel's
-#: scratch memory at ``RK4_BLOCK * STEP_BANDS * dim`` complex numbers.
-RK4_BLOCK = 8
-
-#: ``(k, i)`` of the words ``W[k, i]`` (k factors, i of them ``off``) in the
-#: even powers of ``X = -i dt H``, which are real, and the odd ones, which
-#: are imaginary.
-_EVEN_WORDS = tuple((k, i) for k in (2, 4) for i in range(k + 1))
-_ODD_WORDS = tuple((k, i) for k in (1, 3) for i in range(k + 1))
-
-
-def _times_off(off, band):
-    """``O @ M`` for a banded ``M`` in row storage ``band[m, n] = M[n, n + 2(m - 4)]``.
-
-    ``O`` is the ``n <-> n+2`` coupling.  Rows and columns outside the basis
-    contribute nothing, so the product is that of the truncated matrices.
-    """
-    out = np.zeros_like(band)
-    out[1:, :-2] += off * band[:-1, 2:]   # O[n, n+2] M[n+2, n+o]
-    out[:-1, 2:] += off * band[1:, :-2]   # O[n, n-2] M[n-2, n+o]
-    return out
-
-
-@functools.lru_cache(maxsize=8)
-def step_words(dim: int):
-    """Band storage of the words that build the RK4 step matrix, before scaling.
-
-    ``W[k, i]`` is the sum of all products of ``k`` factors drawn from the
-    bands of :func:`fock_bands`, ``i`` of them the coupling ``off`` and the
-    rest ``diag``, built by ``W[k, i] = diag W[k-1, i] + off W[k-1, i-1]``.
-    Each is stored as ``(STEP_BANDS, dim)`` with ``[m, n]`` the entry at row
-    ``n``, column ``n + 2(m - 4)`` (zero outside the basis).  Returns the
-    stacks of the flattened ``_EVEN_WORDS`` and ``_ODD_WORDS``.  Read-only,
-    built once per dimension.
-    """
-    diag, off = fock_bands(dim)
-    words = {(0, 0): np.zeros((STEP_BANDS, dim))}
-    words[0, 0][STEP_BANDS // 2] = 1.0
-    for k in range(1, 5):
-        for i in range(k + 1):
-            w = np.zeros((STEP_BANDS, dim))
-            if i < k:
-                w += diag * words[k - 1, i]
-            if i > 0:
-                w += _times_off(off, words[k - 1, i - 1])
-            words[k, i] = w
-    even = np.stack([words[key].ravel() for key in _EVEN_WORDS])
-    odd = np.stack([words[key].ravel() for key in _ODD_WORDS])
-    even.flags.writeable = False
-    odd.flags.writeable = False
-    return even, odd
-
-
 def rk4_propagate(omega, omega0: float, tau: float, psi0, n_sub: int):
     """Integrate i dpsi/dt = H(t) psi across a piecewise-constant ladder.
 
-    Classical fixed-substep RK4; ``n_sub`` substeps per segment.  H is
-    constant on a segment, so one RK4 substep is exactly ``psi <- P(X) psi``
-    with ``P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24`` and ``X = -i dt H``.  The
-    increment ``P(X) - I`` of the truncated H has nine bands (even offsets
-    -8..8); it is assembled from :func:`step_words` for ``RK4_BLOCK``
-    segments at a time and applied through a strided window on a
-    zero-padded copy of psi.  Keeping the increment rather than ``P`` avoids
-    rounding ``1 + delta`` the same way at every substep.  Returns the final
+    Classical fixed-substep RK4, ``n_sub`` substeps per segment, with H
+    applied on the bands of :func:`fock_bands`.  Returns the final
     (unnormalized) vector plus the extreme squared norms seen at segment
     boundaries and the largest occupancy of the top four basis levels (the
     truncation-boundary diagnostic).
     """
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
-    omega = np.ascontiguousarray(omega, dtype=np.float64)
-    psi0 = np.ascontiguousarray(psi0, dtype=np.complex128)
-    dim = psi0.shape[0]
+    psi = np.array(psi0, dtype=np.complex128)
+    dim = psi.shape[0]
     if dim < 5:
         raise ValueError("state vector too short for a meaningful truncated basis")
+    diag, off = fock_bands(dim)
     dt = tau / n_sub
-    # (-i dt)^k / k! is scale[k-1] for even k and i*scale[k-1] for odd k
-    scale = np.array([-dt, -dt ** 2 / 2.0, dt ** 3 / 6.0, dt ** 4 / 24.0])
-    parts = []  # real, then imaginary part of P - I: (words, their scale, powers of a and b)
-    for words, keys in zip(step_words(dim), (_EVEN_WORDS, _ODD_WORDS)):
-        k, i = np.array(keys).T
-        parts.append((words, scale[k - 1], k - i, i))
-
-    buf = np.zeros(dim + 2 * _PAD, dtype=np.complex128)
-    psi = buf[_PAD:_PAD + dim]
-    psi[:] = psi0
-    window = np.lib.stride_tricks.as_strided(
-        buf, shape=(STEP_BANDS, dim), strides=(2 * buf.strides[0], buf.strides[0]),
-        writeable=False)  # window[m, n] = psi[n + 2(m - 4)], zero off the basis
-    terms = np.empty((STEP_BANDS, dim), dtype=np.complex128)
-    inc = np.empty(dim, dtype=np.complex128)
-
-    min_norm2 = 1.0
-    max_norm2 = 1.0
+    min_norm2 = max_norm2 = 1.0
     max_edge = 0.0
-    for start in range(0, omega.shape[0], RK4_BLOCK):
-        w = omega[start:start + RK4_BLOCK, None]
-        rho2 = np.log(w / omega0)
-        a = w * np.cosh(rho2)
-        b = w * np.sinh(rho2)
-        steps = np.empty((w.shape[0], STEP_BANDS, dim), dtype=np.complex128)
-        for out, (words, coef, pa, pb) in zip((steps.real, steps.imag), parts):
-            out[...] = np.einsum("st,tk->sk", coef * a ** pa * b ** pb, words).reshape(out.shape)
-        for step in steps:
-            for _ in range(n_sub):
-                np.multiply(step, window, out=terms)
-                np.add.reduce(terms, axis=0, out=inc)
-                psi += inc
-            norm2 = np.vdot(psi, psi).real
-            min_norm2 = min(min_norm2, norm2)
-            max_norm2 = max(max_norm2, norm2)
-            max_edge = max(max_edge, np.vdot(psi[-4:], psi[-4:]).real)
-    return psi.copy(), float(min_norm2), float(max_norm2), float(max_edge)
+    for w in np.asarray(omega, dtype=np.float64):
+        rho2 = math.log(w / omega0)
+        d = (-1j * w * math.cosh(rho2)) * diag
+        o = (-1j * w * math.sinh(rho2)) * off
+
+        def f(x):  # -i H x
+            k = d * x
+            k[:-2] += o * x[2:]
+            k[2:] += o * x[:-2]
+            return k
+
+        for _ in range(n_sub):
+            k1 = f(psi)
+            k2 = f(psi + (0.5 * dt) * k1)
+            k3 = f(psi + (0.5 * dt) * k2)
+            k4 = f(psi + dt * k3)
+            psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        norm2 = np.vdot(psi, psi).real
+        min_norm2 = min(min_norm2, norm2)
+        max_norm2 = max(max_norm2, norm2)
+        max_edge = max(max_edge, np.vdot(psi[-4:], psi[-4:]).real)
+    return psi, float(min_norm2), float(max_norm2), float(max_edge)

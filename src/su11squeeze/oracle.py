@@ -12,10 +12,11 @@ H is quadratic, so ``(a, a+)`` evolve linearly::
 :func:`heisenberg` runs RK4 on this 2x2 system and returns the Bogoliubov
 pair ``(u, v)`` with ``a(T) = u a + v a+``, the counterpart of the fold's
 ``(p, q)``; ``--oracle-check`` gates the closed-form fidelity of the
-vacuum's images (:func:`vacuum_fidelity`), and :func:`evolve_vacuum` builds
-the oracle's image in a number basis.
+vacuum's images (:func:`vacuum_fidelity`), and :func:`evolve_number_state`
+builds the oracle's image of a number state ``|n>`` in a number basis.
 :func:`integrate` runs RK4 on the Schrodinger equation in a truncated number
-basis (:func:`su11squeeze.kernels.rk4_propagate`) and takes any initial state.
+basis (:func:`su11squeeze.kernels.rk4_propagate`), the plain reference the
+tests hold the Heisenberg route to.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ MAX_DIM = 4096
 #: population in the top four levels.
 INITIAL_EDGE_TOL = 1e-10
 
-#: Most RK4 substeps per segment that :func:`substeps` and :func:`pair_substeps`
-#: grant.  In the Fock basis every substep costs a pass over the whole ladder,
-#: and at ``tau/MAX_SUBSTEPS`` RK4's error on a segment with ``omega*tau <= 1``
+#: Most RK4 substeps per segment that :func:`pair_substeps` grants.  At
+#: ``tau/MAX_SUBSTEPS`` RK4's error on a segment with ``omega*tau <= 1``
 #: already lies below double rounding.
 MAX_SUBSTEPS = 10_000
 
@@ -87,23 +87,11 @@ class OracleDiagnostics:
     n_sub: int
 
 
-def _edge_occupancy(amp: np.ndarray) -> float:
-    return float(np.sum(np.abs(amp[-4:]) ** 2))
-
-
-def substeps(tau: float, dt_sub: float) -> int:
-    """RK4 substeps per segment for a requested substep: ``ceil(tau/dt_sub)``, at least 1.
-
-    Raises ValueError for a substep longer than ``tau`` or one that would
-    take more than ``MAX_SUBSTEPS`` substeps per segment.
-    """
-    if not (0.0 < dt_sub <= tau):
-        raise ValueError(f"dt_sub must satisfy 0 < dt_sub <= tau = {tau}, got {dt_sub}")
-    ratio = tau / dt_sub
-    if ratio > MAX_SUBSTEPS:
-        raise ValueError(f"dt_sub = {dt_sub} takes {ratio:.3g} RK4 substeps per segment of tau = {tau}, "
-                         f"more than MAX_SUBSTEPS = {MAX_SUBSTEPS}")
-    return max(1, math.ceil(ratio))
+def _bases(dim: int | None, smallest: int = DEFAULT_DIM) -> list:
+    """Basis sizes to try in turn: ``dim`` if pinned, else ``smallest`` and its doublings up to ``MAX_DIM``."""
+    if dim is not None:
+        return [int(dim)]
+    return [smallest << k for k in range(MAX_DIM.bit_length()) if smallest << k <= MAX_DIM]
 
 
 def pair_substeps(dprofile: DiscretizedProfile) -> int:
@@ -201,17 +189,24 @@ def heisenberg(dprofile: DiscretizedProfile, n_sub: int):
     return complex(u), complex(v), norm_drift
 
 
-def evolve_vacuum(dprofile: DiscretizedProfile, dt_sub: float, dim: int | None = None):
-    """The vacuum's image ``U|0>`` from :func:`heisenberg`; returns ``(state, diagnostics, (u, v))``.
+def evolve_number_state(dprofile: DiscretizedProfile, n: int, n_sub: int, dim: int | None = None):
+    """The image ``U|n>`` of a number state from :func:`heisenberg`; returns ``(state, diagnostics, (u, v))``.
 
-    ``U|0>`` is the state that ``conj(u) a - v a+`` annihilates::
+    With ``a(T) = u a + v a+``, ``U|0>`` is the state that ``conj(u) a - v a+``
+    annihilates, and ``U|n> = (u a+ - conj(v) a)^n U|0> / sqrt(n!)``.  With
+    ``alpha = v/conj(u)``::
 
-        c_{n+1} = (v/conj(u)) sqrt(n/(n+1)) c_{n-1},   |c_0|^2 = sqrt(1 - |v/u|^2)
+        c_{m+1} = alpha sqrt(m/(m+1)) c_{m-1},   |c_0|^2 = sqrt(1 - |alpha|^2)
+        u a+ - conj(v) a = u (a+ - conj(alpha) a)
 
-    which is normalized over all levels.  Without ``dim`` the basis starts
-    at 256 levels and doubles, up to ``MAX_DIM``, while the population of
-    its top four levels and beyond (``leakage``) exceeds ``LEAKAGE_TOL``.
-    ``dt_sub`` is the RK4 substep, as in :func:`integrate`.
+    and each factor is divided by its norm on the image, ``|u| sqrt(1 -
+    |alpha|^2)``, which is 1 for a pair of unit determinant; so the image is
+    normalized over all levels even where RK4 leaves ``|u|^2 - |v|^2`` a
+    little off 1.  The vector is ``n`` levels longer than the largest basis,
+    so the cut at its top never reaches the kept amplitudes.  Without ``dim``
+    the basis is the smallest power of two from 256 to ``MAX_DIM`` whose top
+    four levels and beyond hold at most ``LEAKAGE_TOL`` (``leakage``).
+    ``n_sub`` is :func:`heisenberg`'s.
 
     Raises
     ------
@@ -219,18 +214,26 @@ def evolve_vacuum(dprofile: DiscretizedProfile, dt_sub: float, dim: int | None =
         From :func:`heisenberg`, or if the state does not fit the largest
         basis tried.
     """
-    n_sub = substeps(dprofile.tau, dt_sub)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     u, v, norm_drift = heisenberg(dprofile, n_sub)
-    dims = [DEFAULT_DIM] if dim is None else [int(dim)]
-    while dim is None and 2 * dims[-1] <= MAX_DIM:
-        dims.append(2 * dims[-1])
+    dims = _bases(dim)
+    size = dims[-1] + n
     alpha = v / u.conjugate()
-    k = np.arange(1, (dims[-1] - 1) // 2 + 1)
-    amp = np.zeros(dims[-1], dtype=np.complex128)
-    amp[0] = max(0.0, (1.0 - abs(alpha)) * (1.0 + abs(alpha))) ** 0.25
+    gap = (1.0 - abs(alpha)) * (1.0 + abs(alpha))  # 1 - |alpha|^2
+    k = np.arange(1, (size - 1) // 2 + 1)
+    amp = np.zeros(size, dtype=np.complex128)
+    amp[0] = max(0.0, gap) ** 0.25
     amp[2::2] = amp[0] * np.cumprod(alpha * np.sqrt((2.0 * k - 1.0) / (2.0 * k)))
+    lift = u / abs(u) / math.sqrt(gap) if gap > 0.0 else 0.0  # u/(|u| sqrt(1 - |alpha|^2))
+    root = np.sqrt(np.arange(1.0, size))  # a+|m-1> = sqrt(m)|m>
+    for j in range(1, n + 1):
+        step = np.zeros_like(amp)
+        step[1:] = root * amp[:-1]
+        step[:-1] -= alpha.conjugate() * root * amp[1:]
+        amp = step * (lift / math.sqrt(j))
     for d in dims:
-        leakage = max(0.0, 1.0 - float(np.sum(np.abs(amp[:d - 4]) ** 2)))  # amp is normalized over all n
+        leakage = max(0.0, 1.0 - float(np.sum(np.abs(amp[:d - 4]) ** 2)))  # amp is normalized over all levels
         if leakage <= LEAKAGE_TOL:
             diag = OracleDiagnostics(dim=d, leakage=leakage, norm_drift=norm_drift, n_sub=n_sub)
             return FockState(amp[:d]).normalized(), diag, (u, v)
@@ -262,8 +265,7 @@ def vacuum_fidelity(u: complex, v: complex, p: complex, q: complex) -> float:
     return math.sqrt(max(0.0, inside)) / den if den else math.nan
 
 
-def integrate(dprofile: DiscretizedProfile, initial: FockState, dt_sub: float,
-              dim: int | None = None):
+def integrate(dprofile: DiscretizedProfile, initial: FockState, n_sub: int, dim: int | None = None):
     """RK4-integrate the state across the ladder; returns (state, diagnostics).
 
     Parameters
@@ -272,9 +274,8 @@ def integrate(dprofile: DiscretizedProfile, initial: FockState, dt_sub: float,
         The same ladder the algebraic method folds.
     initial : FockState
         Starting state; must fit the basis with edge occupancy < 1e-10.
-    dt_sub : float
-        RK4 substep, at most one segment (``tau``); the actual substep is
-        ``tau / ceil(tau/dt_sub)``.
+    n_sub : int
+        RK4 substeps per segment, as in :func:`heisenberg`.
     dim : int, optional
         Pin the basis size.  When omitted, starts at 256 (or the initial
         state size) and doubles while the boundary occupancy exceeds the
@@ -296,30 +297,18 @@ def integrate(dprofile: DiscretizedProfile, initial: FockState, dt_sub: float,
         boundary occupancy exceeds it at the largest basis tried.
     """
     tau = dprofile.tau
-    n_sub = substeps(tau, dt_sub)
-
-    if dim is not None:
-        dims = [int(dim)]
-    else:
-        d = max(DEFAULT_DIM, initial.n_max + 1)
-        dims = []
-        while d <= MAX_DIM:
-            dims.append(d)
-            d *= 2
-        if not dims:
-            raise ValueError(f"initial state ({initial.n_max + 1}) larger than MAX_DIM={MAX_DIM}")
-
+    dims = _bases(dim, max(DEFAULT_DIM, initial.n_max + 1))
+    if not dims:
+        raise ValueError(f"initial state ({initial.n_max + 1}) larger than MAX_DIM={MAX_DIM}")
     last_leakage = math.inf
     for d in dims:
         if d < initial.n_max + 1 or d < 5:
             raise ValueError(f"dim={d} cannot hold the initial state")
         psi0 = np.zeros(d, dtype=np.complex128)
         psi0[: initial.n_max + 1] = initial.amplitudes
-        if _edge_occupancy(psi0) >= INITIAL_EDGE_TOL:
-            raise LeakageError(
-                f"initial state already occupies the truncation boundary at dim={d}",
-                leakage=_edge_occupancy(psi0),
-            )
+        edge = float(np.sum(np.abs(psi0[-4:]) ** 2))
+        if edge >= INITIAL_EDGE_TOL:
+            raise LeakageError(f"initial state already occupies the truncation boundary at dim={d}", leakage=edge)
         psi, min_norm2, max_norm2, max_edge = kernels.rk4_propagate(
             dprofile.samples, dprofile.omega0, tau, psi0, n_sub
         )
@@ -330,7 +319,7 @@ def integrate(dprofile: DiscretizedProfile, initial: FockState, dt_sub: float,
         if not rk4_loss <= LEAKAGE_TOL:
             raise LeakageError(
                 f"RK4 norm loss {rk4_loss:.3e} exceeds {LEAKAGE_TOL:g} at dim={d}; "
-                f"the substep dt={tau / n_sub:.3g} is too coarse (lower dt_sub)",
+                f"the substep dt={tau / n_sub:.3g} is too coarse (raise n_sub)",
                 leakage=rk4_loss,
             )
         last_leakage = max_edge

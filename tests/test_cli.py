@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -11,13 +12,14 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from su11squeeze import cli, config, discretize, evolve, kernels, oracle
+from su11squeeze import cli, config, discretize, evolution, evolve, kernels, oracle
 from su11squeeze.config import FORMATS, ExperimentConfig, build_config
 from su11squeeze.profiles import PROFILES
 
@@ -505,6 +507,21 @@ class TestConverge:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_record_every_is_refused_as_converge_own(self, where, tmp_path, capsys, monkeypatch):
+        # fig1 fixes n_steps, so the run is valid until converge makes it auto
+        def no_work(*args):
+            raise AssertionError("the ladder was folded before record_every was checked")
+
+        monkeypatch.setattr(kernels, "fold_ladder", no_work)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("preset = fig1\nrecord_every = 5\n")
+        argv = ["--preset", "fig1", "--record-every", "5"] if where == "flag" else ["--config", str(cfg)]
+        assert cli.main(["converge", *argv, "--output", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: converge records 500 instants and takes no --record-every\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_oracle_check_passes(self, tmp_path, capsys):
         code = cli.main(["converge", "--preset", "fig4", "--t-final", "1", "--n-steps", "1000",
                          "--oracle-check", "--output", str(tmp_path / "conv.csv")])
@@ -732,6 +749,28 @@ class TestSweep:
                          "--output", str(tmp_path / "s.csv")])
         assert code == 0
         assert len(list(tmp_path.iterdir())) == 2
+
+    def test_a_capped_doubling_is_one_line_under_its_label(self, tmp_path, capsys, monkeypatch):
+        # 1000 -> 2000 -> 4000 -> 8000 steps, then the cap; a tol of 1e-300 is never met
+        monkeypatch.setattr(cli, "auto_converge", functools.partial(evolution.auto_converge, cap=8000))
+        flags = ["--profile", "sudden_jump", "--omega1", "1.5", "--t-final", "1", "--n-steps", "auto",
+                 "--n-start", "1000", "--tol", "1e-300"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a Python warning would reach the user's stderr
+            assert cli.main(["sweep", *flags, "--sweep-param", "omega1", "--sweep-values", "1.5,1.6",
+                             "--output", str(tmp_path / "s.csv")]) == 0
+            sweep = capsys.readouterr()
+            assert cli.main(["simulate", *flags, "--output", str(tmp_path / "x.csv")]) == 0
+            simulate = capsys.readouterr()
+        notice = "warning: step doubling hit its cap at n_steps=8000 before reaching tol=1e-300; last max |dr| = "
+        lines = sweep.err.splitlines()
+        assert len(lines) == 2
+        for line, value in zip(lines, ("1.5", "1.6")):
+            assert line.startswith(f"[omega1={value}] {notice}")
+        assert simulate.err.startswith(notice) and simulate.err.count("\n") == 1
+        assert "n_steps=8000" in simulate.out
+        with pytest.warns(RuntimeWarning, match="step-doubling hit the cap"):  # the Python API still warns
+            cli.auto_converge(PROFILES["sudden_jump"](1.5), 1.0, 1e-300, n_start=1000)
 
     def test_bad_sweep_values_exit_2(self, tmp_path):
         code = cli.main(["sweep", "--profile", "constant", "--sweep-param", "omega0",

@@ -9,7 +9,6 @@ from su11squeeze import IDENTITY, TruncatedHamiltonian, compose, discretize, jan
 from su11squeeze.kernels import (
     BLOCK,
     CHUNK,
-    RK4_BLOCK,
     fock_bands,
     fold_ladder,
     record_steps,
@@ -285,11 +284,11 @@ class TestRk4Propagate:
     @pytest.mark.parametrize("n_sub", [1, 3, 4])
     @pytest.mark.parametrize("dim", [5, 6, 7, 9, 12])
     def test_matches_dense_reference(self, dim, n_sub, ladder, rng):
-        # at these sizes the nine bands of the step matrix reach both ends of
-        # the basis, and the ladder ends mid-block.  On a constant ladder any
-        # rounding the step matrix makes repeats at every substep, so a
-        # stored P = 1 + (P - I) drifts the norm by ~n_seg * n_sub * 1e-16.
-        n_seg = 40 * RK4_BLOCK + 3
+        # at these sizes the four applications of H in a substep (offsets up
+        # to +-8) reach both ends of the basis.  On a constant ladder any
+        # rounding bias repeats at every substep and would drift the norm by
+        # ~n_seg * n_sub * 1e-16.
+        n_seg = 40 * 8 + 3
         if ladder == "random":
             omega = rng.uniform(0.7, 1.5, n_seg)
         else:
@@ -305,6 +304,6 @@ class TestRk4Propagate:
     def test_even_input_keeps_odd_amplitudes_zero(self, rng):
         psi0 = np.zeros(12, np.complex128)
         psi0[::2] = rng.normal(size=6) + 1j * rng.normal(size=6)
-        psi, *_ = rk4_propagate(rng.uniform(0.7, 1.5, 2 * RK4_BLOCK + 1), 1.0, 0.02, psi0, 3)
+        psi, *_ = rk4_propagate(rng.uniform(0.7, 1.5, 2 * 8 + 1), 1.0, 0.02, psi0, 3)
         assert np.all(psi[1::2] == 0.0)
         assert np.all(psi[::2] != 0.0)

@@ -20,6 +20,7 @@ from su11squeeze import (
     heisenberg,
     integrate,
     janszky_adam,
+    parametric_resonance,
     relaxing_pulse,
     sudden_jump,
 )
@@ -55,7 +56,7 @@ class TestTruncatedHamiltonian:
 class TestIntegrate:
     def test_vacuum_is_stationary_at_reference_frequency(self):
         dprof = discretize(constant(), 5.0, 500)
-        state, diag = integrate(dprof, FockState.vacuum(), dt_sub=dprof.tau / 2, dim=32)
+        state, diag = integrate(dprof, FockState.vacuum(), n_sub=2, dim=32)
         assert fidelity(state, FockState.vacuum(31)) == pytest.approx(1.0, abs=1e-10)
         assert diag.leakage < 1e-12
 
@@ -65,14 +66,14 @@ class TestIntegrate:
         omega1 = 1.5
         t_peak = math.pi / (2.0 * omega1)
         dprof = discretize(sudden_jump(omega1), t_peak, 2000)
-        state, diag = integrate(dprof, FockState.vacuum(), dt_sub=dprof.tau / 4, dim=64)
+        state, diag = integrate(dprof, FockState.vacuum(), n_sub=4, dim=64)
         target = squeezed_vacuum(math.log(omega1), 0.0, 63)
         assert fidelity(state, target) >= 0.9999
         assert diag.norm_drift < 1e-8
 
     def test_cross_method_agreement_on_the_pulse(self):
         dprof = discretize(relaxing_pulse(B=0.5 * math.pi), 30.0, 30_000)
-        oracle_state, diag = integrate(dprof, FockState.vacuum(), dt_sub=dprof.tau / 4, dim=128)
+        oracle_state, diag = integrate(dprof, FockState.vacuum(), n_sub=4, dim=128)
         traj = evolve(dprof)
         method_state = apply_to_state(traj.final, FockState.vacuum(), n_max=127)
         assert fidelity(method_state.normalized(), oracle_state) >= 0.999
@@ -82,14 +83,14 @@ class TestIntegrate:
         # same propagator applied to |2> through the operator series
         dprof = discretize(sudden_jump(1.5), 0.9, 3000)
         initial = FockState.basis_state(2, 2)
-        oracle_state, _ = integrate(dprof, initial, dt_sub=dprof.tau / 4, dim=96)
+        oracle_state, _ = integrate(dprof, initial, n_sub=4, dim=96)
         traj = evolve(dprof)
         method_state = apply_to_state(traj.final, initial, n_max=95)
         assert fidelity(method_state.normalized(), oracle_state) >= 0.9999
 
     def test_parity_is_conserved_exactly(self):
         dprof = discretize(janszky_adam(omega1=1.5), 8.0, 8000)
-        state, _ = integrate(dprof, FockState.vacuum(), dt_sub=dprof.tau / 2, dim=128)
+        state, _ = integrate(dprof, FockState.vacuum(), n_sub=2, dim=128)
         assert np.max(np.abs(state.amplitudes[1::2])) == 0.0
 
     def test_unitarity_drift_over_many_substeps(self):
@@ -116,12 +117,12 @@ class TestIntegrate:
     def test_leakage_raises_at_pinned_dimension(self):
         dprof = discretize(sudden_jump(2.2), 0.7, 2000)
         with pytest.raises(LeakageError) as err:
-            integrate(dprof, FockState.vacuum(), dt_sub=dprof.tau / 2, dim=16)
+            integrate(dprof, FockState.vacuum(), n_sub=2, dim=16)
         assert err.value.leakage > 1e-6
 
     def test_auto_dimension_doubling_recovers(self):
         dprof = discretize(sudden_jump(2.2), 0.7, 2000)
-        state, diag = integrate(dprof, FockState.vacuum(), dt_sub=dprof.tau / 2)
+        state, diag = integrate(dprof, FockState.vacuum(), n_sub=2)
         assert diag.dim >= 256
         assert diag.leakage <= 1e-6
         assert state.norm2() == pytest.approx(1.0, abs=1e-12)
@@ -139,7 +140,7 @@ class TestIntegrate:
         monkeypatch.setattr(kernels, "rk4_propagate", counted)
         dprof = discretize(constant(1e3), 1.0, 1000)
         with pytest.raises(LeakageError, match="too coarse") as err:
-            integrate(dprof, FockState.vacuum(), dt_sub=dprof.tau / 4)
+            integrate(dprof, FockState.vacuum(), n_sub=4)
         assert dims == [256]
         assert err.value.leakage > 1e-6
 
@@ -147,18 +148,13 @@ class TestIntegrate:
         # dt * omega0 ~ 1e197 overflows the step matrix to nan
         dprof = discretize(constant(1e200), 1.0, 1000)
         with np.errstate(all="ignore"), pytest.raises(LeakageError, match="too coarse"):
-            integrate(dprof, FockState.vacuum(), dt_sub=dprof.tau / 4)
+            integrate(dprof, FockState.vacuum(), n_sub=4)
 
     def test_initial_state_must_fit_the_basis(self):
         wide = FockState.basis_state(14, 14)
         dprof = discretize(constant(), 1.0, 100)
         with pytest.raises(LeakageError):
-            integrate(dprof, wide, dt_sub=dprof.tau, dim=16)
-
-    def test_substep_must_not_exceed_segment(self):
-        dprof = discretize(constant(), 1.0, 100)
-        with pytest.raises(ValueError):
-            integrate(dprof, FockState.vacuum(), dt_sub=1.0, dim=16)
+            integrate(dprof, wide, n_sub=1, dim=16)
 
 
 def one_segment(omega, omega0, tau):
@@ -315,7 +311,7 @@ class TestHeisenberg:
     ])
     def test_vacuum_image_matches_apply_to_state(self, profile, t_final, n_steps):
         dprof = discretize(profile, t_final, n_steps)
-        state, diag, _ = oracle.evolve_vacuum(dprof, dprof.tau / 4)
+        state, diag, _ = oracle.evolve_number_state(dprof, 0, 4)
         method = apply_to_state(evolve(dprof).final, FockState.vacuum(), n_max=diag.dim - 1).normalized()
         overlap = np.vdot(method.amplitudes, state.amplitudes)
         aligned = method.amplitudes * (overlap / abs(overlap))
@@ -324,11 +320,63 @@ class TestHeisenberg:
 
     def test_basis_doubles_until_the_state_fits(self):
         dprof = discretize(sudden_jump(2.2), 0.7, 2000)
-        _, pinned_diag, _ = oracle.evolve_vacuum(dprof, dprof.tau / 4, dim=256)
-        _, diag, _ = oracle.evolve_vacuum(dprof, dprof.tau / 4)
+        _, pinned_diag, _ = oracle.evolve_number_state(dprof, 0, 4, dim=256)
+        _, diag, _ = oracle.evolve_number_state(dprof, 0, 4)
         assert diag.dim == 256 and diag.leakage == pinned_diag.leakage
         with pytest.raises(LeakageError, match="state too wide for the truncated basis"):
-            oracle.evolve_vacuum(dprof, dprof.tau / 4, dim=16)
+            oracle.evolve_number_state(dprof, 0, 4, dim=16)
+
+
+def square_wave_ladder():
+    profile = janszky_adam(omega1=1.5)
+    t_final = 4 * profile.period  # r = 1.6, as in acceptance gate c10
+    return discretize(profile, t_final, int(t_final * 2000))
+
+
+class TestNumberStateImage:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    @pytest.mark.parametrize("profile, t_final, n_steps", [
+        (relaxing_pulse(B=3.0 * math.pi), 30.0, 30_000),
+        (parametric_resonance(2.0, 1.04), 30.0, 37_500),
+    ], ids=["pulse_3pi", "eps2"])
+    def test_matches_apply_to_state(self, profile, t_final, n_steps, n):
+        dprof = discretize(profile, t_final, n_steps)
+        state, diag, _ = oracle.evolve_number_state(dprof, n, 4)
+        initial = FockState.basis_state(n)
+        method = apply_to_state(evolve(dprof).final, initial, n_max=diag.dim - 1).normalized()
+        overlap = np.vdot(method.amplitudes, state.amplitudes)
+        aligned = method.amplitudes * (overlap / abs(overlap))
+        assert np.max(np.abs(state.amplitudes - aligned)) <= 1e-10
+        assert np.all(state.amplitudes[1 - n % 2::2] == 0.0)  # parity is kept exactly
+        assert diag.leakage <= 1e-6 and diag.n_sub == 4
+
+    def test_image_is_normalized_over_all_levels(self):
+        # leakage is 1 less the kept population of the image normalized over all levels, so it
+        # agrees with the population a wide basis puts past the small one only if that norm is 1
+        dprof = square_wave_ladder()
+        for n in (0, 1, 2):
+            _, diag, _ = oracle.evolve_number_state(dprof, n, 4, dim=256)
+            wide, _, _ = oracle.evolve_number_state(dprof, n, 4, dim=1024)
+            assert diag.leakage > 1e-10
+            assert abs(diag.leakage - np.sum(np.abs(wide.amplitudes[252:]) ** 2)) <= 1e-14
+
+    def test_images_of_number_states_are_orthonormal(self):
+        images = [oracle.evolve_number_state(square_wave_ladder(), n, 4, dim=1024)[0].amplitudes
+                  for n in range(6)]
+        gram = np.array([[np.vdot(a, b) for b in images] for a in images])
+        assert np.max(np.abs(gram - np.eye(6))) <= 1e-13
+
+    def test_basis_too_small_raises(self):
+        # n = 5 on the square wave needs 512 levels
+        dprof = square_wave_ladder()
+        assert oracle.evolve_number_state(dprof, 5, 4)[1].dim == 512
+        with pytest.raises(LeakageError, match="state too wide for the truncated basis") as err:
+            oracle.evolve_number_state(dprof, 5, 4, dim=256)
+        assert err.value.leakage > 1e-6
+
+    def test_rejects_a_negative_number(self):
+        with pytest.raises(ValueError):
+            oracle.evolve_number_state(square_wave_ladder(), -1, 4)
 
 
 def exact_vacuum_fidelity(u, v, p, q):
@@ -387,7 +435,7 @@ class TestVacuumFidelity:
     ], ids=["fig1", "fig2", "fig5", "fig4_t10"])
     def test_agrees_with_the_fidelity_in_a_number_basis(self, dprof):
         n_sub = oracle.pair_substeps(dprof)
-        oracle_state, diag, (u, v) = oracle.evolve_vacuum(dprof, dprof.tau / n_sub)
+        oracle_state, diag, (u, v) = oracle.evolve_number_state(dprof, 0, n_sub)
         final = evolve(dprof).final
         method_state = apply_to_state(final, FockState.vacuum(), n_max=diag.dim - 1)
         assert diag.n_sub == n_sub
