@@ -9,8 +9,9 @@ H is quadratic, so ``(a, a+)`` evolve linearly::
 
     d/dt (a, a+) = -i omega [[cosh 2rho, sinh 2rho], [-sinh 2rho, -cosh 2rho]] (a, a+)
 
-:func:`heisenberg` runs RK4 on this 2x2 system and returns the Bogoliubov
-pair ``(u, v)`` with ``a(T) = u a + v a+``, the counterpart of the fold's
+:func:`heisenberg` runs RK4 on this 2x2 system, each segment's substeps at
+once in closed form, and returns the Bogoliubov pair ``(u, v)`` with
+``a(T) = u a + v a+``, the counterpart of the fold's
 ``(p, q)``; ``--oracle-check`` gates the closed-form fidelity of the
 vacuum's images (:func:`vacuum_fidelity`), and :func:`evolve_number_state`
 builds the oracle's image of a number state ``|n>`` in a number basis.
@@ -40,14 +41,10 @@ MAX_DIM = 4096
 #: population in the top four levels.
 INITIAL_EDGE_TOL = 1e-10
 
-#: Most RK4 substeps per segment that :func:`pair_substeps` grants.  At
-#: ``tau/MAX_SUBSTEPS`` RK4's error on a segment with ``omega*tau <= 1``
-#: already lies below double rounding.
-MAX_SUBSTEPS = 10_000
-
 #: Largest substep angle ``omega*dt`` of :func:`pair_substeps`.  The pair error falls as ``theta^4`` and
 #: is below 1e-12 here (7.7e-13 on fig2 at N = 15 000); it reaches a rounding floor near 1e-14 by
 #: ``theta ~ 1e-4``, and more substeps do not raise it (5e-13 on fig4, 3e-12 on fig5, up to n_sub = 1024).
+#: Nor do they cost more: :func:`heisenberg` takes the substep's power in closed form, so no count is capped.
 THETA_MAX = 1e-3
 FIDELITY_ROUNDING = 4.0 * float(np.finfo(np.float64).eps)  # vacuum_fidelity is good to this times |p|^2
 
@@ -96,55 +93,38 @@ def _bases(dim: int | None, smallest: int = DEFAULT_DIM) -> list:
 
 def pair_substeps(dprofile: DiscretizedProfile) -> int:
     """:func:`heisenberg`'s substeps per segment, ``max(1, ceil(max(omega) tau / THETA_MAX))``, or ValueError."""
-    ratio = float(np.max(dprofile.samples)) * dprofile.tau / THETA_MAX
-    if not ratio <= MAX_SUBSTEPS:
-        raise ValueError(f"max(omega)*tau = {ratio * THETA_MAX:.3g} takes {ratio:.3g} RK4 substeps per segment, "
-                         f"more than MAX_SUBSTEPS = {MAX_SUBSTEPS}")
+    angle = float(np.max(dprofile.samples)) * dprofile.tau
+    ratio = angle / THETA_MAX
+    if not math.isfinite(ratio):
+        raise ValueError(f"max(omega)*tau = {angle:.3g} takes more RK4 substeps per segment than a float holds")
     return max(1, math.ceil(ratio))
-
-
-def _substep_power(e, c1, delta, n: int):
-    """``(a, B)`` with ``((1 + e) I + c1 X)^n = (1 + a) I + B X`` for ``X^2 = delta I``, by repeated squaring.
-
-    ``((1 + e) I + b X)((1 + f) I + d X) = (1 + (e + f + e f + delta b d)) I + (b + d + e d + b f) X``,
-    so the power takes ``log2(n)`` squarings and as many products, not
-    ``n - 1`` products.  Only the small parts ``e``, ``f`` and ``a`` are
-    carried: ``1 + e`` would round away the digits of ``e``, about
-    ``(omega dt)^2 / 2``, and each squaring of a number next to 1 would lose
-    them again.
-    """
-    a = b = None
-    while True:
-        if n & 1:
-            a, b = (e, c1) if a is None else (a + e + a * e + delta * b * c1, b + c1 + a * c1 + b * e)
-        n >>= 1
-        if not n:
-            return a, b
-        e, c1 = (2.0 + e) * e + delta * c1 * c1, 2.0 * (1.0 + e) * c1
 
 
 def heisenberg(dprofile: DiscretizedProfile, n_sub: int):
     """RK4-integrate ``(a, a+)`` across the ladder; returns ``(u, v, norm_drift)``.
 
     On a segment the generator is ``G = -i omega M`` with ``M = [[cosh 2rho,
-    sinh 2rho], [-sinh 2rho, -cosh 2rho]]`` and ``M^2 = I``, so ``X = dt G``
-    has ``X^2 = delta I`` with ``delta = -(omega dt)^2``.  One RK4 substep,
-    ``1 + X + X^2/2 + X^3/6 + X^4/24``, is then ``(1 + e) I + c1 X`` with
-    ``e = delta/2 + delta^2/24`` and ``c1 = 1 + delta/6``, and its
-    ``n_sub``-th power is ``A I + B X`` with real ``A, B``, taken by repeated
-    squaring on ``A - 1`` (:func:`_substep_power`).  It is ``[[P, Q], [conj(Q),
-    conj(P)]]``, ``P = A - i B theta cosh 2rho`` and ``Q = -i B theta sinh 2rho``, a
-    shape that products keep, so each block of segments is held as two complex rows
-    ``(P, Q)`` and reduced pairwise in time order by the fold's pair product
+    sinh 2rho], [-sinh 2rho, -cosh 2rho]]`` and ``M^2 = I``, so one RK4
+    substep, ``1 + X + X^2/2 + X^3/6 + X^4/24`` at ``X = dt G``, acts on M's
+    ``+-1`` eigenvectors as RK4's stability function at ``-+i theta``,
+    ``theta = omega dt``::
+
+        1 - theta^2/2 + theta^4/24 -+ i (theta - theta^3/6) = R exp(-+i phi)
+        R^2 = 1 + theta^6 (theta^2 - 8)/576
+
+    so its ``n_sub``-th power is ``R^n (cos(n phi) I - i sin(n phi) M)`` in
+    closed form, at one cost for every ``n = n_sub``.  It is ``[[P, Q],
+    [conj(Q), conj(P)]]``, ``P = R^n (cos(n phi) - i sin(n phi) cosh 2rho)``
+    and ``Q = -i R^n sin(n phi) sinh 2rho``, a shape that products keep, so
+    each block of segments is held as two complex rows ``(P, Q)`` and reduced
+    pairwise in time order by the fold's pair product
     (:func:`kernels._mul_into`) into ping-pong buffers; the running product is
-    carried from block to block as a scalar pair.  It is ``(u, v)`` with ``a(T) =
-    u a + v a+``, the fold's ``(p, q)`` up to RK4 error.
+    carried from block to block as a scalar pair.  It is ``(u, v)`` with
+    ``a(T) = u a + v a+``, the fold's ``(p, q)`` up to RK4 error.
 
     ``norm_drift`` is ``|1 - (|u|^2 - |v|^2)|``, the RK4 loss of the pair's
-    norm.  ``|u|^2 - |v|^2`` is the determinant of the product, so it is
-    taken as the product of the segment determinants ``A^2 - delta B^2``
-    (summed as ``log1p`` of their small parts), which does not cancel at
-    large ``|u|`` as ``|u|^2 - |v|^2`` would.
+    norm, taken as the product of the segment determinants ``R^(2n)``, summed
+    as ``n log1p(R^2 - 1)``: no digit cancels, at any ``|u|`` or ``n``.
 
     Raises
     ------
@@ -154,8 +134,9 @@ def heisenberg(dprofile: DiscretizedProfile, n_sub: int):
     """
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
+    power = float(n_sub)  # n_sub may pass int64
     omega = np.ascontiguousarray(dprofile.samples, dtype=np.float64)
-    dt = dprofile.tau / n_sub
+    dt = dprofile.tau / power
     bufs = [np.empty((2, size), np.complex128) for size in (HEISENBERG_BLOCK, HEISENBERG_BLOCK // 2 + 1)]
     scratch = np.empty((2, HEISENBERG_BLOCK // 2), np.complex128)
     u, v, log_det = 1.0 + 0j, 0j, 0.0
@@ -163,16 +144,18 @@ def heisenberg(dprofile: DiscretizedProfile, n_sub: int):
         for start in range(0, omega.shape[0], HEISENBERG_BLOCK):
             w = omega[start:start + HEISENBERG_BLOCK]
             theta = w * dt
-            delta = -theta * theta
-            a, b = _substep_power(delta / 2.0 + delta * delta / 24.0, 1.0 + delta / 6.0, delta, n_sub)
-            log_det += float(np.sum(np.log1p((2.0 + a) * a - delta * b * b)))  # log((1 + a)^2 - delta b^2)
-            a += 1.0
-            rho2 = np.log(w / dprofile.omega0)
+            t2 = theta * theta
+            log_r2 = np.log1p(t2 * t2 * t2 * (t2 - 8.0) / 576.0)
+            log_det += power * float(np.sum(log_r2))
+            angle = power * np.arctan2(theta - theta * t2 / 6.0, 1.0 - t2 / 2.0 + t2 * t2 / 24.0)
+            r_n = np.exp(0.5 * power * log_r2)
+            x = w / dprofile.omega0  # cosh 2rho and sinh 2rho are (x +- 1/x)/2
+            s = -0.5 * r_n * np.sin(angle)
             n = w.shape[0]
             src, dst = bufs
-            p, q = src[:, :n]  # (P, Q) of a I + b X, X = -i theta M
-            p.real, q.real = a, 0.0
-            p.imag, q.imag = -b * theta * np.cosh(rho2), -b * theta * np.sinh(rho2)
+            p, q = src[:, :n]
+            p.real, q.real = r_n * np.cos(angle), 0.0
+            p.imag, q.imag = s * (x + 1.0 / x), s * (x - 1.0 / x)
             while (h := n // 2) > 0:  # each later pair times the one before it
                 dst[:, :h] = src[:, 1:2 * h:2]
                 kernels._mul_into(*dst[:, :h], *src[:, 0:2 * h:2], *scratch[:, :h])

@@ -294,26 +294,31 @@ class TestSimulate:
 
     def test_diverged_oracle_fails_the_check(self, tmp_path, capsys, monkeypatch):
         # with no bound on the substep angle, RK4 at dt*omega0 ~ 1e197 overflows
-        # to nan, which the oracle must reject
+        # its determinant to inf, which the oracle must reject
         monkeypatch.setattr(oracle, "THETA_MAX", math.inf)
         code = cli.main(["simulate", "--profile", "constant", "--omega0", "1e200",
                          "--t-final", "1", "--n-steps", "1000",
                          "--oracle-check", "--output", str(tmp_path / "x.csv")])
         assert code == 4
-        assert "oracle check failed: RK4 norm loss nan" in capsys.readouterr().out
+        assert "oracle check failed: RK4 norm loss inf" in capsys.readouterr().out
 
-    def test_a_ladder_beyond_the_substep_cap_exits_4(self, tmp_path, capsys, monkeypatch):
-        # omega*tau = 1e197 would take 1e200 substeps per segment: refused without running RK4
-        def no_work(*args):
-            raise AssertionError("RK4 ran beyond the substep cap")
+    @pytest.mark.parametrize("argv, n_sub", [
+        (["--preset", "fig4", "--n-steps", "2"], 15_000),  # omega*tau = 15
+        (["--preset", "fig5", "--n-steps", "10"], 12_480),
+    ], ids=["fig4", "fig5"])
+    def test_a_coarse_ladder_is_checked(self, argv, n_sub, tmp_path, capsys):
+        code = cli.main(["simulate", *argv, "--oracle-check", "--output", str(tmp_path / "x.csv")])
+        assert code == 0
+        assert f"\noracle check passed: fidelity 1.00000000 (n_sub={n_sub}, pair error" in capsys.readouterr().out
 
-        monkeypatch.setattr(oracle, "heisenberg", no_work)
-        out = tmp_path / "x.csv"
-        code = cli.main(["simulate", "--profile", "constant", "--omega0", "1e200",
-                         "--t-final", "1", "--n-steps", "1000", "--oracle-check", "--output", str(out)])
-        assert code == 4
-        assert f"more than MAX_SUBSTEPS = {oracle.MAX_SUBSTEPS}" in capsys.readouterr().out
-        assert len(read_csv(out)[1]) == 1000
+    def test_a_substep_count_past_float_range_exits_4(self, tmp_path):
+        run = simulate_in_subprocess(["--profile", "constant", "--t-final", "1e308", "--n-steps", "1",
+                                      "--oracle-check"], tmp_path)
+        assert run.returncode == 4
+        assert run.stdout.splitlines()[-1] == ("oracle check failed: max(omega)*tau = 1e+308 takes more RK4 "
+                                               "substeps per segment than a float holds")
+        assert run.stderr == ""
+        assert len(read_csv(tmp_path / "x.csv")[1]) == 1
 
     @pytest.mark.parametrize("argv, code", [
         (["--preset", "fig2", "--t-final", "1.5", "--omega0", "1e-300", "--n-steps", "1",
@@ -1027,8 +1032,8 @@ class TestStream:
     @pytest.mark.parametrize("argv, code", [
         (["converge", "--preset", "fig4", "--t-final", "1", "--n-start", "1000", "--tol", "1e-3",
           "--oracle-check"], 0),
-        (["converge", "--profile", "constant", "--omega0", "1e7", "--t-final", "1", "--n-start", "1000",
-          "--tol", "1e-3", "--oracle-check"], 4),  # omega*tau beyond the oracle's substep cap
+        (["converge", "--profile", "constant", "--omega0", "1e12", "--t-final", "1", "--n-start", "1000",
+          "--tol", "1e-3", "--oracle-check"], 4),  # 1e15 substeps at theta = 1e-3 lose 1.4e-5 of the norm
     ], ids=["passes", "oracle_fails"])
     def test_a_reader_that_goes_away_costs_no_traceback(self, argv, code, tmp_path):
         # the reader closes the pipe after converge's first report line (unbuffered stdout: the

@@ -181,19 +181,36 @@ class TestHeisenberg:
             assert abs(u - want[0]) <= 1e-15 and abs(v - want[1]) <= 1e-15
 
     @pytest.mark.parametrize("n_sub", [1, 2, 3, 5, 8, 1000])
-    def test_substep_power_matches_the_sequential_product(self, n_sub):
+    def test_substep_power_matches_the_sequential_product(self, monkeypatch, n_sub):
+        # at omega = omega0, M = diag(1, -1) and the pair is (A - i B theta, 0) for the power A I + B X
+        monkeypatch.setattr(oracle, "LEAKAGE_TOL", math.inf)  # theta = 0.3 loses 1e-2 of the norm by n = 1000
         theta = np.linspace(1e-4, 0.3, 64)  # omega * dt of one substep
         delta = -theta * theta
-        e, c1 = delta / 2.0 + delta * delta / 24.0, 1.0 + delta / 6.0
-        c0 = 1.0 + e
+        c0, c1 = 1.0 + delta / 2.0 + delta * delta / 24.0, 1.0 + delta / 6.0
         a, b = c0, c1
         for _ in range(n_sub - 1):  # (a I + b X)(c0 I + c1 X), with X^2 = delta I
             a, b = a * c0 + b * c1 * delta, a * c1 + b * c0
-        got_a, got_b = oracle._substep_power(e, c1, delta, n_sub)
-        got_a = 1.0 + got_a  # the power carries A - 1
+        got = np.array([heisenberg(one_segment(1.0, 1.0, t * n_sub), n_sub)[:2] for t in theta])
+        assert np.all(got[:, 1] == 0.0)
         scale = np.hypot(a, b * theta)  # the size of A I + B X, X = -i theta M
-        assert np.max(np.abs(got_a - a) / scale) <= 1e-12
-        assert np.max(np.abs(got_b - b) * theta / scale) <= 1e-12
+        assert np.max(np.abs(got[:, 0].real - a) / scale) <= 1e-12
+        assert np.max(np.abs(-got[:, 0].imag - b * theta) / scale) <= 1e-12
+
+    @pytest.mark.parametrize("m", [100, 1000, 10_000, 10**6])
+    def test_a_segment_is_its_two_halves(self, m):
+        # tau at 2m substeps against two segments of tau/2 at m each: the same substep, so the same
+        # pair; and each norm_drift is the exact 2m-th power of the substep's determinant
+        omega, omega0, tau = 2.0, 0.7, 3.0
+        whole = heisenberg(one_segment(omega, omega0, tau), 2 * m)
+        halves = heisenberg(DiscretizedProfile(omega0=omega0, tau=tau / 2, samples=np.array([omega, omega]),
+                                               t_final=tau), m)
+        assert max(abs(whole[0] - halves[0]), abs(whole[1] - halves[1])) <= 1e-14 * abs(whole[0])
+        theta = Fraction(omega * (tau / (2 * m)))
+        a, bt = 1 - theta ** 2 / 2 + theta ** 4 / 24, theta - theta ** 3 / 6
+        det_less_one = float(a * a + bt * bt - 1)  # one substep's, of size theta^6/72
+        exact = -math.expm1(2 * m * math.log1p(det_less_one))
+        for drift in (whole[2], halves[2]):
+            assert abs(drift - exact) <= 1e-12 * exact
 
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 8, 9, 19])
     def test_block_product_matches_a_sequential_matmul(self, monkeypatch, n_steps):
@@ -211,7 +228,7 @@ class TestHeisenberg:
         monkeypatch.setattr(oracle, "HEISENBERG_BLOCK", 8)
         u, v, drift = heisenberg(dprof, 2)
         np.testing.assert_allclose([u, v], want[0], rtol=1e-12, atol=0.0)
-        assert drift == pytest.approx(whole_drift, rel=1e-12)
+        assert drift == pytest.approx(whole_drift, rel=1e-12, abs=0.0)  # by default, also 1e-12 absolute
         assert drift == pytest.approx(abs(1.0 - np.linalg.det(want)), abs=1e-14)
         if n_steps > 1:  # the order of the product shows
             u_rev, v_rev, _ = heisenberg(dataclasses.replace(dprof, samples=omega[::-1].copy()), 2)
@@ -219,18 +236,24 @@ class TestHeisenberg:
 
     @pytest.mark.parametrize("preset", ["fig2", "fig4"])
     def test_pair_product_matches_a_general_matrix_product(self, preset):
-        # the same RK4 segment matrices a I + b X, held whole and multiplied entry by entry in
-        # heisenberg's order: pairwise within each block, then onto the running product.  (matmul
-        # rounds its complex products otherwise, and the ladder's conditioning lifts that to
-        # 1.3e-14 (fig2) and 7.9e-13 (fig4) of |u|, against either product.)
+        # the same RK4 segment matrices, held whole and multiplied entry by entry in heisenberg's
+        # order: pairwise within each block, then onto the running product.  (matmul rounds its
+        # complex products otherwise, and the ladder's conditioning lifts that to 1.3e-14 (fig2) and
+        # 7.9e-13 (fig4) of |u|, against either product.)  Each matrix is the step polynomial's value
+        # lam = P(-i theta) on M's +1 eigenvector, in polar form as heisenberg takes it, with |lam|^2 - 1
+        # (of size theta^6) summed apart from the 1: lam's rounded parts move the product by up to
+        # 1e-12 (fig4), and abs(lam), rounded alike on every segment, by 4e-12.
         dprof = preset_ladder(preset)
         n_sub = oracle.pair_substeps(dprof)
-        theta = dprof.samples * (dprof.tau / n_sub)
-        delta = -theta * theta
-        a, b = oracle._substep_power(delta / 2.0 + delta * delta / 24.0, 1.0 + delta / 6.0, delta, n_sub)
+        assert n_sub == 1
+        theta = dprof.samples * dprof.tau
+        t2 = theta * theta
+        lam = 1.0 - t2 / 2.0 + t2 * t2 / 24.0 - 1j * (theta - theta * t2 / 6.0)  # P(-i theta)
+        small = -t2 / 2.0 + t2 * t2 / 24.0  # lam.real - 1
+        power = np.sqrt(1.0 + (small * (2.0 + small) + lam.imag ** 2)) * np.exp(1j * np.angle(lam))
         c, s = np.cosh(np.log(dprof.samples)), np.sinh(np.log(dprof.samples))
         m = np.moveaxis(np.array([[c, s], [-s, -c]]), -1, 0)
-        matrices = (1.0 + a)[:, None, None] * np.eye(2) - 1j * (b * theta)[:, None, None] * m
+        matrices = power.real[:, None, None] * np.eye(2) + 1j * power.imag[:, None, None] * m
 
         def product(x, y):  # x[k] y[k], every entry formed
             return np.stack([np.stack([x[:, i, 0] * y[:, 0, j] + x[:, i, 1] * y[:, 1, j] for j in (0, 1)], -1)
@@ -455,17 +478,18 @@ class TestPairSubsteps:
         (1.0, 1e-3, 1),        # exactly THETA_MAX
         (1.0, 1.5e-3, 2),
         (1e3, 1e-3, 1000),
-        (1.0, 10.0, 10_000),   # exactly MAX_SUBSTEPS
+        (1.0, 10.0, 10_000),
+        pytest.param(1e200, 1.0, math.ceil(1e200 / 1e-3), id="past-int64"),
     ])
     def test_substep_angle_stays_within_theta_max(self, omega, tau, n_sub):
         dprof = DiscretizedProfile(omega0=1.0, tau=tau, samples=np.array([1.0, omega, 1.0]), t_final=3 * tau)
         assert oracle.pair_substeps(dprof) == n_sub
         assert omega * tau / n_sub <= oracle.THETA_MAX
 
-    @pytest.mark.parametrize("omega", [1.001e4, 1e200, 1e308])
-    def test_beyond_the_cap_raises(self, omega):
-        dprof = DiscretizedProfile(omega0=1.0, tau=1.0, samples=np.array([1.0, omega]), t_final=2.0)
-        with pytest.raises(ValueError, match=f"more than MAX_SUBSTEPS = {oracle.MAX_SUBSTEPS}"):
+    def test_a_count_past_float_range_raises(self):
+        # the message names max(omega)*tau, which is finite, not the count, which is not
+        dprof = DiscretizedProfile(omega0=1.0, tau=1.0, samples=np.array([1.0, 1e308]), t_final=2.0)
+        with pytest.raises(ValueError, match=r"max\(omega\)\*tau = 1e\+308 takes more RK4 substeps"):
             oracle.pair_substeps(dprof)
 
 
