@@ -45,13 +45,7 @@ if "numpy" not in sys.modules and not any(name in os.environ for name in BLAS_TH
 import numpy as np
 
 from . import analysis, oracle
-from .config import (
-    FORMATS,
-    PRESETS,
-    ExperimentConfig,
-    build_config,
-    load_config_file,
-)
+from .config import FORMATS, PRESETS, SWEEP_PARAMS, ExperimentConfig, build_config, config_layers
 from .errors import (
     ConfigError,
     InvalidAccumulatorError,
@@ -60,7 +54,8 @@ from .errors import (
     TableRangeError,
 )
 # apply_to_state, fidelity and integrate have no caller here, but perfbench/spans.py wraps them as cli attributes
-from .evolution import CONVERGE_RECORDS, SCALINGS, RecordStream, Trajectory, apply_to_state, auto_converge, evolve
+from .evolution import (CONVERGE_RECORDS, NORM_DEFECT_MAX, SCALINGS, RecordStream, Trajectory, apply_to_state,
+                        auto_converge, evolve)
 from .oracle import fidelity, integrate
 from .profiles import KINDS, RULES, discretize
 
@@ -70,7 +65,6 @@ EXIT_SIMULATION = 3
 EXIT_ORACLE = 4
 
 ORACLE_FIDELITY_MIN = 0.999
-NORM_DEFECT_MAX = 1e-10
 
 BASE_COLUMNS = ("t", "omega", "re_alpha", "im_alpha", "abs_alpha",
                 "r", "vartheta", "phi", "variance", "mean_n", "norm_defect")
@@ -82,11 +76,8 @@ BASE_COLUMNS = ("t", "omega", "re_alpha", "im_alpha", "abs_alpha",
 #: scratch, about 0.15 kB per value (1.2 MB for a CSV table, 1.3 MB for JSON, traced), bounds them.
 WRITE_BLOCK_VALUES = 8192
 
-#: Sweep parameters that every profile kind accepts because the run, not the profile, reads them.
-_RUN_SWEEP_PARAMS = ("t_final", "lam")
-
 #: Configuration fields that a command-line flag sets (each command picks presets itself).
-_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "preset")
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def _say(line: str, file=None):
@@ -263,9 +254,10 @@ def run_trajectory(cfg: ExperimentConfig) -> Trajectory:
 
 
 def _verify(cfg: ExperimentConfig, traj, announce=_say) -> int:
-    """Report a capped doubling, gate the norm defect over every step, then cross-check the vacuum's image.
+    """Report a stopped doubling, gate the norm defect over every step, then cross-check the vacuum's image.
 
-    A doubling that hit its cap (``converged is False``) is one line on
+    A doubling that stopped before ``tol`` (``converged is False``: at its
+    cap, or before a level past the norm-defect gate) is one line on
     stderr, not a Python warning, and it leaves the exit code alone.
 
     The oracle is :func:`oracle.heisenberg` at :func:`oracle.pair_substeps`.
@@ -278,7 +270,7 @@ def _verify(cfg: ExperimentConfig, traj, announce=_say) -> int:
     """
     if traj.converged is False:
         last = traj.convergence_history[-1][1] if traj.convergence_history else math.nan
-        announce(f"warning: step doubling hit its cap at n_steps={traj.n_steps_used} before reaching "
+        announce(f"warning: step doubling stopped at n_steps={traj.n_steps_used} before reaching "
                  f"tol={cfg.tol:g}; last max |dr| = {last:.3e}", file=sys.stderr)
     worst = traj.max_norm_defect  # over every step, recorded or not
     if not worst <= NORM_DEFECT_MAX:  # a nan fails too
@@ -335,12 +327,14 @@ def _check_output(path: str) -> str:
     return path
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    return {key: value for key in _CONFIG_KEYS if (value := getattr(args, key, None)) is not None}
+def _layers(args: argparse.Namespace, side: str = "") -> list:
+    """The layers of the run that ``--preset<side>`` and ``--config<side>`` name, the flags on top."""
+    return config_layers(getattr(args, f"preset{side}"), getattr(args, f"config{side}"),
+                         {key: getattr(args, key) for key in _CONFIG_KEYS})
 
 
-def _config(args: argparse.Namespace, keys: dict | None = None) -> ExperimentConfig:
-    cfg = build_config(preset=args.preset, config_file=args.config, overrides=_overrides(args), file_keys=keys)
+def _config(layers) -> ExperimentConfig:
+    cfg = build_config(layers)
     _check_output(cfg.output)
     return cfg
 
@@ -350,7 +344,7 @@ def _config(args: argparse.Namespace, keys: dict | None = None) -> ExperimentCon
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    return run_single(_config(args))
+    return run_single(_config(_layers(args)))
 
 
 def cmd_sweep(args) -> int:
@@ -364,13 +358,10 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad sweep value: {exc}") from exc
 
-    base = _overrides(args)
-    file_keys = load_config_file(args.config) if args.config is not None else {}  # parsed once, for every run
+    layers = _layers(args)
     jobs = []
     for token, value in zip(tokens, values):
-        overrides = dict(base)
-        overrides[args.sweep_param] = value
-        cfg = build_config(preset=args.preset, config_file=args.config, overrides=overrides, file_keys=file_keys)
+        cfg = build_config([*layers, ("--sweep-values", {args.sweep_param: value})])
         stem, ext = os.path.splitext(cfg.output)
         cfg.output = _check_output(f"{stem}_{args.sweep_param}{token}{ext}")
         jobs.append((token, cfg))
@@ -393,32 +384,29 @@ def cmd_sweep(args) -> int:
     return code
 
 
-def _doubling_start(args, cfg: ExperimentConfig, file_keys: dict) -> int:
+def _doubling_start(layers, cfg: ExperimentConfig) -> int:
     """Where ``converge`` doubles from when ``cfg`` fixes ``n_steps``.
 
-    The flags, then the ``--config`` file's ``file_keys``, then the preset:
-    the first of them that sets a fixed ``n_steps`` or an ``n_start`` names
-    the start.  One of them setting both is a configuration error.
+    The highest layer that sets a fixed ``n_steps`` or an ``n_start`` names
+    the start; one layer setting both is a configuration error.
     """
-    layers = (({"n_steps": args.n_steps, "n_start": args.n_start},
-               "converge takes --n-steps N or --n-start N, not both"),
-              (file_keys, f"{args.config} sets both n_steps and n_start, and converge takes one"))
-    for keys, both in layers:
-        fixed = keys.get("n_steps") not in (None, "auto")
-        if fixed and keys.get("n_start") is not None:
-            raise ConfigError(f"{both}: each sets where the doubling starts")
-        if fixed or keys.get("n_start") is not None:
+    for source, keys in reversed(layers):
+        fixed = keys.get("n_steps", "auto") != "auto"
+        if fixed and "n_start" in keys:
+            raise ConfigError(f"{source} sets both n_steps and n_start, and converge takes one: "
+                              "each sets where the doubling starts")
+        if fixed or "n_start" in keys:
             return cfg.n_steps if fixed else cfg.n_start
     return cfg.n_steps
 
 
 def cmd_converge(args) -> int:
-    file_keys = load_config_file(args.config) if args.config is not None else {}  # parsed once, for both readers
-    cfg = _config(args, file_keys)
+    layers = _layers(args)
+    cfg = _config(layers)
     if cfg.record_every != "auto":
         raise ConfigError(f"converge records {CONVERGE_RECORDS} instants and takes no --record-every")
     if isinstance(cfg.n_steps, int):  # converge always doubles: a fixed N names where it starts
-        cfg = dataclasses.replace(cfg, n_steps="auto", n_start=_doubling_start(args, cfg, file_keys)).validate()
+        cfg = dataclasses.replace(cfg, n_steps="auto", n_start=_doubling_start(layers, cfg)).validate()
     traj = run_trajectory(cfg)
     report_lines = [f"converge N={n} max_dr={diff!r}" for n, diff in traj.convergence_history]
     report_lines.append(f"converged={str(traj.converged).lower()} n_final={traj.n_steps_used} tol={cfg.tol!r}")
@@ -436,23 +424,15 @@ def cmd_converge(args) -> int:
     return _verify(cfg, traj)
 
 
-def _compare_config(args, suffix: str):
-    """One side's configuration and the keys its ``--config-<suffix>`` file sets."""
-    config_file = getattr(args, f"config_{suffix}")
-    file_keys = load_config_file(config_file) if config_file is not None else {}  # parsed once, for both readers
-    return build_config(preset=getattr(args, f"preset_{suffix}"), config_file=config_file,
-                        overrides=_overrides(args), file_keys=file_keys), file_keys
-
-
-def _compare_output(args, sides):
+def _compare_output(args, files):
     """The output path and format of ``compare``: the flag, else the config files' value, else the default.
 
-    ``sides`` holds each run's configuration and its file's keys: only what the files set counts (no
-    preset sets either key), and two files that set different values are a configuration error.
+    ``files`` holds the keys of each side's ``--config-a``/``--config-b`` file layer: only what the
+    files set counts, and two files that set different values are a configuration error.
     """
     chosen = {}
     for key, default in (("output", "compare.csv"), ("format", "csv")):
-        values = [getattr(cfg, key) for cfg, file_keys in sides if key in file_keys]
+        values = [keys[key] for keys in files if key in keys]
         flag = getattr(args, key)
         if flag is None and len(set(values)) > 1:
             raise ConfigError(f"--config-a and --config-b set different {key} values: "
@@ -464,11 +444,11 @@ def _compare_output(args, sides):
 def cmd_compare(args) -> int:
     if args.config is not None:  # it would name one file for two runs
         raise ConfigError("compare takes --config-a and --config-b, not --config")
-    sides = (_compare_config(args, "a"), _compare_config(args, "b"))
-    (cfg_a, _), (cfg_b, _) = sides
+    paths, sides = (args.config_a, args.config_b), (_layers(args, "_a"), _layers(args, "_b"))
+    cfg_a, cfg_b = (build_config(layers) for layers in sides)
     if cfg_a.t_final != cfg_b.t_final:
         raise ConfigError(f"t_final differs: {cfg_a.t_final} vs {cfg_b.t_final}")
-    out, fmt = _compare_output(args, sides)
+    out, fmt = _compare_output(args, [dict(layers).get(path, {}) for layers, path in zip(sides, paths)])
     traj_a = run_trajectory(cfg_a)
     traj_b = run_trajectory(cfg_b)
     t_a, t_b = traj_a.records.t, traj_b.records.t
@@ -563,8 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run one trajectory per parameter value")
     p_sweep.add_argument("--preset", choices=sorted(PRESETS))
     p_sweep.add_argument("--sweep-param", required=True, dest="sweep_param",
-                         choices=("B", "epsilon", "omega_l", "omega1", "hold_low", "hold_high",
-                                  *_RUN_SWEEP_PARAMS, "omega0"))
+                         choices=SWEEP_PARAMS)
     p_sweep.add_argument("--sweep-values", required=True, dest="sweep_values",
                          help="comma-separated numeric values")
     _add_config_flags(p_sweep)
@@ -590,8 +569,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with warnings.catch_warnings():  # _verify reports a capped doubling under the run's label
-            warnings.filterwarnings("ignore", "step-doubling hit the cap", RuntimeWarning)
+        with warnings.catch_warnings():  # _verify reports a stopped doubling under the run's label
+            warnings.filterwarnings("ignore", "step-doubling stopped", RuntimeWarning)
             return args.func(args)
     except ConfigError as exc:
         _say(f"configuration error: {exc}", file=sys.stderr)

@@ -1,4 +1,10 @@
-"""Experiment configuration: presets, flat key=value files, validation."""
+"""Experiment configuration: presets, flat key=value files, layering, validation.
+
+:func:`config_layers` lists a run's ``(source, keys)`` layers, lowest first: a
+``--config`` file's ``preset`` line, ``--preset``, the file's keys, the flags.
+:func:`build_config` merges them, a higher layer's key winning, and validates
+the result.  File values are typed by their field, so ``output = 7`` names a file.
+"""
 
 from __future__ import annotations
 
@@ -44,7 +50,6 @@ class ExperimentConfig:
     output: str = "trajectory.csv"
     format: str = "csv"
     oracle_check: bool = False
-    preset: str | None = None
     fingerprint: bool = False
 
     def validate(self) -> "ExperimentConfig":
@@ -111,10 +116,13 @@ _NUMBER_FIELDS = {f.name for f in fields(ExperimentConfig)
 #: Fields annotated ``int``: an integral float is taken as that int, others are refused.
 _INT_FIELDS = {f.name for f in fields(ExperimentConfig) if "int" in f.type.split(" | ")}
 _INT_OR_AUTO = ("n_steps", "record_every")
-_BOOL_FIELDS = ("oracle_check", "fingerprint")
+_BOOL_FIELDS = {f.name for f in fields(ExperimentConfig) if f.type == "bool"}
+#: The fields ``sweep`` varies: the numbers some profile kind reads, and the run's t_final and lam.
+SWEEP_PARAMS = tuple(name for name in _PROFILE_FIELDS if name in _NUMBER_FIELDS) + ("t_final", "lam")
 
 
 def _coerce(key: str, raw: str):
+    """A file value typed by its field: a boolean, a number where one parses, else the text."""
     value = raw.strip()
     if key in _BOOL_FIELDS:
         if value.lower() in ("1", "true", "yes", "on"):
@@ -122,14 +130,19 @@ def _coerce(key: str, raw: str):
         if value.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"cannot parse boolean {key} = {raw!r}")
-    if key in _INT_OR_AUTO and value == "auto":
-        return "auto"
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            continue
+    if key in _NUMBER_FIELDS:  # text that is no number ("auto", "abc") is left to validate
+        for cast in (int, float):
+            try:
+                return cast(value)
+            except ValueError:
+                continue
     return value
+
+
+def _preset(name: str, where: str = "") -> dict:
+    if name not in PRESETS:
+        raise ConfigError(f"{where}unknown preset {name!r}; choose from {', '.join(sorted(PRESETS))}")
+    return PRESETS[name]
 
 
 def load_config_file(path) -> dict:
@@ -148,43 +161,37 @@ def load_config_file(path) -> dict:
         key = key.strip()
         if key == "lambda":  # file alias for the quadrature angle
             key = "lam"
-        if key not in _FIELD_NAMES:
+        if key not in _FIELD_NAMES and key != "preset":
             raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
         if key in first:
             raise ConfigError(f"{path}: {key!r} is set twice, on lines {first[key]} and {lineno}")
         first[key] = lineno
         out[key] = _coerce(key, raw)
+        if key == "preset":
+            _preset(out[key], f"{path}:{lineno}: ")
     return out
 
 
-def build_config(preset: str | None = None, config_file: str | None = None,
-                 overrides: dict | None = None, file_keys: dict | None = None) -> ExperimentConfig:
-    """Layer preset < config file (``file_keys`` if parsed already) < explicit overrides into a valid config."""
-    layered: dict = {}
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; choose from {', '.join(sorted(PRESETS))}")
-        layered.update(PRESETS[preset])
-        layered["preset"] = preset
+def config_layers(preset: str | None = None, config_file: str | None = None,
+                  overrides: dict | None = None) -> list:
+    """A run's ``(source, keys)`` layers, lowest first, parsing ``config_file`` once: its ``preset``
+    line, ``preset``, its other keys (source ``config_file``), the ``overrides`` that are not None.
+    """
+    file_keys = {} if config_file is None else load_config_file(config_file)
+    layers = [(f"preset {name}", _preset(name)) for name in (file_keys.pop("preset", None), preset)
+              if name is not None]
     if config_file is not None:
-        file_values = dict(load_config_file(config_file) if file_keys is None else file_keys)
-        if "preset" in file_values:
-            inner = file_values.pop("preset")
-            if inner not in PRESETS:
-                raise ConfigError(f"unknown preset {inner!r} in {config_file}")
-            merged = dict(PRESETS[inner])
-            merged.update(layered)
-            layered = merged
-            layered["preset"] = inner
-        layered.update(file_values)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            layered[key] = value
-    unknown = set(layered) - _FIELD_NAMES
+        layers.append((config_file, file_keys))
+    layers.append(("the command line", {k: v for k, v in (overrides or {}).items() if v is not None}))
+    return layers
+
+
+def build_config(layers) -> ExperimentConfig:
+    """Merge ``(source, keys)`` layers, lowest first, into a valid config; a higher layer's key wins."""
+    merged: dict = {}
+    for _, keys in layers:
+        merged.update(keys)
+    unknown = set(merged) - _FIELD_NAMES
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    try:
-        cfg = ExperimentConfig(**layered)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg.validate()
+    return ExperimentConfig(**merged).validate()

@@ -33,6 +33,9 @@ LEAKAGE_TOL = 1e-6
 N_START_MIN = 100
 CONVERGE_RECORDS = 500
 
+#: Largest ``max_norm_defect`` a run may end on: the command line's gate, and where doubling stops.
+NORM_DEFECT_MAX = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -338,8 +341,11 @@ def auto_converge(profile: Profile, t_final: float, tol: float,
     Runs ``evolve`` at N, 2N, 4N, ... and compares r(t) on a common grid of
     ``n_records`` instants; stops when ``max_t |r_(2N) - r_N| < tol``.  The
     returned trajectory carries ``converged`` plus the (N, max diff) history.
-    Hitting ``cap`` is a soft failure: the last trajectory is returned with
-    ``converged=False`` and a warning.
+    Hitting ``cap``, or a level whose norm defect exceeds ``NORM_DEFECT_MAX``
+    (a nan does too) after one within it, is a soft failure: the last level
+    before it is returned with ``converged=False``, its history ending
+    there, and a warning.  A start past the gate doubles on as usual, and
+    the caller's gate sees its defect.
     """
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
@@ -354,8 +360,12 @@ def auto_converge(profile: Profile, t_final: float, tol: float,
 
     history = []
     prev = run(n)
+    why = f"hit the cap ({cap})"
     while 2 * n <= cap:
         cur = run(2 * n)
+        if prev.max_norm_defect <= NORM_DEFECT_MAX and not cur.max_norm_defect <= NORM_DEFECT_MAX:
+            why = f"n_steps={2 * n} has norm defect {cur.max_norm_defect:.3e} > {NORM_DEFECT_MAX:g}"
+            break
         diff = float(np.max(np.abs(cur.records.r - prev.records.r)))
         history.append((2 * n, diff))
         if diff < tol:
@@ -363,7 +373,7 @@ def auto_converge(profile: Profile, t_final: float, tol: float,
         prev = cur
         n *= 2
     warnings.warn(
-        f"step-doubling hit the cap ({cap}) before reaching tol={tol:g}; "
+        f"step-doubling stopped at n_steps={n} before reaching tol={tol:g}: {why}; "
         f"last max |dr| = {history[-1][1] if history else math.nan:.3e}",
         RuntimeWarning,
         stacklevel=2,

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su11squeeze.analysis import trailing_mean
-from su11squeeze.config import build_config
+from su11squeeze.config import build_config, config_layers
 from su11squeeze.evolution import evolve
 from su11squeeze.profiles import discretize
 
@@ -64,7 +64,7 @@ def test_one_and_two_records():
 
 
 def test_fig2_matches_a_fine_resampling():
-    cfg = build_config(preset="fig2")
+    cfg = build_config(config_layers("fig2"))
     traj = evolve(discretize(cfg.to_profile(), cfg.t_final, cfg.n_steps))
     t, r = traj.records.t, traj.records.r
     period = 2.0 * np.pi / cfg.epsilon

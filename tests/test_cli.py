@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from su11squeeze import cli, config, discretize, evolution, evolve, kernels, oracle
-from su11squeeze.config import FORMATS, ExperimentConfig, build_config
+from su11squeeze.config import FORMATS, ExperimentConfig, build_config, config_layers
 from su11squeeze.profiles import PROFILES
 
 
@@ -198,7 +198,9 @@ class TestSimulate:
         ("--config", b"profile = constant  # fine\n\xff = 1\n", ":2: not UTF-8 text"),
         ("--table", b"0 1\n\xff 1\n", ":2: not UTF-8 text"),
         ("--table", b"0 1\n1 x\n", ":2: could not convert string to float: 'x'"),
-    ], ids=["config_first_line", "config_later_line", "table_bytes", "table_cell"])
+        ("--config", b"t_final = 1\npreset = fig9\n",
+         ":2: unknown preset 'fig9'; choose from fig1, fig2, fig4, fig5"),
+    ], ids=["config_first_line", "config_later_line", "table_bytes", "table_cell", "config_preset"])
     def test_an_unreadable_file_exits_2_naming_its_line(self, flag, content, message, tmp_path, capsys):
         path = tmp_path / "in.txt"
         path.write_bytes(content)
@@ -208,6 +210,35 @@ class TestSimulate:
         assert cli.main(argv) == 2
         assert f"configuration error: {path}{message}\n" == capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "5.5"])
+    def test_a_numeric_looking_table_names_a_file(self, value, tmp_path, capsys, monkeypatch):
+        # table = 0 once named descriptor 0: the table came from stdin, which was then closed
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "stdin.txt").write_text("0 1\n10 1.5\n")
+        (tmp_path / "t.cfg").write_text(f"profile = tabulated\ntable = {value}\nt_final = 1\nn_steps = 10\n")
+        saved = os.dup(0)
+        try:
+            with open(tmp_path / "stdin.txt") as fh:
+                os.dup2(fh.fileno(), 0)
+            code = cli.main(["simulate", "--config", "t.cfg", "--output", "x.csv"])
+            unread = os.lseek(0, 0, os.SEEK_CUR) == 0
+        finally:
+            os.dup2(saved, 0)
+            os.close(saved)
+        assert code == 2 and unread
+        assert capsys.readouterr().err.endswith(f"No such file or directory: {value!r}\n")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_a_numeric_looking_output_names_a_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run = "profile = sudden_jump\nomega1 = 1.5\nt_final = 1\nn_steps = 100\noutput = 7\n"
+        (tmp_path / "a.cfg").write_text(run)
+        (tmp_path / "b.cfg").write_text(run)
+        assert cli.main(["simulate", "--config", "a.cfg"]) == 0
+        assert read_csv(tmp_path / "7")[0] == list(cli.BASE_COLUMNS)
+        assert cli.main(["compare", "--config-a", "a.cfg", "--config-b", "b.cfg"]) == 0
+        assert read_csv(tmp_path / "7")[0] == ["t", "r_a", "r_b", "r_diff"]
 
     @pytest.mark.parametrize("lines, key", [
         ("n_steps = 10\nn_steps = 20", "n_steps"),
@@ -527,6 +558,24 @@ class TestConverge:
         assert err == "configuration error: converge records 500 instants and takes no --record-every\n"
         assert not (tmp_path / "x.csv").exists()
 
+    def test_doubling_stops_before_a_level_past_the_norm_defect_gate(self, tmp_path, capsys, monkeypatch):
+        # the gate lies between the defects of two levels: the doubling ends on the lower one
+        profile = PROFILES["sudden_jump"](1.5)
+        levels = [1000 * 2 ** k for k in range(6)]
+        defects = [evolve(discretize(profile, 1.0, n), record_every=n // 500).max_norm_defect for n in levels]
+        k = next(k for k in range(1, len(levels)) if defects[k] > max(defects[:k]))
+        monkeypatch.setattr(evolution, "NORM_DEFECT_MAX", math.sqrt(max(defects[:k]) * defects[k]))
+        out = tmp_path / "conv.json"
+        code = cli.main(["converge", "--profile", "sudden_jump", "--omega1", "1.5", "--t-final", "1",
+                         "--n-start", "1000", "--tol", "1e-300", "--format", "json", "--output", str(out)])
+        assert code == 0
+        stdout, stderr = capsys.readouterr()
+        assert f"converged=false n_final={levels[k - 1]} " in stdout
+        assert stderr.startswith(f"warning: step doubling stopped at n_steps={levels[k - 1]} before reaching tol=")
+        report = json.loads(out.read_text())["report"]
+        assert [n for n, _ in report["history"]] == levels[1:k]
+        assert report["converged"] is False
+
     def test_oracle_check_passes(self, tmp_path, capsys):
         code = cli.main(["converge", "--preset", "fig4", "--t-final", "1", "--n-steps", "1000",
                          "--oracle-check", "--output", str(tmp_path / "conv.csv")])
@@ -574,7 +623,8 @@ class TestCompare:
         b.write_text(f"preset = fig2\n{run}n_start = 1500\n")
         out = tmp_path / "cmp.csv"
         assert cli.main(["compare", "--config-a", str(a), "--config-b", str(b), "--output", str(out)]) == 0
-        t_a, t_b = (cli.run_trajectory(build_config(config_file=str(path))).records.t for path in (a, b))
+        t_a, t_b = (cli.run_trajectory(build_config(config_layers(config_file=str(path)))).records.t
+                    for path in (a, b))
         assert not np.array_equal(t_a, t_b)
         _, body, _ = read_csv(out)
         assert [float(row[0]) for row in body] == t_a.tolist()
@@ -590,7 +640,6 @@ class TestCompare:
         parsed = []
         load = config.load_config_file
         monkeypatch.setattr(config, "load_config_file", lambda path: parsed.append(path) or load(path))
-        monkeypatch.setattr(cli, "load_config_file", config.load_config_file)
         argv = [arg.format(c=cfg) for arg in argv] + ["--output", str(tmp_path / "out.csv")]
         assert cli.main(argv) == 0
         assert parsed == [str(cfg)] * calls
@@ -767,14 +816,14 @@ class TestSweep:
             sweep = capsys.readouterr()
             assert cli.main(["simulate", *flags, "--output", str(tmp_path / "x.csv")]) == 0
             simulate = capsys.readouterr()
-        notice = "warning: step doubling hit its cap at n_steps=8000 before reaching tol=1e-300; last max |dr| = "
+        notice = "warning: step doubling stopped at n_steps=8000 before reaching tol=1e-300; last max |dr| = "
         lines = sweep.err.splitlines()
         assert len(lines) == 2
         for line, value in zip(lines, ("1.5", "1.6")):
             assert line.startswith(f"[omega1={value}] {notice}")
         assert simulate.err.startswith(notice) and simulate.err.count("\n") == 1
         assert "n_steps=8000" in simulate.out
-        with pytest.warns(RuntimeWarning, match="step-doubling hit the cap"):  # the Python API still warns
+        with pytest.warns(RuntimeWarning, match=r"step-doubling stopped .*: hit the cap"):  # the API still warns
             cli.auto_converge(PROFILES["sudden_jump"](1.5), 1.0, 1e-300, n_start=1000)
 
     def test_bad_sweep_values_exit_2(self, tmp_path):
@@ -849,7 +898,7 @@ class TestWriteTable:
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_scratch_is_small_and_does_not_grow_with_the_table(self, fmt, tmp_path):
         # the --oracle-check workload's table: fig4, t = 10, N = 20000, 5000 rows of 11 columns
-        cfg = build_config(preset="fig4", overrides={"t_final": 10.0, "n_steps": 20000})
+        cfg = build_config(config_layers("fig4", overrides={"t_final": 10.0, "n_steps": 20000}))
         columns, (cols,) = cli.trajectory_table(cli.run_trajectory(cfg))
         assert (len(cols[0]), len(cols)) == (5000, 11)
         long_cols = [np.tile(c, 30) for c in cols]
@@ -896,7 +945,8 @@ class TestStream:
         got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
         assert cli.main(["simulate", "--preset", "fig2", *flags, "--output", str(got)]) == 0
         assert len(calls) == -(-n // (record_every * block)) and (len(calls) >= 3 or every in ("BLOCK+3", "n"))
-        cfg = build_config(preset="fig2", overrides={"n_steps": n, "record_every": record_every, "lam": -0.4})
+        overrides = {"n_steps": n, "record_every": record_every, "lam": -0.4}
+        cfg = build_config(config_layers("fig2", overrides=overrides))
         traj = evolve(discretize(cfg.to_profile(), cfg.t_final, n), record_every, lam=-0.4)
         cli.write_table(str(want), fmt, *cli.trajectory_table(traj, fingerprint))
         assert got.read_bytes() == want.read_bytes()
@@ -1063,7 +1113,7 @@ def test_missing_subcommand_is_a_usage_error(capsys):
 
 
 def test_every_config_field_has_a_flag():
-    wanted = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"preset"}
+    wanted = {f.name for f in dataclasses.fields(ExperimentConfig)}
     (commands,) = [a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)]
     for name, parser in commands.choices.items():
@@ -1077,9 +1127,30 @@ def test_every_factory_parameter_is_a_config_field_and_a_flag():
     (commands,) = [a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)]
     flags = {a.dest for a in commands.choices["simulate"]._actions if a.option_strings}
+    (sweep_param,) = [a for a in commands.choices["sweep"]._actions if a.dest == "sweep_param"]
     for kind, factory in PROFILES.items():
         params = set(inspect.signature(factory).parameters)
         assert params <= fields & flags, (kind, sorted(params - (fields & flags)))
+        numbers = {name for name in params if name != "table"}  # the one text parameter
+        assert numbers <= set(sweep_param.choices), (kind, sorted(numbers - set(sweep_param.choices)))
+
+
+@pytest.mark.parametrize("key, flag, value", [
+    ("table", "--table", "0"), ("output", "--output", "7"), ("profile", "--profile", "constant"),
+    ("scaling", "--scaling", "half"), ("rule", "--rule", "midpoint"), ("format", "--format", "json"),
+    ("omega0", "--omega0", "2.5"), ("t_final", "--t-final", "2"), ("n_steps", "--n-steps", "400"),
+    ("lam", "--lambda", "-0.3"), ("record_every", "--record-every", "7"), ("tol", "--tol", "1e-3"),
+])
+def test_a_file_line_and_its_flag_give_the_same_config(key, flag, value, tmp_path):
+    # a file's value is typed by its field, as the flag's is: output = 7 names a file, as --output 7 does
+    base = {"profile": "tabulated" if key == "table" else "constant", "t_final": "1", "n_steps": "10"}
+    base.pop(key, None)
+    lines = "".join(f"{k} = {v}\n" for k, v in base.items())
+    (tmp_path / "base.cfg").write_text(lines)
+    (tmp_path / "line.cfg").write_text(f"{lines}{key} = {value}\n")
+    args = cli.build_parser().parse_args(["simulate", "--config", str(tmp_path / "base.cfg"), flag, value])
+    by_flag = build_config(cli._layers(args))
+    assert build_config(config_layers(config_file=str(tmp_path / "line.cfg"))) == by_flag
 
 
 # Values that no numeric flag accepts, drawn for about one flag in four; the

@@ -20,7 +20,7 @@ from su11squeeze import (
     sudden_jump,
 )
 from su11squeeze import kernels
-from su11squeeze.config import build_config
+from su11squeeze.config import build_config, config_layers
 from su11squeeze.errors import InvalidAccumulatorError, LeakageError, ProfileDomainError
 from su11squeeze.evolution import RecordStream, triple
 from su11squeeze.profiles import DiscretizedProfile
@@ -153,7 +153,7 @@ class TestBlockedRecords:
         # the array only O(BLOCK) scratch is alive: measured 1.8 MB on fig2
         peaks = []
         for n in (150_000, 300_000):
-            cfg = build_config(preset="fig2", overrides={"n_steps": n})
+            cfg = build_config(config_layers("fig2", overrides={"n_steps": n}))
             dprof = discretize(cfg.to_profile(), cfg.t_final, n)
             tracemalloc.start()
             try:

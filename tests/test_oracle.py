@@ -25,7 +25,7 @@ from su11squeeze import (
     sudden_jump,
 )
 from su11squeeze import kernels, oracle
-from su11squeeze.config import build_config
+from su11squeeze.config import build_config, config_layers
 from su11squeeze.errors import LeakageError
 from su11squeeze.evolution import triple
 
@@ -162,7 +162,7 @@ def one_segment(omega, omega0, tau):
 
 
 def preset_ladder(name, **overrides):
-    cfg = build_config(preset=name, overrides=overrides)
+    cfg = build_config(config_layers(name, overrides=overrides))
     return discretize(cfg.to_profile(), cfg.t_final, cfg.n_steps)
 
 
