@@ -258,7 +258,8 @@ def _verify(cfg: ExperimentConfig, traj, announce=_say) -> int:
 
     A doubling that stopped before ``tol`` (``converged is False``: at its
     cap, or before a level past the norm-defect gate) is one line on
-    stderr, not a Python warning, and it leaves the exit code alone.
+    stderr that ends on the trajectory's ``stop_reason``, not a Python
+    warning, and it leaves the exit code alone.
 
     The oracle is :func:`oracle.heisenberg` at :func:`oracle.pair_substeps`.
     The check passes at :func:`oracle.vacuum_fidelity` less its rounding
@@ -271,8 +272,8 @@ def _verify(cfg: ExperimentConfig, traj, announce=_say) -> int:
     if traj.converged is False:
         last = traj.convergence_history[-1][1] if traj.convergence_history else math.nan
         announce(f"warning: step doubling stopped at n_steps={traj.n_steps_used} before reaching "
-                 f"tol={cfg.tol:g}; last max |dr| = {last:.3e}", file=sys.stderr)
-    worst = traj.max_norm_defect  # over every step, recorded or not
+                 f"tol={cfg.tol:g}; last max |dr| = {last:.3e}; {traj.stop_reason}", file=sys.stderr)
+    worst = traj.max_norm_defect  # over every piece of the fold, recorded or not
     if not worst <= NORM_DEFECT_MAX:  # a nan fails too
         announce(f"error: norm defect {worst:.3e} exceeds {NORM_DEFECT_MAX:g}", file=sys.stderr)
         return EXIT_SIMULATION

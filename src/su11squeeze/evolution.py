@@ -9,6 +9,10 @@ collects the blocks in one record array, filled in place; the command line
 writes each block out instead.  ``auto_converge`` wraps ``evolve`` in a
 step-doubling loop.  A run ends on the last step's pair ``(p, q)``, which
 ``apply_to_state`` expands in the number basis through its :func:`triple`.
+
+The fold folds each run of equal samples between records as one segment,
+so a run's ``max_norm_defect`` and its ``norm_defect`` column are defects of
+those pieces: the maximum over pieces, not over segments.
 """
 
 from __future__ import annotations
@@ -44,6 +48,10 @@ class Trajectory:
     ``records`` is the record array of :func:`observables`: ``records.r`` is
     the column of squeezing parameters, ``records[-1].r`` the final one.
     ``final`` is the last step's pair ``(p, q)``, two Python complex numbers.
+    ``max_norm_defect`` is the largest defect at the end of any piece the
+    fold folded as one segment (see :func:`kernels.fold_ladder`), recorded
+    or not.  A doubling that stopped before its tolerance (``converged`` is
+    False) names its cause in ``stop_reason``.
     """
 
     records: np.recarray
@@ -52,6 +60,7 @@ class Trajectory:
     final: tuple[complex, complex]
     max_norm_defect: float
     convergence_history: tuple = field(default=())
+    stop_reason: str = ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,12 +170,14 @@ class RecordStream:
     :meth:`blocks` folds the ladder ``record_every * kernels.BLOCK`` segments
     per :func:`kernels.fold_ladder` call, each seeded with the carry of the
     one before.  So each call ends on a record step and returns at most one
-    block of records, which is filled in place and yielded at once.
+    block of records, which is filled in place and yielded at once, and the
+    records hold the bits of one call over the whole ladder.
     ``record_every`` defaults to ``max(1, N // 5000)`` so that outputs stay
     plottable regardless of N; the final segment is always recorded.  Once
     the blocks are exhausted, ``final`` holds the pair ``(p, q)`` of the
-    last step and ``max_norm_defect`` the largest defect of any step,
-    recorded or not (a nan wins).  A stream runs once.
+    last step and ``max_norm_defect`` the largest defect of any piece the
+    fold folded as one segment, recorded or not (a nan wins).  A stream
+    runs once.
     """
 
     def __init__(self, dprofile: DiscretizedProfile, record_every: int | None = None,
@@ -344,8 +355,8 @@ def auto_converge(profile: Profile, t_final: float, tol: float,
     Hitting ``cap``, or a level whose norm defect exceeds ``NORM_DEFECT_MAX``
     (a nan does too) after one within it, is a soft failure: the last level
     before it is returned with ``converged=False``, its history ending
-    there, and a warning.  A start past the gate doubles on as usual, and
-    the caller's gate sees its defect.
+    there and the cause in ``stop_reason``, and a warning.  A start past
+    the gate doubles on as usual, and the caller's gate sees its defect.
     """
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
@@ -378,4 +389,4 @@ def auto_converge(profile: Profile, t_final: float, tol: float,
         RuntimeWarning,
         stacklevel=2,
     )
-    return replace(prev, converged=False, convergence_history=tuple(history))
+    return replace(prev, converged=False, convergence_history=tuple(history), stop_reason=why)

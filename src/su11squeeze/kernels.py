@@ -13,10 +13,21 @@ reference :func:`su11squeeze.core.compose` builds, one segment at a time, the tr
 :func:`su11squeeze.evolution.triple` forms.  :func:`su11squeeze.oracle.heisenberg` shares the pair product.
 With ``x = w/omega0``, ``cosh(2*rho)`` and ``sinh(2*rho)`` are ``(x +- 1/x)/2``.
 
+Segments at one frequency commute, so ``k`` equal samples in a row are
+exactly the one segment ``S(w, k*tau)``.  The fold cuts its input after
+each record step and wherever the next sample differs, and folds each
+piece as one segment: a square wave costs O(runs + records), not O(N), and
+adds one rounding per piece, not per segment.  So the norm defect the fold
+reports is the maximum over pieces, not over segments.  It finds the
+pieces one input window of ``BLOCK`` samples at a time and stages them in
+its scratch; a ladder with no two equal neighbours, or with every step
+recorded, has one piece per segment and is folded straight from its
+windows, with the same bits as a fold of segments.
+
 The product is associative, so its prefixes come from a work-efficient
-two-level scan over blocks of ``BLOCK`` segments, with the running product
+two-level scan over blocks of ``BLOCK`` pieces, with the running product
 carried from block to block.  A block is viewed as ``(CHUNK, m)``: column
-``c`` holds the ``CHUNK`` consecutive segments of chunk ``c``, so segment
+``c`` holds the ``CHUNK`` consecutive pieces of chunk ``c``, so piece
 ``k`` sits at ``[k % CHUNK, k // CHUNK]``.  The scan runs down the rows,
 each step one vectorized product over the ``m`` chunks; it scans the chunk
 totals, seeded with the carry; and it multiplies each chunk by the product
@@ -25,8 +36,9 @@ products per segment, where a Hillis-Steele scan of the whole block takes
 ``log2(BLOCK)`` (Blelloch, "Prefix sums and their applications", 1990).  A
 short last chunk is padded with identity segments, whose defect reads 0.
 No step divides, and ``|p| >= 1``.  A caller may hand the carry in and get
-it back, so a ladder folded in pieces whose lengths are multiples of
-``BLOCK`` gives the bits of one fold, with memory for one piece's records.
+it back, so a ladder folded in parts whose lengths are multiples of
+``record_every * BLOCK`` gives the bits of one fold, with memory for one
+part's records.
 
 The RK4 sweep integrates the Schrodinger equation in a truncated number
 basis with classical fixed-substep RK4; :func:`fock_bands` holds the basis
@@ -44,10 +56,10 @@ import numpy as np
 
 from .errors import ProfileDomainError
 
-#: Segments per fold block.  It sets the fold's scratch, seven
-#: ``(CHUNK, BLOCK // CHUNK)`` arrays (0.7 MB) allocated once per call and
-#: reused by every block.  Blocks run in sequence, each seeded with the
-#: running product of the ones before.
+#: Pieces per fold block, and samples per input window.  It sets the fold's
+#: scratch, seven ``(CHUNK, BLOCK // CHUNK)`` arrays (0.7 MB) allocated once
+#: per call and reused by every block.  Blocks run in sequence, each seeded
+#: with the running product of the ones before.
 BLOCK = 8192
 
 #: Consecutive segments per chunk of the two-level scan: the scan runs down a
@@ -107,8 +119,83 @@ def not_positive(step: int, omega: float) -> ProfileDomainError:
                               step=step, omega=omega)
 
 
+def _fold_block(w, dur, omega0, scratch):
+    """Fold one block of at most ``BLOCK`` segments onto the running product.
+
+    ``w`` holds the segments' frequencies and ``dur`` their durations, an
+    array like ``w`` or one float for all; both are read before the scratch
+    rows ``t`` and ``u`` are written, so they may live there.  ``scratch``
+    is what :func:`fold_ladder` allocates; the first entry of its chunk
+    totals holds the running product, which the block advances.  Returns the ``(CHUNK,
+    m)`` views ``p``, ``q`` and ``defect`` of the block's prefix products,
+    segment ``k`` at ``[k % CHUNK, k // CHUNK]``.
+    """
+    reals, pairs, tot_p, tot_q = scratch
+    full, rem = divmod(w.shape[0], CHUNK)
+    m = full + (rem > 0)
+    # contiguous (CHUNK, m) views: on strided ones numpy ufuncs allocate buffers
+    x, s, y = reals.reshape(3, -1)[:, :CHUNK * m].reshape(3, CHUNK, m)
+    p, q, t, u = pairs.reshape(4, -1)[:, :CHUNK * m].reshape(4, CHUNK, m)
+    x[:, :full] = w[:full * CHUNK].reshape(full, CHUNK).T
+    if rem:  # the tail chunk: any positive frequency here, the identity below
+        x[:rem, full] = w[full * CHUNK:]
+        x[rem:, full] = 1.0
+    if np.ndim(dur):  # the durations pass through y before it takes 1/x
+        y[:, :full] = dur[:full * CHUNK].reshape(full, CHUNK).T
+        if rem:
+            y[:rem, full] = dur[full * CHUNK:]
+            y[rem:, full] = 0.0
+        np.multiply(x, y, out=s)
+    else:
+        np.multiply(x, dur, out=s)
+
+    # S_j as (conj(D), v), with cosh 2rho and sinh 2rho = (x +- 1/x)/2 at x = omega/omega0
+    np.cos(s, out=p.real)
+    np.sin(s, out=s)
+    x /= omega0
+    np.divide(1.0, x, out=y)
+    np.add(x, y, out=p.imag)
+    p.imag *= s
+    p.imag *= -0.5
+    q.real = 0.0
+    np.subtract(x, y, out=q.imag)
+    q.imag *= s
+    q.imag *= -0.5
+    if rem:
+        p[rem:, full] = 1.0
+        q[rem:, full] = 0.0
+
+    # inclusive products down each chunk, then the chunk totals seeded
+    # with the running product, then each chunk times its exclusive prefix
+    for i in range(1, CHUNK):
+        _mul_into(p[i], q[i], p[i - 1], q[i - 1], t[0], u[0])
+    tot_p[1:m + 1], tot_q[1:m + 1] = p[-1], q[-1]
+    _prefix_products(tot_p[:m + 1], tot_q[:m + 1])
+    _mul_into(p, q, tot_p[:m], tot_q[:m], t, u)
+    tot_p[0], tot_q[0] = tot_p[m], tot_q[m]
+
+    np.multiply(p.real, p.real, out=x)
+    np.multiply(p.imag, p.imag, out=s)
+    x += s  # |p|^2
+    np.multiply(q.real, q.real, out=y)
+    np.multiply(q.imag, q.imag, out=s)
+    y += s
+    y += 1.0
+    y -= x
+    np.abs(y, out=y)
+    y /= x  # the defect
+    if rem:
+        y[rem:, full] = 0.0
+    return p, q, y
+
+
 def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1, carry=None):
     """Fold a frequency ladder into the SU(1,1) pair ``(p, q)``, recording along the way.
+
+    The ladder is cut after each record step and wherever the next sample
+    differs; each piece of ``k`` equal samples is folded as the one segment
+    of duration ``k*tau``, which it equals exactly.  A ladder with no two
+    equal neighbours, or with every step recorded, has one piece per segment.
 
     Parameters
     ----------
@@ -126,9 +213,9 @@ def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1, carry=N
         starts from it, not from the identity, and overwrites it with the
         running product the block loop carries after the last segment (the
         last record's pair up to rounding, as the two associate differently).
-        Folding a ladder in pieces whose lengths are multiples of ``BLOCK``,
-        each seeded with the carry the one before left, gives the bits of a
-        single call.
+        Folding a ladder in parts whose lengths are multiples of
+        ``record_every * BLOCK``, each seeded with the carry the one before
+        left, gives the bits of a single call.
 
     Returns
     -------
@@ -139,7 +226,8 @@ def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1, carry=N
     defect : float64 array
         ``||q|^2 + 1 - |p|^2| / |p|^2 = ||alpha|^2 + |beta| - 1|`` at each record.
     max_defect : float
-        Maximum defect seen at *any* segment, recorded or not (a nan wins).
+        Maximum defect seen at the end of *any* piece, recorded or not (a
+        nan wins).
     """
     omega = np.ascontiguousarray(omega, dtype=np.float64)
     n_seg = omega.shape[0]
@@ -152,77 +240,78 @@ def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1, carry=N
     rec_p = np.empty(rec.shape[0], dtype=np.complex128)
     rec_q = np.empty(rec.shape[0], dtype=np.complex128)
     rec_defect = np.empty(rec.shape[0], dtype=np.float64)
-    max_defect = 0.0
-    carry_p, carry_q = (1.0 + 0j, 0j) if carry is None else carry
+    max_defect, done = 0.0, 0  # done: records filled so far
 
-    # scratch for every block, allocated once: segment k of a block sits at [k % CHUNK, k // CHUNK]
-    shape = (CHUNK, -(-min(n_seg, BLOCK) // CHUNK))
-    reals = np.empty((3, *shape))
-    pairs = np.empty((4, *shape), dtype=np.complex128)
-    tot_p = np.empty(shape[1] + 1, dtype=np.complex128)
-    tot_q = np.empty(shape[1] + 1, dtype=np.complex128)
+    # scratch for every block, allocated once: piece k of a block sits at [k % CHUNK, k // CHUNK]
+    size = min(n_seg, BLOCK)
+    shape = (CHUNK, -(-size // CHUNK))
+    scratch = (np.empty((3, *shape)), np.empty((4, *shape), dtype=np.complex128),
+               np.empty(shape[1] + 1, dtype=np.complex128), np.empty(shape[1] + 1, dtype=np.complex128))
+    scratch[2][0], scratch[3][0] = (1.0 + 0j, 0j) if carry is None else carry
+    # the pieces found but not yet folded: frequency, duration, and whether a record ends it;
+    # the first two wait in the scratch rows t and u of _fold_block
+    wait_w, wait_d = (scratch[1][i].reshape(-1).view(np.float64)[:size] for i in (2, 3))
+    wait_rec = np.empty(size, dtype=bool)
+    waiting, last = 0, -1  # last: the final segment of the last piece found
+    cuts, recs = np.empty((2, size), dtype=bool)
+
+    def fold(w, dur, at):
+        """Fold one block of pieces and fill the records that end at its positions ``at``."""
+        nonlocal max_defect, done
+        p, q, defect = _fold_block(w, dur, omega0, scratch)
+        max_defect = np.maximum(max_defect, defect.max())  # keeps a nan, unlike max()
+        col, row = np.divmod(at, CHUNK)
+        filled = slice(done, done + at.shape[0])
+        rec_p[filled] = p[row, col]
+        rec_q[filled] = q[row, col]
+        rec_defect[filled] = defect[row, col]
+        done = filled.stop
+
     # a product or defect beyond double range gives a nan defect, which the caller reports
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_seg, BLOCK):
-            block = omega[start:start + BLOCK]
-            full, rem = divmod(block.shape[0], CHUNK)
-            m = full + (rem > 0)
-            # contiguous (CHUNK, m) views: on strided ones numpy ufuncs allocate buffers
-            x, s, y = reals.reshape(3, -1)[:, :CHUNK * m].reshape(3, CHUNK, m)
-            p, q, t, u = pairs.reshape(4, -1)[:, :CHUNK * m].reshape(4, CHUNK, m)
-            x[:, :full] = block[:full * CHUNK].reshape(full, CHUNK).T
-            if rem:  # the tail chunk: any positive frequency here, the identity below
-                x[:rem, full] = block[full * CHUNK:]
-                x[rem:, full] = 1.0
+        for start in range(0, n_seg, BLOCK):  # one input window of BLOCK samples at a time
+            stop = min(start + BLOCK, n_seg)
+            window = omega[start:stop]
+            # cut after sample i of the window where the next sample differs, or a record falls
+            cut = cuts[:stop - start]
+            ahead = min(stop + 1, n_seg)
+            np.not_equal(omega[start:ahead - 1], omega[start + 1:ahead], out=cut[:ahead - 1 - start])
+            if stop == n_seg:
+                cut[-1] = True
+            first = (start // record_every + 1) * record_every - 1 - start
+            cut[first::record_every] = True
+            if not waiting and last == start - 1 and cut.all():  # one piece per segment
+                lo, hi = np.searchsorted(rec, (start + 1, stop + 1))
+                fold(window, tau, rec[lo:hi] - (start + 1))
+                last = stop - 1
+                continue
 
-            # S_j as (conj(D), v), with cosh 2rho and sinh 2rho = (x +- 1/x)/2 at x = omega/omega0
-            np.multiply(x, tau, out=s)
-            np.cos(s, out=p.real)
-            np.sin(s, out=s)
-            x /= omega0
-            np.divide(1.0, x, out=y)
-            np.add(x, y, out=p.imag)
-            p.imag *= s
-            p.imag *= -0.5
-            q.real = 0.0
-            np.subtract(x, y, out=q.imag)
-            q.imag *= s
-            q.imag *= -0.5
-            if rem:
-                p[rem:, full] = 1.0
-                q[rem:, full] = 0.0
-
-            # inclusive products down each chunk, then the chunk totals seeded
-            # with the carry, then each chunk times its exclusive prefix
-            for i in range(1, CHUNK):
-                _mul_into(p[i], q[i], p[i - 1], q[i - 1], t[0], u[0])
-            tot_p[0], tot_q[0] = carry_p, carry_q
-            tot_p[1:m + 1], tot_q[1:m + 1] = p[-1], q[-1]
-            _prefix_products(tot_p[:m + 1], tot_q[:m + 1])
-            carry_p, carry_q = tot_p[m], tot_q[m]
-            _mul_into(p, q, tot_p[:m], tot_q[:m], t, u)
-
-            np.multiply(p.real, p.real, out=x)
-            np.multiply(p.imag, p.imag, out=s)
-            x += s  # |p|^2
-            np.multiply(q.real, q.real, out=y)
-            np.multiply(q.imag, q.imag, out=s)
-            y += s
-            y += 1.0
-            y -= x
-            np.abs(y, out=y)
-            y /= x  # the defect
-            if rem:
-                y[rem:, full] = 0.0
-            max_defect = np.maximum(max_defect, y.max())  # keeps a nan, unlike max()
-
-            lo, hi = np.searchsorted(rec, (start + 1, start + block.shape[0] + 1))
-            col, row = np.divmod(rec[lo:hi] - (start + 1), CHUNK)
-            rec_p[lo:hi] = p[row, col]
-            rec_q[lo:hi] = q[row, col]
-            rec_defect[lo:hi] = y[row, col]
+            marks = recs[:stop - start]  # the records among the cuts
+            marks[:] = False
+            marks[first::record_every] = True
+            marks[-1] |= stop == n_seg
+            ends = np.flatnonzero(cut)
+            # fold a full block of pieces, and the last ones of the ladder or of a span of
+            # record_every * BLOCK samples, so that a span folds alike alone or in a longer call
+            span_ends = stop == n_seg or stop // BLOCK % record_every == 0
+            taken = 0
+            while taken < ends.shape[0]:
+                n = min(ends.shape[0] - taken, size - waiting)
+                piece_ends, into = ends[taken:taken + n], slice(waiting, waiting + n)
+                np.take(window, piece_ends, out=wait_w[into], mode="clip")
+                np.take(marks, piece_ends, out=wait_rec[into], mode="clip")
+                dur = wait_d[into]  # segments per piece, then times tau
+                dur[0] = start + piece_ends[0] - last
+                np.subtract(piece_ends[1:], piece_ends[:-1], out=dur[1:])
+                dur *= tau
+                last = start + int(piece_ends[-1])
+                waiting += n
+                taken += n
+                if waiting == size or (span_ends and taken == ends.shape[0]):
+                    fold(wait_w[:waiting], wait_d[:waiting], np.flatnonzero(wait_rec[:waiting]))
+                    waiting = 0
     if carry is not None:
-        carry[:] = carry_p, carry_q
+        carry[:] = scratch[2][0], scratch[3][0]
     return rec, rec_p, rec_q, rec_defect, float(max_defect)
 
 

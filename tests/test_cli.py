@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import hashlib
 import inspect
 import json
 import math
@@ -475,6 +476,63 @@ class TestSimulate:
         assert capsys.readouterr().err == f"simulation error: out of memory for {named}; lower n_steps\n"
 
 
+def _libm_digest():
+    """Digest of the elementary functions a run's bytes go through, on fixed arguments."""
+    x = np.linspace(-4.0, 4.0, 16384)
+    z = x + 1j * x[::-1]
+    parts = (np.cos(x), np.sin(x), np.exp(x), np.arcsinh(x), np.arctan2(x, x[::-1]), np.abs(z), z / z[::-1].conj())
+    return hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest()
+
+
+#: The libm digest of the platform the output digests below were taken on
+#: (x86-64 with AVX-512, numpy 2.4).  numpy's sin, cos and exp may round
+#: differently on other instruction sets or numpy versions, and with them
+#: every output byte, so there the digests say nothing.
+LIBM_DIGEST = "9354bf85dd302feffe42ae70115279ea2b8477a8e1259c6621ae589bc030c585"
+
+
+class TestOutputsOfRuns:
+    """A run of equal samples folds as one segment; a ladder without one writes the bytes it always did."""
+
+    # sha256 of the files written before runs were folded as one segment
+    @pytest.mark.parametrize("preset, flags, digest", [
+        ("fig1", [], "0b2a7f2aeb7bd1dafe28ca3ff7a964d35d4c0494565b80d363d0c20a7e86d92c"),
+        ("fig2", [], "30cea265823cb73a7e768c8a8003e2c276f86ea7e176cf5243a7bc20c88ec615"),
+        ("fig2", ["--record-every", "1"], "d8a61800409defb34421b6c6fbd50bdcf1e8a3fed6a18c3aae77dd3fdceb29ff"),
+    ], ids=["fig1", "fig2", "fig2_dense"])
+    def test_a_ladder_without_equal_neighbours_keeps_its_bytes(self, preset, flags, digest, tmp_path):
+        if _libm_digest() != LIBM_DIGEST:
+            pytest.skip("numpy's elementary functions round differently here than where the digests were taken")
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", "--preset", preset, *flags, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # Before runs were folded as one segment: the sha256 of the t and omega columns
+    # ("t,omega" lines), and r at every 500th record and the last
+    SQUARE_WAVES = {
+        "fig4": ("bb283604705bbfd79ab7114fb10ac3cf3f6530518c14a93622a8080fb5275408",
+                 [0.0037499405865540946, 0.5742981805524857, 1.1694773797334195, 1.62186027168233,
+                  2.0273253266381768, 2.432790378449281, 2.8382554287476154, 3.2491685299392525,
+                  3.84455960644599, 4.429874345682328, 4.865580674931703]),
+        "fig5": ("ce307697f5d50e94a0a46df90f5ba657fadef74653f4ee574d92ef71f77f3dfd",
+                 [0.0009790981728733002, 0.15688283060207112, 0.3137656689733318, 0.47064850596769336,
+                  0.6275313400146284, 0.7843814924181141, 0.9364210507907368, 1.0820980000935594,
+                  1.2261041590173363, 1.3741856162359902, 1.5296076391505673]),
+    }
+
+    @pytest.mark.parametrize("preset", sorted(SQUARE_WAVES))
+    def test_a_square_wave_records_the_same_steps_and_moves_r_by_rounding(self, preset, tmp_path):
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", "--preset", preset, "--output", str(out)]) == 0
+        header, body, _ = read_csv(out)
+        digest, r_then = self.SQUARE_WAVES[preset]
+        assert len(body) == 5000
+        assert hashlib.sha256("\n".join(f"{row[0]},{row[1]}" for row in body).encode()).hexdigest() == digest
+        r_now = [float(row[header.index("r")]) for row in body[::500] + body[-1:]]
+        np.testing.assert_allclose(r_now, r_then, rtol=1e-11, atol=0)
+        assert max(float(row[header.index("norm_defect")]) for row in body) <= 1e-13
+
+
 class TestConverge:
     def test_constant_profile_report(self, tmp_path, capsys):
         out = tmp_path / "conv.csv"
@@ -559,15 +617,18 @@ class TestConverge:
         assert not (tmp_path / "x.csv").exists()
 
     def test_doubling_stops_before_a_level_past_the_norm_defect_gate(self, tmp_path, capsys, monkeypatch):
-        # the gate lies between the defects of two levels: the doubling ends on the lower one
-        profile = PROFILES["sudden_jump"](1.5)
+        # the gate lies between the defects of two levels: the doubling ends on the lower one.
+        # A resonance has no two equal samples, so its rounding, and with it the defect, moves
+        # from level to level; a run of equal samples folds exactly at every level.
+        profile = PROFILES["parametric_resonance"](2.04, 1.04)
         levels = [1000 * 2 ** k for k in range(6)]
         defects = [evolve(discretize(profile, 1.0, n), record_every=n // 500).max_norm_defect for n in levels]
         k = next(k for k in range(1, len(levels)) if defects[k] > max(defects[:k]))
         monkeypatch.setattr(evolution, "NORM_DEFECT_MAX", math.sqrt(max(defects[:k]) * defects[k]))
         out = tmp_path / "conv.json"
-        code = cli.main(["converge", "--profile", "sudden_jump", "--omega1", "1.5", "--t-final", "1",
-                         "--n-start", "1000", "--tol", "1e-300", "--format", "json", "--output", str(out)])
+        code = cli.main(["converge", "--profile", "parametric_resonance", "--epsilon", "2.04", "--omega-l", "1.04",
+                         "--t-final", "1", "--n-start", "1000", "--tol", "1e-300", "--format", "json",
+                         "--output", str(out)])
         assert code == 0
         stdout, stderr = capsys.readouterr()
         assert f"converged=false n_final={levels[k - 1]} " in stdout
@@ -575,6 +636,25 @@ class TestConverge:
         report = json.loads(out.read_text())["report"]
         assert [n for n, _ in report["history"]] == levels[1:k]
         assert report["converged"] is False
+
+    @pytest.mark.parametrize("cause", ["cap", "defect"])
+    def test_a_doubling_stopped_at_its_first_level_says_why(self, cause, tmp_path, capsys, monkeypatch):
+        # with no level compared there is no |dr| to print, so the line ends on the cause
+        if cause == "cap":
+            monkeypatch.setattr(cli, "auto_converge", functools.partial(evolution.auto_converge, cap=1000))
+            why = "hit the cap (1000)"
+        else:  # the second level reads a defect past the gate
+            def worse_at_2000(dprof, **kwargs):
+                traj = evolve(dprof, **kwargs)
+                return dataclasses.replace(traj, max_norm_defect=1e-6) if dprof.n_steps == 2000 else traj
+
+            monkeypatch.setattr(evolution, "evolve", worse_at_2000)
+            why = "n_steps=2000 has norm defect 1.000e-06 > 1e-10"
+        code = cli.main(["converge", "--profile", "relaxing_pulse", "--B", "1.5", "--t-final", "1",
+                         "--n-start", "1000", "--tol", "1e-300", "--output", str(tmp_path / "c.csv")])
+        assert code == 0
+        assert capsys.readouterr().err == ("warning: step doubling stopped at n_steps=1000 before reaching "
+                                           f"tol=1e-300; last max |dr| = nan; {why}\n")
 
     def test_oracle_check_passes(self, tmp_path, capsys):
         code = cli.main(["converge", "--preset", "fig4", "--t-final", "1", "--n-steps", "1000",
@@ -805,13 +885,14 @@ class TestSweep:
         assert len(list(tmp_path.iterdir())) == 2
 
     def test_a_capped_doubling_is_one_line_under_its_label(self, tmp_path, capsys, monkeypatch):
-        # 1000 -> 2000 -> 4000 -> 8000 steps, then the cap; a tol of 1e-300 is never met
+        # 1000 -> 2000 -> 4000 -> 8000 steps, then the cap; a tol of 1e-300 is never met, since
+        # a pulse has no two equal samples, so r moves from level to level by its step error
         monkeypatch.setattr(cli, "auto_converge", functools.partial(evolution.auto_converge, cap=8000))
-        flags = ["--profile", "sudden_jump", "--omega1", "1.5", "--t-final", "1", "--n-steps", "auto",
+        flags = ["--profile", "relaxing_pulse", "--B", "1.5", "--t-final", "1", "--n-steps", "auto",
                  "--n-start", "1000", "--tol", "1e-300"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a Python warning would reach the user's stderr
-            assert cli.main(["sweep", *flags, "--sweep-param", "omega1", "--sweep-values", "1.5,1.6",
+            assert cli.main(["sweep", *flags, "--sweep-param", "B", "--sweep-values", "1.5,1.6",
                              "--output", str(tmp_path / "s.csv")]) == 0
             sweep = capsys.readouterr()
             assert cli.main(["simulate", *flags, "--output", str(tmp_path / "x.csv")]) == 0
@@ -820,11 +901,11 @@ class TestSweep:
         lines = sweep.err.splitlines()
         assert len(lines) == 2
         for line, value in zip(lines, ("1.5", "1.6")):
-            assert line.startswith(f"[omega1={value}] {notice}")
+            assert line.startswith(f"[B={value}] {notice}")
         assert simulate.err.startswith(notice) and simulate.err.count("\n") == 1
         assert "n_steps=8000" in simulate.out
         with pytest.warns(RuntimeWarning, match=r"step-doubling stopped .*: hit the cap"):  # the API still warns
-            cli.auto_converge(PROFILES["sudden_jump"](1.5), 1.0, 1e-300, n_start=1000)
+            cli.auto_converge(PROFILES["relaxing_pulse"](1.5), 1.0, 1e-300, n_start=1000)
 
     def test_bad_sweep_values_exit_2(self, tmp_path):
         code = cli.main(["sweep", "--profile", "constant", "--sweep-param", "omega0",

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su11squeeze import IDENTITY, TruncatedHamiltonian, compose, discretize, janszky_adam, step_coeffs
+from su11squeeze import (
+    IDENTITY,
+    ProfileDomainError,
+    TruncatedHamiltonian,
+    compose,
+    discretize,
+    evolve,
+    janszky_adam,
+    kernels,
+    step_coeffs,
+)
 from su11squeeze.kernels import (
     BLOCK,
     CHUNK,
@@ -14,6 +24,7 @@ from su11squeeze.kernels import (
     record_steps,
     rk4_propagate,
 )
+from su11squeeze.profiles import DiscretizedProfile
 
 
 def resonance_ladder(n=5000, t_final=5.0):
@@ -225,6 +236,121 @@ class TestFoldLadderProperties:
         _, p, q, defect, max_defect = fold_ladder(np.ones_like(omega), 1.0, tau)
         assert np.all(q == 0.0)
         assert max_defect <= 1e-12
+
+
+def runs_ladder(rng):
+    """Distinct samples with two runs of equal ones, for ``record_every = 3``.
+
+    The first run crosses the input window boundary at ``BLOCK``, and its pieces
+    straddle the end of the first scan block, which fills at the ``BLOCK``-th
+    piece.  The second crosses ``3 * BLOCK``, where a stream's fold call ends.
+    """
+    omega = rng.uniform(0.5, 2.0, 3 * BLOCK + 3000)
+    omega[BLOCK - 200:BLOCK + 1000] = 1.5
+    omega[3 * BLOCK - 500:3 * BLOCK + 1000] = 0.75
+    return omega
+
+
+def ladder_profile(omega, tau):
+    """A hand-made ladder at ``omega0 = 1``, held as ``discretize`` holds one."""
+    return DiscretizedProfile(omega0=1.0, tau=tau, samples=omega, t_final=tau * omega.shape[0])
+
+
+class TestFoldRuns:
+    """A run of k equal samples between records folds as the one segment S(omega, k*tau)."""
+
+    @pytest.mark.parametrize("omega, omega0", [(1.5, 1.0), (1.0, 1.0), (0.7, 1.3)])
+    def test_a_constant_ladder_is_its_closed_form(self, omega, omega0):
+        n, tau = 10 ** 6, 5e-5
+        eps = np.finfo(float).eps
+        whole = step_coeffs(omega, omega0, n * tau)
+        for every, bound in ((n, 4 * eps), (n // 5000, 5000 * eps)):
+            rec, p, q, _, max_defect = fold_ladder(np.full(n, omega), omega0, tau, every)
+            alpha, beta, gamma = triple(p[-1], q[-1])
+            # one piece is the closed form to a few eps; 5000 records leave 5000 pieces, each adding
+            # one rounding, where a fold of segments would repeat one segment's rounding 10^6 times
+            assert abs(alpha - whole.lam_plus) <= bound
+            assert abs(beta - whole.lam_c) <= bound
+            assert abs(gamma - whole.lam_minus) <= bound
+            assert max_defect <= bound
+            assert rec.shape[0] == n // every
+
+    def test_a_square_wave_folds_its_runs_and_records_not_its_segments(self, monkeypatch):
+        dprof = discretize(janszky_adam(omega1=1.04), 120.0, 150_000)
+        fold_block, pieces = kernels._fold_block, []
+
+        def counted(w, *args):
+            pieces.append(w.shape[0])
+            return fold_block(w, *args)
+
+        monkeypatch.setattr(kernels, "_fold_block", counted)
+        rec, p, q, _, _ = fold_ladder(dprof.samples, 1.0, dprof.tau, 30)
+        runs = 1 + np.count_nonzero(np.diff(dprof.samples))
+        assert rec.shape[0] == 5000
+        assert sum(pieces) <= rec.shape[0] + runs
+        # the records are those of a fold of segments, which every step recorded gives
+        _, seg_p, seg_q, _, _ = fold_ladder(dprof.samples, 1.0, dprof.tau, 1)
+        scale = np.abs(seg_p[rec - 1])
+        assert np.all(np.abs(p - seg_p[rec - 1]) <= 1e-11 * scale)
+        assert np.all(np.abs(q - seg_q[rec - 1]) <= 1e-11 * scale)
+
+    def test_a_run_across_a_window_a_scan_block_and_a_stream_call_folds_alike(self, rng):
+        omega = runs_ladder(rng)
+        tau = 0.01
+        rec, p, q, defect, max_defect = fold_ladder(omega, 1.0, tau, 3)
+        # a stream folds 3 * BLOCK samples per call, each call seeded with the carry
+        traj = evolve(ladder_profile(omega, tau), record_every=3)
+        assert traj.records.shape[0] == rec.shape[0]
+        np.testing.assert_array_equal(traj.records.t, rec * tau)
+        assert traj.records.norm_defect.tobytes() == defect.tobytes()
+        alpha = q / np.conj(p)
+        assert traj.records.alpha.tobytes() == alpha.tobytes()
+        assert traj.final == (complex(p[-1]), complex(q[-1]))
+        assert traj.max_norm_defect == max_defect
+        # and both are the fold of segments, to rounding
+        _, seg_p, seg_q, _, _ = fold_ladder(omega, 1.0, tau, 1)
+        scale = np.abs(seg_p[rec - 1])
+        assert np.all(np.abs(p - seg_p[rec - 1]) <= 1e-12 * scale)
+        assert np.all(np.abs(q - seg_q[rec - 1]) <= 1e-12 * scale)
+
+    def test_a_run_open_when_a_block_fills_is_folded_whole(self, rng):
+        # the block fills on the last piece of the second window while a run of 1.25
+        # goes on into the third, whose samples all differ: the run's first segments
+        # wait for the third window, so that window must not fold from its own samples
+        every = 3
+
+        def ladder(length):
+            omega = rng.uniform(0.5, 2.0, 3 * BLOCK)
+            omega[100:BLOCK - 100] = 1.5
+            omega[BLOCK + 100:BLOCK + 100 + length] = 0.75
+            omega[2 * BLOCK - 50:2 * BLOCK + 1] = 1.25
+            return omega
+
+        def pieces_in_two_windows(omega):
+            cut = np.append(omega[:-1] != omega[1:], True)
+            cut[every - 1::every] = True
+            return np.count_nonzero(cut[:2 * BLOCK])
+
+        omega = next(o for o in map(ladder, range(BLOCK // 2, BLOCK - 200)) if pieces_in_two_windows(o) == BLOCK)
+        rec, p, q, _, _ = fold_ladder(omega, 1.0, 0.01, every)
+        _, seg_p, seg_q, _, _ = fold_ladder(omega, 1.0, 0.01, 1)
+        scale = np.abs(seg_p[rec - 1])
+        assert np.all(np.abs(p - seg_p[rec - 1]) <= 1e-12 * scale)
+        assert np.all(np.abs(q - seg_q[rec - 1]) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_a_bad_sample_inside_a_run_is_named_by_its_step(self, bad, rng):
+        omega = runs_ladder(rng)
+        for step in (BLOCK, 3 * BLOCK + 7):  # inside the first run, and the second past a stream call
+            ladder = omega.copy()
+            ladder[step - 1] = bad
+            with pytest.raises(ProfileDomainError) as direct:
+                fold_ladder(ladder, 1.0, 0.01, 3)
+            with pytest.raises(ProfileDomainError) as streamed:
+                evolve(ladder_profile(ladder, 0.01), record_every=3)
+            for exc in (direct.value, streamed.value):
+                assert exc.step == step
+                assert exc.omega == bad or (np.isnan(bad) and np.isnan(exc.omega))
 
 
 def dense_rk4(omega, omega0, tau, psi0, n_sub):
