@@ -45,7 +45,7 @@ if "numpy" not in sys.modules and not any(name in os.environ for name in BLAS_TH
 import numpy as np
 
 from . import analysis, oracle
-from .config import FORMATS, PRESETS, SWEEP_PARAMS, ExperimentConfig, build_config, config_layers
+from .config import CHOICES, PRESETS, SWEEP_PARAMS, ExperimentConfig, build_config, config_layers
 from .errors import (
     ConfigError,
     InvalidAccumulatorError,
@@ -54,10 +54,10 @@ from .errors import (
     TableRangeError,
 )
 # apply_to_state, fidelity and integrate have no caller here, but perfbench/spans.py wraps them as cli attributes
-from .evolution import (CONVERGE_RECORDS, NORM_DEFECT_MAX, SCALINGS, RecordStream, Trajectory, apply_to_state,
-                        auto_converge, evolve)
+from .evolution import (CONVERGE_RECORDS, NORM_DEFECT_MAX, RecordStream, Trajectory, apply_to_state, auto_converge,
+                        evolve)
 from .oracle import fidelity, integrate
-from .profiles import KINDS, RULES, discretize
+from .profiles import discretize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -354,15 +354,11 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--sweep-values is empty")
     if len(set(tokens)) < len(tokens):
         raise ConfigError(f"--sweep-values repeats a value: {args.sweep_values}")
-    try:
-        values = [float(tok) for tok in tokens]
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep value: {exc}") from exc
 
     layers = _layers(args)
     jobs = []
-    for token, value in zip(tokens, values):
-        cfg = build_config([*layers, ("--sweep-values", {args.sweep_param: value})])
+    for token in tokens:
+        cfg = build_config([*layers, ("--sweep-values", {args.sweep_param: token})])
         stem, ext = os.path.splitext(cfg.output)
         cfg.output = _check_output(f"{stem}_{args.sweep_param}{token}{ext}")
         jobs.append((token, cfg))
@@ -443,8 +439,6 @@ def _compare_output(args, files):
 
 
 def cmd_compare(args) -> int:
-    if args.config is not None:  # it would name one file for two runs
-        raise ConfigError("compare takes --config-a and --config-b, not --config")
     paths, sides = (args.config_a, args.config_b), (_layers(args, "_a"), _layers(args, "_b"))
     cfg_a, cfg_b = (build_config(layers) for layers in sides)
     if cfg_a.t_final != cfg_b.t_final:
@@ -497,36 +491,18 @@ def _compare_verdict(cfg_a, cfg_b, times, r_a, r_b) -> str:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _int_or_auto(text: str):
-    return text if text == "auto" else int(text)
-
-
-def _add_config_flags(parser: argparse.ArgumentParser):
+def _add_config_flags(parser: argparse.ArgumentParser, config_file: bool = True):
+    """One flag per :class:`ExperimentConfig` field, with the field's help and metavar, each taking
+    the text that :mod:`config` types."""
     grp = parser.add_argument_group("experiment configuration")
-    grp.add_argument("--config", help="flat key = value configuration file")
-    grp.add_argument("--profile", choices=KINDS)
-    grp.add_argument("--omega0", type=float, help="reference frequency (default 1.0)")
-    grp.add_argument("--B", type=float, help="relaxing-pulse width parameter")
-    grp.add_argument("--epsilon", type=float, help="modulation rate in units of omega0")
-    grp.add_argument("--omega-l", type=float, dest="omega_l", help="extreme frequency of the cosine modulation")
-    grp.add_argument("--omega1", type=float, help="second frequency of jump/square-wave profiles")
-    grp.add_argument("--hold-low", type=float, dest="hold_low", help="square-wave dwell at omega0")
-    grp.add_argument("--hold-high", type=float, dest="hold_high", help="square-wave dwell at omega1")
-    grp.add_argument("--table", help="two-column (t, omega) file for tabulated profiles")
-    grp.add_argument("--t-final", type=float, dest="t_final")
-    grp.add_argument("--n-steps", type=_int_or_auto, dest="n_steps", metavar="N|auto")
-    grp.add_argument("--tol", type=float, help="convergence tolerance used with --n-steps auto")
-    grp.add_argument("--n-start", type=int, dest="n_start", help="starting N for step doubling")
-    grp.add_argument("--lambda", type=float, dest="lam", help="quadrature angle (default 0)")
-    grp.add_argument("--scaling", choices=tuple(SCALINGS))
-    grp.add_argument("--record-every", type=_int_or_auto, dest="record_every", metavar="K|auto")
-    grp.add_argument("--rule", choices=RULES, help="ladder sampling rule")
-    grp.add_argument("--output")
-    grp.add_argument("--format", choices=FORMATS)
-    grp.add_argument("--oracle-check", dest="oracle_check", action="store_const", const=True,
-                     help="check the vacuum's image against RK4 on (a, a+) by closed-form fidelity, to r ~ 14.6")
-    grp.add_argument("--fingerprint", action="store_const", const=True,
-                     help="append re_z/im_z fingerprint columns")
+    if config_file:  # compare names one file per run instead
+        grp.add_argument("--config", help="flat key = value configuration file")
+    for f in dataclasses.fields(ExperimentConfig):
+        flag = "--lambda" if f.name == "lam" else "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            grp.add_argument(flag, dest=f.name, action="store_const", const="true", **f.metadata)
+        else:
+            grp.add_argument(flag, dest=f.name, choices=CHOICES.get(f.name), **f.metadata)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -560,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--preset-b", dest="preset_b", choices=sorted(PRESETS))
     p_cmp.add_argument("--config-a", dest="config_a")
     p_cmp.add_argument("--config-b", dest="config_b")
-    _add_config_flags(p_cmp)
+    _add_config_flags(p_cmp, config_file=False)
     p_cmp.set_defaults(func=cmd_compare)
 
     return parser

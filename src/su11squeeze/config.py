@@ -3,14 +3,17 @@
 :func:`config_layers` lists a run's ``(source, keys)`` layers, lowest first: a
 ``--config`` file's ``preset`` line, ``--preset``, the file's keys, the flags.
 :func:`build_config` merges them, a higher layer's key winning, and validates
-the result.  File values are typed by their field, so ``output = 7`` names a file.
+the result.  Every value given as text (a file line, a flag, a sweep value) is
+typed there once, by its field, so ``output = 7`` names a file and ``tol = 1``
+and ``--tol 1`` are both the float 1.0.
 """
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .evolution import N_START_MIN, SCALINGS
@@ -26,35 +29,45 @@ PRESETS = {
 }
 
 FORMATS = ("csv", "json")
+#: The values each text field with a fixed set takes: ``validate`` refuses others, the CLI offers them.
+CHOICES = {"profile": KINDS, "scaling": tuple(SCALINGS), "rule": RULES, "format": FORMATS}
+
+
+def _flag(default, help: str | None = None, metavar: str | None = None):
+    """A field whose command-line flag has a help text or a metavar (the CLI makes one flag per field)."""
+    return field(default=default, metadata={"help": help, "metavar": metavar})
 
 
 @dataclass
 class ExperimentConfig:
     profile: str = "constant"
-    omega0: float | None = None  # unset: 1, or a table's first omega
-    B: float | None = None
-    epsilon: float | None = None
-    omega_l: float | None = None
-    omega1: float | None = None
-    hold_low: float | None = None
-    hold_high: float | None = None
-    table: str | None = None
+    omega0: float | None = _flag(None, "reference frequency (default 1.0)")  # unset: 1, or a table's first omega
+    B: float | None = _flag(None, "relaxing-pulse width parameter")
+    epsilon: float | None = _flag(None, "modulation rate in units of omega0")
+    omega_l: float | None = _flag(None, "extreme frequency of the cosine modulation")
+    omega1: float | None = _flag(None, "second frequency of jump/square-wave profiles")
+    hold_low: float | None = _flag(None, "square-wave dwell at omega0")
+    hold_high: float | None = _flag(None, "square-wave dwell at omega1")
+    table: str | None = _flag(None, "two-column (t, omega) file for tabulated profiles")
     t_final: float = 30.0
-    n_steps: int | str = "auto"
-    tol: float = 1e-5
-    n_start: int = 10000
-    lam: float = 0.0
+    n_steps: int | str = _flag("auto", metavar="N|auto")
+    tol: float = _flag(1e-5, "convergence tolerance used with --n-steps auto")
+    n_start: int = _flag(10000, "starting N for step doubling")
+    lam: float = _flag(0.0, "quadrature angle (default 0)")
     scaling: str = "quarter"
-    record_every: int | str = "auto"
-    rule: str = "right"
+    record_every: int | str = _flag("auto", metavar="K|auto")
+    rule: str = _flag("right", "ladder sampling rule")
     output: str = "trajectory.csv"
     format: str = "csv"
-    oracle_check: bool = False
-    fingerprint: bool = False
+    oracle_check: bool = _flag(False, "check the vacuum's image against RK4 on (a, a+) by closed-form "
+                                      "fidelity, to r ~ 14.6")
+    fingerprint: bool = _flag(False, "append re_z/im_z fingerprint columns")
 
     def validate(self) -> "ExperimentConfig":
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, str):  # text from a file line, a flag or a sweep value
+                value = _typed(f.name, value)
             # a numeric field holds a number or its non-numeric default (None, "auto")
             if (f.name in _NUMBER_FIELDS and value != f.default
                     and (isinstance(value, bool) or not isinstance(value, (int, float)))):
@@ -64,11 +77,10 @@ class ExperimentConfig:
             if f.name in _INT_FIELDS and isinstance(value, float):
                 if not value.is_integer():
                     raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-                setattr(self, f.name, int(value))
-        for name, choices in (("profile", KINDS), ("scaling", tuple(SCALINGS)),
-                              ("rule", RULES), ("format", FORMATS)):
-            if (value := getattr(self, name)) not in choices:
-                raise ConfigError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+                value = int(value)
+            if f.name in CHOICES and value not in CHOICES[f.name]:
+                raise ConfigError(f"{f.name} must be one of {', '.join(CHOICES[f.name])}, got {value!r}")
+            setattr(self, f.name, value)
         if self.omega0 is not None and not (self.omega0 > 0):
             raise ConfigError(f"omega0 must be positive, got {self.omega0}")
         if not (self.t_final > 0):
@@ -121,22 +133,19 @@ _BOOL_FIELDS = {f.name for f in fields(ExperimentConfig) if f.type == "bool"}
 SWEEP_PARAMS = tuple(name for name in _PROFILE_FIELDS if name in _NUMBER_FIELDS) + ("t_final", "lam")
 
 
-def _coerce(key: str, raw: str):
-    """A file value typed by its field: a boolean, a number where one parses, else the text."""
-    value = raw.strip()
+def _typed(key: str, text: str):
+    """Text typed by its field: a bool by its word, a float, an int (``1e3`` as 1000.0 here, which
+    ``validate`` makes an int), else the text, for ``validate`` to refuse where a number is needed."""
     if key in _BOOL_FIELDS:
-        if value.lower() in ("1", "true", "yes", "on"):
+        if text.lower() in ("1", "true", "yes", "on"):
             return True
-        if value.lower() in ("0", "false", "no", "off"):
+        if text.lower() in ("0", "false", "no", "off"):
             return False
-        raise ConfigError(f"cannot parse boolean {key} = {raw!r}")
-    if key in _NUMBER_FIELDS:  # text that is no number ("auto", "abc") is left to validate
-        for cast in (int, float):
-            try:
-                return cast(value)
-            except ValueError:
-                continue
-    return value
+        raise ConfigError(f"cannot parse boolean {key} = {text!r}")
+    for cast in (int, float) if key in _INT_FIELDS else (float,) if key in _NUMBER_FIELDS else ():
+        with contextlib.suppress(ValueError):
+            return cast(text)
+    return text
 
 
 def _preset(name: str, where: str = "") -> dict:
@@ -146,7 +155,7 @@ def _preset(name: str, where: str = "") -> dict:
 
 
 def load_config_file(path) -> dict:
-    """Parse a flat ``key = value`` file; '#' starts a comment.  A key set twice is refused."""
+    """Parse a flat ``key = value`` file into its keys' text; '#' starts a comment.  A key set twice is refused."""
     try:
         entries = read_entries(path)
     except OSError as exc:
@@ -166,7 +175,7 @@ def load_config_file(path) -> dict:
         if key in first:
             raise ConfigError(f"{path}: {key!r} is set twice, on lines {first[key]} and {lineno}")
         first[key] = lineno
-        out[key] = _coerce(key, raw)
+        out[key] = raw.strip()
         if key == "preset":
             _preset(out[key], f"{path}:{lineno}: ")
     return out

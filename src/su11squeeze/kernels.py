@@ -267,8 +267,9 @@ def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1, carry=N
         rec_defect[filled] = defect[row, col]
         done = filled.stop
 
-    # a product or defect beyond double range gives a nan defect, which the caller reports
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a product or defect beyond double range, or a |p|^2 that rounding took to 0, gives a nan
+    # or inf defect, which the caller reports
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, n_seg, BLOCK):  # one input window of BLOCK samples at a time
             stop = min(start + BLOCK, n_seg)
             window = omega[start:stop]

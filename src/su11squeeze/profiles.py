@@ -233,6 +233,8 @@ def discretize(profile: Profile, t_final: float, n_steps: int, rule: str = "righ
     ProfileDomainError
         If any sample is not positive and finite, nan included (carries the
         first offending 1-based segment index).
+    MemoryError
+        If the samples do not fit in memory, or numpy cannot size them at all.
     """
     if not (t_final > 0.0):
         raise ValueError(f"t_final must be positive, got {t_final}")
@@ -241,7 +243,10 @@ def discretize(profile: Profile, t_final: float, n_steps: int, rule: str = "righ
     if rule not in RULES:
         raise ValueError(f"unknown sampling rule {rule!r}")
     tau = t_final / n_steps
-    samples = np.empty(n_steps, dtype=np.float64)
+    try:
+        samples = np.empty(n_steps, dtype=np.float64)
+    except ValueError as exc:  # numpy cannot size so many (N >= 2**60): memory could never hold them
+        raise MemoryError(f"cannot allocate {n_steps} samples") from exc
     # a curve that overflows gives inf or nan samples, refused below with their step
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, kernels.BLOCK):

@@ -475,6 +475,19 @@ class TestSimulate:
         assert code == 3
         assert capsys.readouterr().err == f"simulation error: out of memory for {named}; lower n_steps\n"
 
+    @pytest.mark.parametrize("argv, named", [
+        (["simulate", "--n-steps", "10000000000000000000"], "n_steps = 10000000000000000000"),
+        (["converge", "--n-start", "10000000000000000000"], "the configured n_steps"),
+        (["simulate", "--config", "{cfg}"], "the configured n_steps"),
+    ], ids=["simulate", "converge", "file"])
+    def test_a_ladder_numpy_cannot_size_exits_3(self, argv, named, tmp_path, capsys):
+        # N >= 2**60 is past what numpy can size, so nothing is allocated
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("n_steps = 1e19\n")
+        argv = [arg.format(cfg=cfg) for arg in argv]
+        assert cli.main([*argv, "--preset", "fig4", "--output", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err == f"simulation error: out of memory for {named}; lower n_steps\n"
+
 
 def _libm_digest():
     """Digest of the elementary functions a run's bytes go through, on fixed arguments."""
@@ -555,6 +568,17 @@ class TestConverge:
         assert payload["report"]["converged"] is True
         assert payload["report"]["history"]
         assert payload["records"]
+
+    def test_a_tolerance_from_a_flag_or_a_file_writes_the_same_bytes(self, tmp_path, capsys):
+        # both are the float 1.0, so both reports print tol=1.0
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text("tol = 1\n")
+        run = ["converge", "--preset", "fig4", "--t-final", "1", "--n-start", "1000"]
+        assert cli.main([*run, "--tol", "1", "--output", str(tmp_path / "flag.csv")]) == 0
+        assert cli.main([*run, "--config", str(cfg), "--output", str(tmp_path / "file.csv")]) == 0
+        flag, file = (tmp_path / "flag.csv").read_bytes(), (tmp_path / "file.csv").read_bytes()
+        assert b"# converged=true n_final=2000 tol=1.0\r\n" in flag
+        assert flag == file
 
     def test_n_start_flag_sets_where_the_doubling_starts(self, tmp_path, capsys):
         # fig4 fixes n_steps = 60000, which the explicit --n-start overrides
@@ -792,9 +816,10 @@ class TestCompare:
         monkeypatch.setattr(kernels, "fold_ladder", no_work)
         bad = tmp_path / "bad.cfg"
         bad.write_text("n_steps = 0\n")
-        code = cli.main(["compare", "--config", str(bad), "--preset-a", "fig4", "--preset-b", "fig4",
-                         "--output", str(tmp_path / "cmp.csv")])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:  # compare has no --config: argparse finds two it could mean
+            cli.main(["compare", "--config", str(bad), "--preset-a", "fig4", "--preset-b", "fig4",
+                      "--output", str(tmp_path / "cmp.csv")])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--config-a" in err and "--config-b" in err
         assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
@@ -1193,13 +1218,49 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_every_config_field_has_a_flag():
+#: The help text each configuration flag has, by field.
+_FLAG_HELP = {
+    "omega0": "reference frequency (default 1.0)",
+    "B": "relaxing-pulse width parameter",
+    "epsilon": "modulation rate in units of omega0",
+    "omega_l": "extreme frequency of the cosine modulation",
+    "omega1": "second frequency of jump/square-wave profiles",
+    "hold_low": "square-wave dwell at omega0",
+    "hold_high": "square-wave dwell at omega1",
+    "table": "two-column (t, omega) file for tabulated profiles",
+    "tol": "convergence tolerance used with --n-steps auto",
+    "n_start": "starting N for step doubling",
+    "lam": "quadrature angle (default 0)",
+    "rule": "ladder sampling rule",
+    "oracle_check": "check the vacuum's image against RK4 on (a, a+) by closed-form fidelity, to r ~ 14.6",
+    "fingerprint": "append re_z/im_z fingerprint columns",
+}
+
+
+def test_every_config_field_has_a_flag(capsys):
+    # one flag per field, in field order, with the help text it had; each takes text, which config types
     wanted = {f.name for f in dataclasses.fields(ExperimentConfig)}
     (commands,) = [a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)]
     for name, parser in commands.choices.items():
         flags = {a.dest for a in parser._actions if a.option_strings}
         assert wanted <= flags, (name, sorted(wanted - flags))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([name, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        (group,) = [g for g in parser._action_groups if g.title == "experiment configuration"]
+        by_field = {a.dest: a for a in group._group_actions if a.dest != "config"}
+        assert list(by_field) == [f.name for f in dataclasses.fields(ExperimentConfig)], name
+        for field, action in by_field.items():
+            flag = "--lambda" if field == "lam" else "--" + field.replace("_", "-")
+            assert action.option_strings == [flag]
+            assert action.help == _FLAG_HELP.get(field), field
+            assert action.type is None, field
+            assert action.choices == config.CHOICES.get(field), field  # the table validate reads
+            assert f"  {flag}" in text, (name, flag)
+        assert (by_field["n_steps"].metavar, by_field["record_every"].metavar) == ("N|auto", "K|auto")
+        assert ("--config " in text) == (name != "compare"), name
 
 
 def test_every_factory_parameter_is_a_config_field_and_a_flag():
@@ -1221,39 +1282,54 @@ def test_every_factory_parameter_is_a_config_field_and_a_flag():
     ("scaling", "--scaling", "half"), ("rule", "--rule", "midpoint"), ("format", "--format", "json"),
     ("omega0", "--omega0", "2.5"), ("t_final", "--t-final", "2"), ("n_steps", "--n-steps", "400"),
     ("lam", "--lambda", "-0.3"), ("record_every", "--record-every", "7"), ("tol", "--tol", "1e-3"),
+    ("tol", "--tol", "1"), ("n_steps", "--n-steps", "1e3"), ("record_every", "--record-every", "2.0"),
+    ("n_start", "--n-start", "1e4"), ("oracle_check", "--oracle-check", "true"),
 ])
 def test_a_file_line_and_its_flag_give_the_same_config(key, flag, value, tmp_path):
-    # a file's value is typed by its field, as the flag's is: output = 7 names a file, as --output 7 does
+    # a file's value is typed by its field, as the flag's is: output = 7 names a file, as --output 7 does,
+    # and tol = 1 is the float 1.0, as --tol 1 is; a bool flag takes no value
     base = {"profile": "tabulated" if key == "table" else "constant", "t_final": "1", "n_steps": "10"}
     base.pop(key, None)
+    if key == "n_start":
+        base["n_steps"] = "auto"
     lines = "".join(f"{k} = {v}\n" for k, v in base.items())
     (tmp_path / "base.cfg").write_text(lines)
     (tmp_path / "line.cfg").write_text(f"{lines}{key} = {value}\n")
-    args = cli.build_parser().parse_args(["simulate", "--config", str(tmp_path / "base.cfg"), flag, value])
+    flags = [flag] if key == "oracle_check" else [flag, value]
+    args = cli.build_parser().parse_args(["simulate", "--config", str(tmp_path / "base.cfg"), *flags])
     by_flag = build_config(cli._layers(args))
-    assert build_config(config_layers(config_file=str(tmp_path / "line.cfg"))) == by_flag
+    by_line = build_config(config_layers(config_file=str(tmp_path / "line.cfg")))
+    for f in dataclasses.fields(ExperimentConfig):
+        assert repr(getattr(by_line, f.name)) == repr(getattr(by_flag, f.name)), f.name
 
 
 # Values that no numeric flag accepts, drawn for about one flag in four; the
 # rest are values the flag may take.  Flags that set the amount of work
-# (t_final, n_steps) draw from a capped range; the others may be huge.
+# (t_final, n_steps) draw from a capped range; the others may be huge.  Text
+# that is no number ("abc", "", "auto") is drawn for the float flags too, and
+# --n-steps may ask for more steps than numpy can size (exit 3); integral
+# floats such as 1e3 are valid integers.
 _REJECTED = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-1e300"])
+_NOT_NUMBERS = st.sampled_from(["abc", "", "auto"])
 
 
-def _or_rejected(*valid):
-    return st.integers(0, 3).flatmap(lambda i: _REJECTED if i == 0 else st.one_of(*valid))
+def _or_rejected(*valid, rejected=_REJECTED):
+    return st.integers(0, 3).flatmap(lambda i: rejected if i == 0 else st.one_of(*valid))
 
 
 def _floats(lo, hi):
     return st.floats(min_value=lo, max_value=hi, allow_nan=False).map(repr)
 
 
+_INTEGRAL_FLOATS = st.sampled_from(["1e3", "2.0"])
+
 _FUZZ_FLAGS = {
-    "--t-final": _or_rejected(_floats(1e-300, 5.0)),
-    "--n-steps": _or_rejected(st.integers(1, 2000).map(str)),
-    "--omega0": _or_rejected(_floats(1e-300, 1e300)),
-    "--epsilon": _or_rejected(_floats(1e-300, 1e300)),
-    "--record-every": _or_rejected(st.integers(1, 10**30).map(str)),
+    "--t-final": _or_rejected(_floats(1e-300, 5.0), rejected=_REJECTED | _NOT_NUMBERS),
+    "--n-steps": _or_rejected(st.integers(1, 2000).map(str), _INTEGRAL_FLOATS,
+                              rejected=_REJECTED | st.just("10000000000000000000")),
+    "--omega0": _or_rejected(_floats(1e-300, 1e300), rejected=_REJECTED | _NOT_NUMBERS),
+    "--epsilon": _or_rejected(_floats(1e-300, 1e300), rejected=_REJECTED | _NOT_NUMBERS),
+    "--record-every": _or_rejected(st.integers(1, 10**30).map(str), _INTEGRAL_FLOATS),
 }
 
 
