@@ -17,6 +17,8 @@ BLAS call (``oracle.heisenberg`` multiplies its 2x2 pairs elementwise), and
 starting the worker pool took about a third of the import.  OpenBLAS reads
 the variable once, while numpy loads, so it is set for that import alone and
 ``os.environ`` is left as it was found; a user's own setting always wins.
+What only some commands run loads when they first run it: ``concurrent.futures``
+(``sweep``), :mod:`oracle` (``--oracle-check``) and :mod:`analysis` (``compare``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import os
 import stat
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from importlib import import_module
 
 #: The variables that set OpenBLAS's thread count; with any of them set, the user's choice stands.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -44,7 +46,6 @@ if "numpy" not in sys.modules and not any(name in os.environ for name in BLAS_TH
 
 import numpy as np
 
-from . import analysis, oracle
 from .config import CHOICES, PRESETS, SWEEP_PARAMS, ExperimentConfig, build_config, config_layers
 from .errors import (
     ConfigError,
@@ -53,11 +54,22 @@ from .errors import (
     ProfileDomainError,
     TableRangeError,
 )
-# apply_to_state, fidelity and integrate have no caller here, but perfbench/spans.py wraps them as cli attributes
+# apply_to_state has no caller here, but perfbench/spans.py wraps it as a cli attribute
 from .evolution import (CONVERGE_RECORDS, NORM_DEFECT_MAX, RecordStream, Trajectory, apply_to_state, auto_converge,
                         evolve)
-from .oracle import fidelity, integrate
 from .profiles import discretize
+
+#: Attributes that load their module on first access (PEP 562): ``sweep`` builds its pool through
+#: ``cli.ThreadPoolExecutor``, and perfbench/spans.py wraps all three as cli attributes.
+_LAZY = {"ThreadPoolExecutor": "concurrent.futures", "integrate": ".oracle", "fidelity": ".oracle"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(_LAZY[name], __package__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -279,6 +291,8 @@ def _verify(cfg: ExperimentConfig, traj, announce=_say) -> int:
         return EXIT_SIMULATION
     if not cfg.oracle_check:
         return EXIT_OK
+    from . import oracle
+
     p, q = traj.final
     bound = oracle.FIDELITY_ROUNDING * abs(p) ** 2  # the fold has refused an overflowing |p|^2
     if not bound < 1.0 - ORACLE_FIDELITY_MIN:
@@ -365,20 +379,19 @@ def cmd_sweep(args) -> int:
 
     messages: dict[str, list] = {token: [] for token, _ in jobs}  # (line, file) in order
 
-    def run(job):
-        token, cfg = job
-        return token, run_single(cfg, lambda line, file=None: messages[token].append((line, file)))
+    def run(token, cfg):
+        return run_single(cfg, lambda line, file=None: messages[token].append((line, file)))
 
-    with ThreadPoolExecutor(max_workers=min(4, len(jobs))) as pool:
-        results = dict(pool.map(run, jobs))
+    # one worker runs the values in order, so the sweep holds one run's working set at a time; the
+    # pool is looked up on the module, where a wrapper that replaced cli.ThreadPoolExecutor sits
+    with sys.modules[__name__].ThreadPoolExecutor(max_workers=1) as pool:
+        runs = [pool.submit(run, token, cfg) for token, cfg in jobs]
+    codes = [future.result() for future in runs]  # all have run; the first value that raised raises here
 
-    code = EXIT_OK
     for token, _ in jobs:
         for line, file in messages[token]:
             _say(f"[{args.sweep_param}={token}] {line}", file=file)
-        if results[token] != EXIT_OK and code == EXIT_OK:
-            code = results[token]
-    return code
+    return next((code for code in codes if code != EXIT_OK), EXIT_OK)  # the first failure decides
 
 
 def _doubling_start(layers, cfg: ExperimentConfig) -> int:
@@ -465,6 +478,8 @@ def cmd_compare(args) -> int:
 def _compare_verdict(cfg_a, cfg_b, times, r_a, r_b) -> str:
     if np.array_equal(r_a, r_b):
         return "identical"
+    from . import analysis
+
     period_a = cfg_a.to_profile().period
     period_b = cfg_b.to_profile().period
     transient = max(period_a or 0.0, period_b or 0.0) or times[-1] / 10.0
@@ -555,9 +570,10 @@ def main(argv=None) -> int:
     except (ProfileDomainError, TableRangeError, InvalidAccumulatorError, LeakageError) as exc:
         _say(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
-    except MemoryError:  # every command has --n-steps
-        asked = f"n_steps = {args.n_steps}" if args.n_steps is not None else "the configured n_steps"
-        _say(f"simulation error: out of memory for {asked}; lower n_steps", file=sys.stderr)
+    except MemoryError:  # every command has --n-steps and --n-start; name the one that sized the ladder
+        key = next((key for key in ("n_steps", "n_start") if getattr(args, key) not in (None, "auto")), None)
+        asked = f"{key} = {getattr(args, key)}" if key else "the configured n_steps"
+        _say(f"simulation error: out of memory for {asked}; lower {key or 'n_steps'}", file=sys.stderr)
         return EXIT_SIMULATION
     finally:  # a block-buffered stdout meets a closed reader here, not in _say
         _flush()

@@ -126,6 +126,18 @@ def _fill(block, p, q, lam, s):
     block.mean_n = mod_q ** 2
 
 
+def _lost_pair(step: int, p: complex) -> InvalidAccumulatorError:
+    """The error of a record whose defect is not finite, which names its cause.
+
+    ``|p|^2 = cosh(r)^2`` overflows beyond r ~ 355.  Where it reads 0 the
+    pair lost every digit to cancellation: ``|p| >= 1`` holds exactly.
+    """
+    if p.real * p.real + p.imag * p.imag == 0.0:  # |p|^2 as the fold forms it; a float overflows silently
+        return InvalidAccumulatorError(f"the ladder fold lost every digit of the pair: |p|^2 rounded to 0 "
+                                       f"at step {step}")
+    return InvalidAccumulatorError("the ladder fold overflowed double precision")
+
+
 def observables(p, q, t, omega, norm_defect, lam: float = 0.0,
                 scaling: str = "quarter") -> np.recarray:
     """Squeezing observables of the vacuum-evolved state, one record per input.
@@ -220,8 +232,9 @@ class RecordStream:
                     dprof.samples[start:start + span], dprof.omega0, tau, every, carry)
             except ProfileDomainError as exc:  # name the step of the whole ladder
                 raise kernels.not_positive(exc.step + start, exc.omega) from None
-            if not np.all(np.isfinite(defect)):  # |p|^2 = cosh(r)^2 overflows beyond r ~ 355
-                raise InvalidAccumulatorError("the ladder fold overflowed double precision")
+            lost = np.flatnonzero(~np.isfinite(defect))
+            if lost.size:
+                raise _lost_pair(int(rec[lost[0]]) + start, complex(p[lost[0]]))
             max_defect = np.maximum(max_defect, worst)  # keeps a nan, unlike max()
             rec += start
             omega = dprof.samples[rec - 1]

@@ -124,7 +124,11 @@ def heisenberg(dprofile: DiscretizedProfile, n_sub: int):
 
     ``norm_drift`` is ``|1 - (|u|^2 - |v|^2)|``, the RK4 loss of the pair's
     norm, taken as the product of the segment determinants ``R^(2n)``, summed
-    as ``n log1p(R^2 - 1)``: no digit cancels, at any ``|u|`` or ``n``.
+    as ``n log1p(R^2 - 1)``: no digit cancels, at any ``|u|`` or ``n``.  Those
+    determinants are exact, so it leaves out the rounding of the block
+    product: on a four-cycle square wave at ``n_sub = 4`` it reads 0.0 where
+    the returned pair is 9.3e-13 off ``|u|^2 - |v|^2 = 1``, so a gate on it
+    cannot see rounding drift of that size.
 
     Raises
     ------

@@ -475,18 +475,35 @@ class TestSimulate:
         assert code == 3
         assert capsys.readouterr().err == f"simulation error: out of memory for {named}; lower n_steps\n"
 
-    @pytest.mark.parametrize("argv, named", [
-        (["simulate", "--n-steps", "10000000000000000000"], "n_steps = 10000000000000000000"),
-        (["converge", "--n-start", "10000000000000000000"], "the configured n_steps"),
-        (["simulate", "--config", "{cfg}"], "the configured n_steps"),
-    ], ids=["simulate", "converge", "file"])
-    def test_a_ladder_numpy_cannot_size_exits_3(self, argv, named, tmp_path, capsys):
-        # N >= 2**60 is past what numpy can size, so nothing is allocated
+    @pytest.mark.parametrize("argv, named, key", [
+        (["simulate", "--n-steps", "10000000000000000000"], "n_steps = 10000000000000000000", "n_steps"),
+        (["converge", "--n-start", "10000000000000000000"], "n_start = 10000000000000000000", "n_start"),
+        (["converge", "--n-steps", "1e19"], "n_steps = 1e19", "n_steps"),
+        (["simulate", "--n-steps", "auto", "--n-start", "1e19"], "n_start = 1e19", "n_start"),
+        (["simulate", "--config", "{cfg}"], "the configured n_steps", "n_steps"),
+    ], ids=["simulate", "converge", "converge_n_steps", "auto_n_start", "file"])
+    def test_a_ladder_numpy_cannot_size_exits_3(self, argv, named, key, tmp_path, capsys):
+        # N >= 2**60 is past what numpy can size, so nothing is allocated; the line names the flag given
         cfg = tmp_path / "huge.cfg"
         cfg.write_text("n_steps = 1e19\n")
         argv = [arg.format(cfg=cfg) for arg in argv]
         assert cli.main([*argv, "--preset", "fig4", "--output", str(tmp_path / "x.csv")]) == 3
-        assert capsys.readouterr().err == f"simulation error: out of memory for {named}; lower n_steps\n"
+        assert capsys.readouterr().err == f"simulation error: out of memory for {named}; lower {key}\n"
+
+    @pytest.mark.parametrize("argv, cause", [
+        # omega/omega0 ~ 1e48: the 18th record's pair cancels to (0, 0), so |p|^2 rounds to 0;
+        # the overflow is the first case of test_fold_beyond_double_range_exits_3
+        (["--t-final", "1", "--n-steps", "18", "--omega0", "8.500383293190236e-49", "--record-every", "1",
+          "--epsilon", "2.2312031323453714e+41"],
+         "the ladder fold lost every digit of the pair: |p|^2 rounded to 0 at step 18"),
+        (["--t-final", "1.5", "--omega0", "1e-300", "--n-steps", "1", "--epsilon", "7.024474751815672e+291"],
+         "the ladder fold overflowed double precision"),
+    ], ids=["lost_digits", "overflow"])
+    def test_a_fold_that_leaves_double_range_names_its_cause(self, argv, cause, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", "--preset", "fig2", *argv, "--output", str(out)]) == 3
+        assert capsys.readouterr().err == f"simulation error: {cause}\n"
+        assert not out.exists()
 
 
 def _libm_digest():
@@ -931,6 +948,37 @@ class TestSweep:
         assert "n_steps=8000" in simulate.out
         with pytest.warns(RuntimeWarning, match=r"step-doubling stopped .*: hit the cap"):  # the API still warns
             cli.auto_converge(PROFILES["relaxing_pulse"](1.5), 1.0, 1e-300, n_start=1000)
+
+    def test_each_value_writes_what_simulate_writes_and_prints_in_value_order(self, tmp_path, capsys):
+        run = ["--preset", "fig2", "--t-final", "6", "--n-steps", "3000", "--fingerprint"]
+        values = ["2.04", "1.96", "2.0"]  # not sorted: the lines follow --sweep-values
+        (tmp_path / "sweep").mkdir()
+        (tmp_path / "single").mkdir()
+        assert cli.main(["sweep", *run, "--sweep-param", "epsilon", "--sweep-values", ",".join(values),
+                         "--output", str(tmp_path / "sweep" / "r.csv")]) == 0
+        sweep = capsys.readouterr()
+        lines = []
+        for value in values:
+            name = f"r_epsilon{value}.csv"
+            assert cli.main(["simulate", *run, "--epsilon", value,
+                             "--output", str(tmp_path / "single" / name)]) == 0
+            assert (tmp_path / "sweep" / name).read_bytes() == (tmp_path / "single" / name).read_bytes()
+            single = capsys.readouterr().out.replace(str(tmp_path / "single"), str(tmp_path / "sweep"))
+            lines += [f"[epsilon={value}] {line}" for line in single.splitlines()]
+        assert sweep.out.splitlines() == lines
+        assert sweep.err == ""
+
+    def test_a_failing_value_lets_the_others_run_and_prints_only_its_error(self, tmp_path, capsys):
+        # the table's sample at t = 1 is negative, so t_final = 2 fails and t_final = 0.5 does not
+        table = tmp_path / "dip.dat"
+        table.write_text("0.0 1.0\n1.0 -0.2\n2.0 1.0\n")
+        code = cli.main(["sweep", "--profile", "tabulated", "--table", str(table), "--n-steps", "100",
+                         "--sweep-param", "t_final", "--sweep-values", "2,0.5", "--output", str(tmp_path / "s.csv")])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("simulation error: ") and err.count("\n") == 1
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["dip.dat", "s_t_final0.5.csv"]
 
     def test_bad_sweep_values_exit_2(self, tmp_path):
         code = cli.main(["sweep", "--profile", "constant", "--sweep-param", "omega0",

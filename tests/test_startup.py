@@ -75,3 +75,37 @@ def test_json_and_the_formatter_load_when_a_table_is_written(tmp_path):
 
 def test_the_cli_does_not_load_the_reference_recurrence():
     assert run("import sys, su11squeeze.cli; print('su11squeeze.core' in sys.modules)") == "False\n"
+
+
+#: What only some commands run, and so only they load.
+ON_FIRST_USE = ("concurrent.futures", "su11squeeze.oracle", "su11squeeze.analysis")
+
+
+def test_the_cli_loads_no_module_that_only_some_commands_run():
+    code = f"import sys, su11squeeze.cli; print([m for m in {ON_FIRST_USE!r} if m in sys.modules])"
+    assert run(code) == "[]\n"
+
+
+def test_the_wrapped_cli_attributes_resolve_to_the_real_objects():
+    code = ("import concurrent.futures, su11squeeze.cli as cli, su11squeeze.oracle as oracle\n"
+            "print(cli.ThreadPoolExecutor is concurrent.futures.ThreadPoolExecutor,\n"
+            "      cli.integrate is oracle.integrate, cli.fidelity is oracle.fidelity)\n"
+            "try:\n"
+            "    cli.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n")
+    assert run(code).splitlines() == ["True True True", "module 'su11squeeze.cli' has no attribute 'no_such_name'"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["simulate"], []),
+    (["simulate", "--oracle-check"], ["su11squeeze.oracle"]),
+    (["compare", "--preset-a", "fig4", "--preset-b", "fig5"], ["su11squeeze.analysis"]),
+    (["sweep", "--sweep-param", "lam", "--sweep-values", "0,0.5"], ["concurrent.futures"]),
+], ids=["simulate", "oracle_check", "compare", "sweep"])
+def test_each_command_loads_what_it_uses(argv, loaded, tmp_path):
+    argv = [*argv, "--t-final", "1", "--n-steps", "1000", "--output", str(tmp_path / "x.csv")]
+    code = ("import sys, su11squeeze.cli as cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            f"print([m for m in {ON_FIRST_USE!r} if m in sys.modules])\n")
+    assert run(code).splitlines()[-1] == repr(loaded)
