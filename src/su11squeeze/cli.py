@@ -13,9 +13,9 @@ lines it does not read, not the run or its exit code.
 
 Importing this module loads numpy with one OpenBLAS thread, unless numpy is
 loaded already or one of ``BLAS_THREAD_VARIABLES`` is set: the CLI makes no
-BLAS call (``oracle.heisenberg`` multiplies its 2x2 pairs elementwise), and
-starting the worker pool took about a third of the import.  OpenBLAS reads
-the variable once, while numpy loads, so it is set for that import alone and
+BLAS call (``oracle.heisenberg`` folds its 2x2 pairs in the fold's elementwise
+scan), and starting the worker pool took about a third of the import.  OpenBLAS
+reads the variable once, while numpy loads, so it is set for that import alone and
 ``os.environ`` is left as it was found; a user's own setting always wins.
 What only some commands run loads when they first run it: ``concurrent.futures``
 (``sweep``), :mod:`oracle` (``--oracle-check``) and :mod:`analysis` (``compare``).

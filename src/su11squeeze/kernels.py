@@ -10,35 +10,29 @@ conj(p)]]``, kept and handed on as the two complex numbers ``(p, q)``:
 ``|q| = sinh(r)`` holds the squeezing to full precision at any r.  The
 reference :func:`su11squeeze.core.compose` builds, one segment at a time, the triple
 ``alpha = q/conj(p)``, ``beta = conj(p)**-2``, ``gamma = -conj(q)/conj(p)`` that
-:func:`su11squeeze.evolution.triple` forms.  :func:`su11squeeze.oracle.heisenberg` shares the pair product.
-With ``x = w/omega0``, ``cosh(2*rho)`` and ``sinh(2*rho)`` are ``(x +- 1/x)/2``.
+:func:`su11squeeze.evolution.triple` forms.
 
 Segments at one frequency commute, so ``k`` equal samples in a row are
 exactly the one segment ``S(w, k*tau)``.  The fold cuts its input after
 each record step and wherever the next sample differs, and folds each
 piece as one segment: a square wave costs O(runs + records), not O(N), and
-adds one rounding per piece, not per segment.  So the norm defect the fold
-reports is the maximum over pieces, not over segments.  It finds the
-pieces one input window of ``BLOCK`` samples at a time and stages them in
-its scratch; a ladder with no two equal neighbours, or with every step
+adds one rounding per piece, so the norm defect it reports is the maximum
+over pieces.  It finds the pieces one input window of ``BLOCK`` samples at
+a time; a ladder with no two equal neighbours, or with every step
 recorded, has one piece per segment and is folded straight from its
 windows, with the same bits as a fold of segments.
 
 The product is associative, so its prefixes come from a work-efficient
-two-level scan over blocks of ``BLOCK`` pieces, with the running product
-carried from block to block.  A block is viewed as ``(CHUNK, m)``: column
-``c`` holds the ``CHUNK`` consecutive pieces of chunk ``c``, so piece
-``k`` sits at ``[k % CHUNK, k // CHUNK]``.  The scan runs down the rows,
-each step one vectorized product over the ``m`` chunks; it scans the chunk
-totals, seeded with the carry; and it multiplies each chunk by the product
-of the chunks before it in one broadcast product.  That is about two
-products per segment, where a Hillis-Steele scan of the whole block takes
-``log2(BLOCK)`` (Blelloch, "Prefix sums and their applications", 1990).  A
-short last chunk is padded with identity segments, whose defect reads 0.
+two-level scan over blocks of ``BLOCK`` pieces (:func:`_fold_block`), with
+the running product carried from block to block: about two products per
+segment, where a Hillis-Steele scan of the whole block takes
+``log2(BLOCK)`` (Blelloch, "Prefix sums and their applications", 1990).
 No step divides, and ``|p| >= 1``.  A caller may hand the carry in and get
 it back, so a ladder folded in parts whose lengths are multiples of
 ``record_every * BLOCK`` gives the bits of one fold, with memory for one
-part's records.
+part's records.  The scan takes its pieces from a builder:
+:func:`fold_ladder`'s gives the exact segments, and
+:func:`su11squeeze.oracle.heisenberg` hands :func:`_fold` one that gives RK4's.
 
 The RK4 sweep integrates the Schrodinger equation in a truncated number
 basis with classical fixed-substep RK4; :func:`fock_bands` holds the basis
@@ -57,7 +51,7 @@ import numpy as np
 from .errors import ProfileDomainError
 
 #: Pieces per fold block, and samples per input window.  It sets the fold's
-#: scratch, seven ``(CHUNK, BLOCK // CHUNK)`` arrays (0.7 MB) allocated once
+#: scratch, six ``(CHUNK, BLOCK // CHUNK)`` arrays (0.66 MB) allocated once
 #: per call and reused by every block.  Blocks run in sequence, each seeded
 #: with the running product of the ones before.
 BLOCK = 8192
@@ -76,13 +70,8 @@ def active_backend() -> str:
 # ladder fold
 # ---------------------------------------------------------------------------
 
-def _mul(ap, aq, bp, bq):
-    """(p, q) of the product A @ B of two SU(1,1) matrices given as (p, q)."""
-    return ap * bp + aq * np.conj(bq), ap * bq + aq * np.conj(bp)
-
-
 def _mul_into(ap, aq, bp, bq, t, u):
-    """``(ap, aq) <- A @ B`` in place, as :func:`_mul` computes it.
+    """``(ap, aq) <- A @ B`` in place, for SU(1,1) matrices given as ``(p, q)``.
 
     ``B`` may broadcast against ``A``; ``t`` and ``u`` are scratch shaped like ``ap``.
     """
@@ -98,9 +87,9 @@ def _prefix_products(p, q):
     """Inclusive prefix products ``S_i ... S_0``, in place (Hillis-Steele scan; for the chunk totals)."""
     shift = 1
     while shift < p.shape[0]:
-        p[shift:], q[shift:] = _mul(p[shift:], q[shift:], p[:-shift], q[:-shift])
+        a, b, c, d = p[shift:], q[shift:], p[:-shift], q[:-shift]
+        p[shift:], q[shift:] = a * c + b * np.conj(d), a * d + b * np.conj(c)
         shift *= 2
-    return p, q
 
 
 def record_steps(n_steps: int, record_every: int) -> np.ndarray:
@@ -119,40 +108,50 @@ def not_positive(step: int, omega: float) -> ProfileDomainError:
                               step=step, omega=omega)
 
 
-def _fold_block(w, dur, omega0, scratch):
-    """Fold one block of at most ``BLOCK`` segments onto the running product.
+def _exact(x, dur, p, f):
+    """The exact segments ``S(w, dur)``: ``cos(w dur)`` into ``p.real``, and ``sin(w dur)`` returned."""
+    s = np.multiply(x, dur, out=f[0])
+    np.cos(s, out=p.real)
+    return np.sin(s, out=s)
 
-    ``w`` holds the segments' frequencies and ``dur`` their durations, an
-    array like ``w`` or one float for all; both are read before the scratch
-    rows ``t`` and ``u`` are written, so they may live there.  ``scratch``
-    is what :func:`fold_ladder` allocates; the first entry of its chunk
-    totals holds the running product, which the block advances.  Returns the ``(CHUNK,
-    m)`` views ``p``, ``q`` and ``defect`` of the block's prefix products,
-    segment ``k`` at ``[k % CHUNK, k // CHUNK]``.
+
+def _fold_block(w, dur, omega0, scratch, build):
+    """Fold one block of at most ``BLOCK`` pieces onto the running product.
+
+    ``w`` holds the pieces' frequencies and ``dur`` their durations, an
+    array like ``w`` or one number for all, both read before the scratch
+    rows ``t`` and ``u``, where they may live, are written.  The block is
+    viewed as ``(CHUNK, m)``, piece ``k`` at ``[k % CHUNK, k // CHUNK]``.
+    Piece ``c I - i s M`` (``M`` as in :func:`su11squeeze.oracle.heisenberg`)
+    comes from ``build(x, dur, p, f)``, which writes ``c`` into ``p.real`` and
+    returns ``s`` from the laid-out ``x``, which it keeps, and ``dur``, with
+    ``t`` and ``u`` as four float rows ``f`` of scratch.  The scan runs
+    down the rows, one vectorized product over the chunks per row; it scans
+    the chunk totals, whose first entry holds the running product; and it
+    multiplies each chunk by the product of the chunks before it.  A short
+    last chunk is padded with identity pieces, whose defect reads 0.
+    Returns the views ``p``, ``q`` and ``defect`` of the prefix products.
     """
     reals, pairs, tot_p, tot_q = scratch
     full, rem = divmod(w.shape[0], CHUNK)
     m = full + (rem > 0)
     # contiguous (CHUNK, m) views: on strided ones numpy ufuncs allocate buffers
-    x, s, y = reals.reshape(3, -1)[:, :CHUNK * m].reshape(3, CHUNK, m)
+    x, y = reals.reshape(2, -1)[:, :CHUNK * m].reshape(2, CHUNK, m)
     p, q, t, u = pairs.reshape(4, -1)[:, :CHUNK * m].reshape(4, CHUNK, m)
+    f = [row for z in (t, u) for row in z.reshape(-1).view(np.float64).reshape(2, CHUNK, m)]
     x[:, :full] = w[:full * CHUNK].reshape(full, CHUNK).T
-    if rem:  # the tail chunk: any positive frequency here, the identity below
+    if rem:  # the tail chunk: any positive frequency here, a piece of no duration below
         x[:rem, full] = w[full * CHUNK:]
         x[rem:, full] = 1.0
-    if np.ndim(dur):  # the durations pass through y before it takes 1/x
+        dur = np.broadcast_to(dur, w.shape)
+    if np.ndim(dur):
         y[:, :full] = dur[:full * CHUNK].reshape(full, CHUNK).T
         if rem:
             y[:rem, full] = dur[full * CHUNK:]
             y[rem:, full] = 0.0
-        np.multiply(x, y, out=s)
-    else:
-        np.multiply(x, dur, out=s)
-
-    # S_j as (conj(D), v), with cosh 2rho and sinh 2rho = (x +- 1/x)/2 at x = omega/omega0
-    np.cos(s, out=p.real)
-    np.sin(s, out=s)
-    x /= omega0
+        dur = y
+    s = build(x, dur, p, f)
+    x /= omega0  # cosh 2rho and sinh 2rho are (x +- 1/x)/2
     np.divide(1.0, x, out=y)
     np.add(x, y, out=p.imag)
     p.imag *= s
@@ -175,11 +174,11 @@ def _fold_block(w, dur, omega0, scratch):
     tot_p[0], tot_q[0] = tot_p[m], tot_q[m]
 
     np.multiply(p.real, p.real, out=x)
-    np.multiply(p.imag, p.imag, out=s)
-    x += s  # |p|^2
+    np.multiply(p.imag, p.imag, out=f[0])
+    x += f[0]  # |p|^2
     np.multiply(q.real, q.real, out=y)
-    np.multiply(q.imag, q.imag, out=s)
-    y += s
+    np.multiply(q.imag, q.imag, out=f[0])
+    y += f[0]
     y += 1.0
     y -= x
     np.abs(y, out=y)
@@ -192,10 +191,8 @@ def _fold_block(w, dur, omega0, scratch):
 def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1, carry=None):
     """Fold a frequency ladder into the SU(1,1) pair ``(p, q)``, recording along the way.
 
-    The ladder is cut after each record step and wherever the next sample
-    differs; each piece of ``k`` equal samples is folded as the one segment
-    of duration ``k*tau``, which it equals exactly.  A ladder with no two
-    equal neighbours, or with every step recorded, has one piece per segment.
+    Each piece of ``k`` equal samples between cuts (see the module
+    docstring) is folded as the one segment of duration ``k*tau``.
 
     Parameters
     ----------
@@ -213,9 +210,6 @@ def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1, carry=N
         starts from it, not from the identity, and overwrites it with the
         running product the block loop carries after the last segment (the
         last record's pair up to rounding, as the two associate differently).
-        Folding a ladder in parts whose lengths are multiples of
-        ``record_every * BLOCK``, each seeded with the carry the one before
-        left, gives the bits of a single call.
 
     Returns
     -------
@@ -229,6 +223,11 @@ def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1, carry=N
         Maximum defect seen at the end of *any* piece, recorded or not (a
         nan wins).
     """
+    return _fold(omega, omega0, tau, record_every, carry, _exact)
+
+
+def _fold(omega, omega0, unit, record_every, carry, build):
+    """:func:`fold_ladder` with the pieces that ``build`` makes (see :func:`_fold_block`), ``unit`` per sample."""
     omega = np.ascontiguousarray(omega, dtype=np.float64)
     n_seg = omega.shape[0]
     if n_seg == 0:
@@ -245,7 +244,7 @@ def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1, carry=N
     # scratch for every block, allocated once: piece k of a block sits at [k % CHUNK, k // CHUNK]
     size = min(n_seg, BLOCK)
     shape = (CHUNK, -(-size // CHUNK))
-    scratch = (np.empty((3, *shape)), np.empty((4, *shape), dtype=np.complex128),
+    scratch = (np.empty((2, *shape)), np.empty((4, *shape), dtype=np.complex128),
                np.empty(shape[1] + 1, dtype=np.complex128), np.empty(shape[1] + 1, dtype=np.complex128))
     scratch[2][0], scratch[3][0] = (1.0 + 0j, 0j) if carry is None else carry
     # the pieces found but not yet folded: frequency, duration, and whether a record ends it;
@@ -258,7 +257,7 @@ def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1, carry=N
     def fold(w, dur, at):
         """Fold one block of pieces and fill the records that end at its positions ``at``."""
         nonlocal max_defect, done
-        p, q, defect = _fold_block(w, dur, omega0, scratch)
+        p, q, defect = _fold_block(w, dur, omega0, scratch, build)
         max_defect = np.maximum(max_defect, defect.max())  # keeps a nan, unlike max()
         col, row = np.divmod(at, CHUNK)
         filled = slice(done, done + at.shape[0])
@@ -283,7 +282,7 @@ def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1, carry=N
             cut[first::record_every] = True
             if not waiting and last == start - 1 and cut.all():  # one piece per segment
                 lo, hi = np.searchsorted(rec, (start + 1, stop + 1))
-                fold(window, tau, rec[lo:hi] - (start + 1))
+                fold(window, unit, rec[lo:hi] - (start + 1))
                 last = stop - 1
                 continue
 
@@ -301,10 +300,10 @@ def fold_ladder(omega, omega0: float, tau: float, record_every: int = 1, carry=N
                 piece_ends, into = ends[taken:taken + n], slice(waiting, waiting + n)
                 np.take(window, piece_ends, out=wait_w[into], mode="clip")
                 np.take(marks, piece_ends, out=wait_rec[into], mode="clip")
-                dur = wait_d[into]  # segments per piece, then times tau
+                dur = wait_d[into]  # segments per piece, then times unit
                 dur[0] = start + piece_ends[0] - last
                 np.subtract(piece_ends[1:], piece_ends[:-1], out=dur[1:])
-                dur *= tau
+                dur *= unit
                 last = start + int(piece_ends[-1])
                 waiting += n
                 taken += n

@@ -1,20 +1,21 @@
-"""Independent validators: RK4 on the Heisenberg pair and on the Fock basis.
+"""Validators: RK4 on the Heisenberg pair and on the Fock basis.
 
-Both integrate with classical fixed-substep RK4 on the same
-piecewise-constant frequency ladder the algebraic method uses, so the
-routes share a discretization and differ only in how the propagator is
-evaluated.  Neither uses the disentangling algebra.
-
+Both run classical fixed-substep RK4 on the ladder the algebraic method
+folds, so the routes share a discretization and differ in how each
+segment's propagator is evaluated; neither uses the disentangling algebra.
 H is quadratic, so ``(a, a+)`` evolve linearly::
 
     d/dt (a, a+) = -i omega [[cosh 2rho, sinh 2rho], [-sinh 2rho, -cosh 2rho]] (a, a+)
 
-:func:`heisenberg` runs RK4 on this 2x2 system, each segment's substeps at
-once in closed form, and returns the Bogoliubov pair ``(u, v)`` with
-``a(T) = u a + v a+``, the counterpart of the fold's
-``(p, q)``; ``--oracle-check`` gates the closed-form fidelity of the
-vacuum's images (:func:`vacuum_fidelity`), and :func:`evolve_number_state`
-builds the oracle's image of a number state ``|n>`` in a number basis.
+:func:`heisenberg` runs RK4 on this 2x2 system in closed form and
+multiplies the pieces with the fold's own scan
+(:func:`su11squeeze.kernels._fold`).  Its own parts are the RK4 segment
+matrices and ``norm_drift``; the scan's tests against
+:func:`su11squeeze.core.compose` and a general matrix product keep the
+shared part honest.  Its Bogoliubov pair ``(u, v)``, ``a(T) = u a + v a+``,
+is the counterpart of the fold's ``(p, q)``: ``--oracle-check`` gates the
+closed-form fidelity of the vacuum's images (:func:`vacuum_fidelity`), and
+:func:`evolve_number_state` builds the image of a number state ``|n>``.
 :func:`integrate` runs RK4 on the Schrodinger equation in a truncated number
 basis (:func:`su11squeeze.kernels.rk4_propagate`), the plain reference the
 tests hold the Heisenberg route to.
@@ -41,15 +42,11 @@ MAX_DIM = 4096
 #: population in the top four levels.
 INITIAL_EDGE_TOL = 1e-10
 
-#: Largest substep angle ``omega*dt`` of :func:`pair_substeps`.  The pair error falls as ``theta^4`` and
-#: is below 1e-12 here (7.7e-13 on fig2 at N = 15 000); it reaches a rounding floor near 1e-14 by
-#: ``theta ~ 1e-4``, and more substeps do not raise it (5e-13 on fig4, 3e-12 on fig5, up to n_sub = 1024).
-#: Nor do they cost more: :func:`heisenberg` takes the substep's power in closed form, so no count is capped.
+#: Largest substep angle ``omega*dt`` of :func:`pair_substeps`.  The pair error falls as ``theta^4``, below 1e-12
+#: here (7.7e-13 on fig2 at N = 15 000), to a rounding floor near 1e-14 by ``theta ~ 1e-4``; more substeps cost
+#: nothing more (a power is taken in closed form) and do not raise it (under 5e-15 on fig4 and fig5 to n_sub 1024).
 THETA_MAX = 1e-3
 FIDELITY_ROUNDING = 4.0 * float(np.finfo(np.float64).eps)  # vacuum_fidelity is good to this times |p|^2
-
-#: Segments per block of :func:`heisenberg`'s product; its traced scratch is ~0.5 MB.
-HEISENBERG_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -112,22 +109,19 @@ def heisenberg(dprofile: DiscretizedProfile, n_sub: int):
         1 - theta^2/2 + theta^4/24 -+ i (theta - theta^3/6) = R exp(-+i phi)
         R^2 = 1 + theta^6 (theta^2 - 8)/576
 
-    so its ``n_sub``-th power is ``R^n (cos(n phi) I - i sin(n phi) M)`` in
-    closed form, at one cost for every ``n = n_sub``.  It is ``[[P, Q],
-    [conj(Q), conj(P)]]``, ``P = R^n (cos(n phi) - i sin(n phi) cosh 2rho)``
-    and ``Q = -i R^n sin(n phi) sinh 2rho``, a shape that products keep, so
-    each block of segments is held as two complex rows ``(P, Q)`` and reduced
-    pairwise in time order by the fold's pair product
-    (:func:`kernels._mul_into`) into ping-pong buffers; the running product is
-    carried from block to block as a scalar pair.  It is ``(u, v)`` with
-    ``a(T) = u a + v a+``, the fold's ``(p, q)`` up to RK4 error.
+    so its ``n``-th power is ``R^n (cos(n phi) I - i sin(n phi) M)`` in
+    closed form, at one cost for every ``n``: a piece ``c I - i s M`` of the
+    fold's shape.  A run of ``k`` equal samples is one piece at ``n = k
+    n_sub``, and the fold's scan multiplies the pieces, cut where the
+    samples change: a square wave costs O(runs), not O(N).  The product is
+    ``(u, v)`` with ``a(T) = u a + v a+``, the fold's ``(p, q)`` up to RK4 error.
 
     ``norm_drift`` is ``|1 - (|u|^2 - |v|^2)|``, the RK4 loss of the pair's
-    norm, taken as the product of the segment determinants ``R^(2n)``, summed
+    norm, taken as the product of the piece determinants ``R^(2n)``, summed
     as ``n log1p(R^2 - 1)``: no digit cancels, at any ``|u|`` or ``n``.  Those
-    determinants are exact, so it leaves out the rounding of the block
-    product: on a four-cycle square wave at ``n_sub = 4`` it reads 0.0 where
-    the returned pair is 9.3e-13 off ``|u|^2 - |v|^2 = 1``, so a gate on it
+    determinants are exact, so it leaves out the rounding of the product: on
+    a four-cycle square wave at ``n_sub = 4`` it reads 2.3e-20 where the
+    returned pair is 6.9e-16 off ``|u|^2 - |v|^2 = 1``, so a gate on it
     cannot see rounding drift of that size.
 
     Raises
@@ -138,34 +132,41 @@ def heisenberg(dprofile: DiscretizedProfile, n_sub: int):
     """
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
-    power = float(n_sub)  # n_sub may pass int64
-    omega = np.ascontiguousarray(dprofile.samples, dtype=np.float64)
-    dt = dprofile.tau / power
-    bufs = [np.empty((2, size), np.complex128) for size in (HEISENBERG_BLOCK, HEISENBERG_BLOCK // 2 + 1)]
-    scratch = np.empty((2, HEISENBERG_BLOCK // 2), np.complex128)
-    u, v, log_det = 1.0 + 0j, 0j, 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, omega.shape[0], HEISENBERG_BLOCK):
-            w = omega[start:start + HEISENBERG_BLOCK]
-            theta = w * dt
-            t2 = theta * theta
-            log_r2 = np.log1p(t2 * t2 * t2 * (t2 - 8.0) / 576.0)
-            log_det += power * float(np.sum(log_r2))
-            angle = power * np.arctan2(theta - theta * t2 / 6.0, 1.0 - t2 / 2.0 + t2 * t2 / 24.0)
-            r_n = np.exp(0.5 * power * log_r2)
-            x = w / dprofile.omega0  # cosh 2rho and sinh 2rho are (x +- 1/x)/2
-            s = -0.5 * r_n * np.sin(angle)
-            n = w.shape[0]
-            src, dst = bufs
-            p, q = src[:, :n]
-            p.real, q.real = r_n * np.cos(angle), 0.0
-            p.imag, q.imag = s * (x + 1.0 / x), s * (x - 1.0 / x)
-            while (h := n // 2) > 0:  # each later pair times the one before it
-                dst[:, :h] = src[:, 1:2 * h:2]
-                kernels._mul_into(*dst[:, :h], *src[:, 0:2 * h:2], *scratch[:, :h])
-                dst[:, h:n - h] = src[:, 2 * h:n]  # an odd last pair moves up unpaired
-                n, src, dst = n - h, dst, src
-            u, v = kernels._mul(src[0, 0], src[1, 0], u, v)
+    dt = dprofile.tau / n_sub
+    log_det = 0.0
+
+    def pieces(x, power, p, f):
+        """RK4's ``power``-th substep powers at the frequencies ``x``, as the fold's builder (``f`` is scratch)."""
+        nonlocal log_det
+        a, b, c, d = f
+        np.multiply(x, dt, out=a)  # theta
+        np.multiply(a, a, out=b)
+        np.multiply(a, b, out=c)
+        c /= 6.0
+        np.subtract(a, c, out=c)  # theta - theta^3/6
+        np.divide(b, 24.0, out=d)
+        d -= 0.5
+        d *= b
+        d += 1.0  # 1 - theta^2/2 + theta^4/24
+        np.arctan2(c, d, out=c)
+        c *= power  # n phi
+        np.subtract(b, 8.0, out=d)
+        d *= b
+        d *= b
+        d *= b
+        d /= 576.0
+        np.log1p(d, out=d)
+        d *= power  # log R^(2n)
+        log_det += float(np.sum(d))
+        d *= 0.5
+        np.exp(d, out=d)  # R^n
+        np.cos(c, out=a)
+        np.multiply(d, a, out=p.real)
+        np.sin(c, out=c)
+        return np.multiply(c, d, out=c)
+
+    _, u, v, _, _ = kernels._fold(dprofile.samples, dprofile.omega0, float(n_sub), dprofile.n_steps, None, pieces)
+    with np.errstate(over="ignore"):  # a gain past double range reads inf
         norm_drift = float(abs(np.expm1(log_det)))
     if not norm_drift <= LEAKAGE_TOL:
         raise LeakageError(
@@ -173,7 +174,7 @@ def heisenberg(dprofile: DiscretizedProfile, n_sub: int):
             f"the substep dt={dt:.3g} is too coarse (raise n_sub)",
             leakage=norm_drift,
         )
-    return complex(u), complex(v), norm_drift
+    return complex(u[-1]), complex(v[-1]), norm_drift
 
 
 def evolve_number_state(dprofile: DiscretizedProfile, n: int, n_sub: int, dim: int | None = None):
